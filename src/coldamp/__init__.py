@@ -28,7 +28,6 @@ from .noise import (
 )
 from .params import InstrumentParams
 from .sensor import (
-    CoefficientSet,
     SpectrumBreakdown,
     estimator_coefficients,
     free_mass_coefficients,
@@ -37,14 +36,11 @@ from .sensor import (
     transducer_impedance,
 )
 from .servo import (
-    EffectiveImpedance,
-    ServoParams,
     cold_damped_estimator,
     cold_damped_velocity,
     cold_damped_velocity_coefficients,
     effective_impedance,
     gain_for_effective_impedance,
-    pd_gain_preset,
     sensing_error_identity,
 )
 from .verify import CheckResult, run_checks
@@ -57,12 +53,10 @@ __all__ = [
     "LINE_LABELS", "NoiseLine", "effective_temperature", "input_spectrum",
     "quadrature_spectrum",
     "InstrumentParams",
-    "CoefficientSet", "SpectrumBreakdown", "estimator_coefficients",
+    "SpectrumBreakdown", "estimator_coefficients",
     "free_mass_coefficients", "mechanical_impedance", "sensor_noise_spectrum",
     "transducer_impedance",
-    "EffectiveImpedance", "ServoParams", "cold_damped_estimator",
-    "cold_damped_velocity", "cold_damped_velocity_coefficients",
-    "effective_impedance", "gain_for_effective_impedance", "pd_gain_preset",
-    "sensing_error_identity",
+    "cold_damped_estimator", "cold_damped_velocity", "cold_damped_velocity_coefficients",
+    "effective_impedance", "gain_for_effective_impedance", "sensing_error_identity",
     "CheckResult", "run_checks",
 ]

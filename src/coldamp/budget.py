@@ -14,16 +14,24 @@ sensitivity is sqrt(Sigma_FF)/M.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .network import NetworkSolveError
 from .noise import effective_temperature
 from .params import InstrumentParams
 from .sensor import SpectrumBreakdown, mechanical_impedance, sensor_noise_spectrum
 
 SIDEBAND_RATIO_FLOOR = 1e3
+MATCHING_DECADES = 6.0       # half-width of the matching search, log10 units
+_SWEEP_AXES = tuple(f.name for f in fields(InstrumentParams))
+
+
+class MatchingError(NetworkSolveError):
+    """The numerical matching minimum sits on the edge of its search bracket.
+
+    A numerical failure like a singular network: the CLI exits with 3.
+    """
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
     detuning-enhanced amplifier sensing noise.  Loss and detection lines
     are dropped, so this is a matching-study tool, not the final number.
     """
-    h_m = p.H_m_at(omega)
+    h_m = p.H_m
     delta = p.delta(omega)
     k_theta_m = effective_temperature(p.T_m, omega)
     k_theta_a = effective_temperature(p.T_a, p.omega_t)
@@ -117,7 +125,7 @@ def optimal_matching(p: InstrumentParams, omega: float) -> MatchingResult:
     noise falls off as its inverse, so the optimum sits where the two
     are equal: ratio_opt = sqrt(1 + Delta^2)/2 * |Omega|/omega_t.
     """
-    h_m = p.H_m_at(omega)
+    h_m = p.H_m
     delta = p.delta(omega)
     k_theta_m = effective_temperature(p.T_m, omega)
     k_theta_a = effective_temperature(p.T_a, p.omega_t)
@@ -155,22 +163,31 @@ def _golden_minimize(f, a, b, tol=1e-12, max_iter=400):
 def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]:
     """Bracketed minimization of the reduced budget over R_a/R_m.
 
-    Golden-section search on log10(R_a/R_m) in [-12, 0]; returns the
-    minimizing ratio and the budget value there.  Cross-checks the
-    closed form of optimal_matching.  The Langevin term is independent
-    of the matching but dominates the budget, which would flatten the
-    minimum below floating-point resolution; the search therefore runs
-    at T_m = 0, where that term collapses to a negligible zero-point
-    constant, and the reported value is evaluated at the found ratio
-    with the true temperature.
+    Golden-section search on log10(R_a/R_m) within MATCHING_DECADES of
+    the closed-form optimum of optimal_matching, which it cross-checks;
+    returns the minimizing ratio and the budget value there, and raises
+    MatchingError when the minimum lands on the bracket edge.  The
+    Langevin term is independent of the matching but dominates the
+    budget, which would flatten the minimum below floating-point
+    resolution; the search therefore runs at T_m = 0, where that term
+    collapses to a negligible zero-point constant, and the reported value
+    is evaluated at the found ratio with the true temperature.
     """
-    r_m = p.H_m_at(omega) / p.kappa_t**2
+    r_m = p.H_m / p.kappa_t**2
     cold = p.with_(T_m=0.0)
 
     def objective(log_ratio: float) -> float:
         return simplified_budget(cold.with_(R_a=r_m * 10.0**log_ratio), omega)
 
-    best = _golden_minimize(objective, -12.0, 0.0)
+    centre = math.log10(optimal_matching(p, omega).ratio_opt)
+    lo, hi = centre - MATCHING_DECADES, centre + MATCHING_DECADES
+    best = _golden_minimize(objective, lo, hi)
+    if min(best - lo, hi - best) < 1e-6:
+        raise MatchingError(
+            f"numerical matching did not converge: its minimum lies on the edge of "
+            f"log10(R_a/R_m) in [{lo:.3f}, {hi:.3f}] at omega = {omega:g} rad/s",
+            omega=omega, condition=math.nan,
+        )
     return 10.0**best, simplified_budget(p.with_(R_a=r_m * 10.0**best), omega)
 
 
@@ -180,7 +197,6 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> l
     axis is "frequency" (grid in rad/s) or the name of a parameter field
     such as "R_a" (then omega fixes the analysis frequency).  The grid
     must be nonempty and strictly increasing; results follow grid order.
-    Set COLDAMP_THREADS to a positive integer to parallelize.
     """
     grid = list(grid)
     if not grid:
@@ -191,25 +207,20 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> l
     if axis == "frequency":
         tasks = [(p, w) for w in grid]
     else:
-        if not hasattr(p, axis):
-            raise ValueError(f"unknown sweep axis {axis!r}")
+        if axis not in _SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}; expected 'frequency' or one of "
+                             f"{', '.join(_SWEEP_AXES)}")
         if omega is None:
             raise ValueError("parameter sweeps need an analysis frequency")
         tasks = [(p.with_(**{axis: value}), omega) for value in grid]
 
-    def run(task):
-        params, w = task
+    points = []
+    for (params, w), value in zip(tasks, grid):
         try:
-            return budget_point(params, w)
+            points.append(budget_point(params, w))
         except ValueError as exc:
-            raise ValueError(f"sweep failed at {axis} = "
-                             f"{w if axis == 'frequency' else getattr(params, axis)!r}: {exc}") from exc
-
-    threads = int(os.environ.get("COLDAMP_THREADS", "0") or "0")
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, tasks))
-    return [run(task) for task in tasks]
+            raise ValueError(f"sweep failed at {axis} = {value!r}: {exc}") from exc
+    return points
 
 
 def acceleration_sensitivity(p: InstrumentParams, omega: float) -> float:

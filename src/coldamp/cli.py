@@ -44,8 +44,8 @@ def _load(args) -> config.RunConfig:
     return config.load(args.config)
 
 
-def _csv_rows(points, cfg):
-    yield ",".join(_CSV_COLUMNS)
+def _csv(points, cfg) -> str:
+    lines = [",".join(_CSV_COLUMNS)]
     for pt in points:
         b = pt.breakdown
         fields = [
@@ -54,11 +54,11 @@ def _csv_rows(points, cfg):
             _fmt(b.langevin), _fmt(b.back_action), _fmt(b.sensing), _fmt(b.interference),
             _fmt(pt.accel_sensitivity), cfg.digest, __version__,
         ]
-        yield ",".join(fields)
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
 
 
-def _write_csv(points, cfg, out_path):
-    text = "\n".join(_csv_rows(points, cfg)) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -91,7 +91,7 @@ def cmd_budget(args) -> int:
         grid = _geometric_grid(lo, hi, args.points)
         omegas = [2.0 * math.pi * f for f in grid]
     points = [budget.budget_point(cfg.params, w) for w in omegas]
-    _write_csv(points, cfg, args.out)
+    _write(_csv(points, cfg), args.out)
     head = points[0] if len(points) == 1 else min(points, key=lambda q: abs(q.omega - cfg.omega))
     print(
         f"coldamp budget ({cfg.digest}): at {head.omega / (2 * math.pi):.6g} Hz "
@@ -109,7 +109,7 @@ def cmd_sweep(args) -> int:
         points = budget.sweep(cfg.params, "frequency", [2.0 * math.pi * f for f in grid])
     else:
         points = budget.sweep(cfg.params, args.axis, grid, omega=cfg.omega)
-    _write_csv(points, cfg, args.out)
+    _write(_csv(points, cfg), args.out)
     print(f"coldamp sweep ({cfg.digest}): {len(points)} points over {args.axis}",
           file=sys.stderr)
     return EXIT_OK
@@ -151,13 +151,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_config(args) -> int:
-    cfg = _load(args)
-    text = config.dumps(cfg)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(config.dumps(_load(args)), args.out)
     return EXIT_OK
 
 
@@ -217,7 +211,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NetworkSolveError as exc:
-        print(f"numerical failure: {exc} (condition {exc.condition:.3e})", file=sys.stderr)
+        condition = "" if math.isnan(exc.condition) else f" (condition {exc.condition:.3e})"
+        print(f"numerical failure: {exc}{condition}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

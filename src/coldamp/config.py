@@ -42,6 +42,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
         "frequency": ("Hz", True),
     },
 }
+# Keys whose value must be positive and finite before anything divides by it.
+_POSITIVE = ("carrier_frequency", "frequency", "feedback_impedance", "transducer_impedance")
 
 
 class ConfigError(ValueError):
@@ -62,7 +64,7 @@ class RunConfig:
         return self.omega / (2.0 * math.pi)
 
 
-def _parse_text(text: str, path: str | None):
+def _parse_text(text: str) -> dict[tuple[str, str], float]:
     values: dict[tuple[str, str], float] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,6 +99,9 @@ def _parse_text(text: str, path: str | None):
             value = float(value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: bad number {value_text!r}") from exc
+        if key in _POSITIVE and not 0.0 < value < math.inf:
+            raise ConfigError(f"line {lineno}: key {key!r} must be positive and finite, "
+                              f"got {value_text!r}")
         if (section, key) in values:
             raise ConfigError(f"line {lineno}: key {key!r} assigned twice")
         values[(section, key)] = value
@@ -122,15 +127,19 @@ def _capacitance(values, carrier_omega, impedance_key, capacitance_key, scale):
 
 
 def loads(text: str, path: str | None = None) -> RunConfig:
-    """Parse configuration text into a RunConfig."""
-    values = _parse_text(text, path)
-    omega_t = 2.0 * math.pi * values[("electronics", "carrier_frequency")]
-    omega = 2.0 * math.pi * values[("analysis", "frequency")]
-    c_f = _capacitance(values, omega_t, "feedback_impedance", "feedback_capacitance", 1.0)
-    # The transducer impedance magnitude is quoted at the analysis
-    # frequency, where the detuned element looks like 1/(2 Omega C).
-    c_t = _capacitance(values, omega, "transducer_impedance", "transducer_capacitance", 2.0)
+    """Parse configuration text into a RunConfig.
+
+    Every error is a one-line ConfigError that starts with path, or with
+    "<string>" for text that came without one.
+    """
     try:
+        values = _parse_text(text)
+        omega_t = 2.0 * math.pi * values[("electronics", "carrier_frequency")]
+        omega = 2.0 * math.pi * values[("analysis", "frequency")]
+        c_f = _capacitance(values, omega_t, "feedback_impedance", "feedback_capacitance", 1.0)
+        # The transducer impedance magnitude is quoted at the analysis
+        # frequency, where the detuned element looks like 1/(2 Omega C).
+        c_t = _capacitance(values, omega, "transducer_impedance", "transducer_capacitance", 2.0)
         params = InstrumentParams(
             M=values[("mechanics", "mass")],
             K=values[("mechanics", "stiffness")],
@@ -148,7 +157,7 @@ def loads(text: str, path: str | None = None) -> RunConfig:
             T_r=values[("noise", "detection_temperature")],
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path or '<string>'}: {exc}") from exc
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return RunConfig(params=params, omega=omega, digest=digest, path=path)
 

@@ -22,7 +22,6 @@ import numpy as np
 from .constants import HBAR
 from .noise import LINE_LABELS
 from .params import InstrumentParams
-from .sensor import CoefficientSet
 
 CONDITION_FLAG = 1e12
 
@@ -69,7 +68,7 @@ class ScatteringResult:
 
     ports: list[str]
     s_matrix: np.ndarray | None           # outgoing ports x incoming ports
-    transfer_rows: dict[str, dict[str, complex]]
+    transfer_rows: dict[str, np.ndarray]  # observable -> row over incoming + drives
     condition: float
     residual: float
     conjugated: dict[str, bool]
@@ -165,14 +164,10 @@ def solve(net: LinearNetwork, scattering: bool = True) -> ScatteringResult:
         if net.complete_ports:
             s = _complete_amplifier_rows(s, ports, physical, net)
 
-    rows = {}
-    for name, var in net.observables.items():
-        rows[name] = {label: x[var_index[var], j] for label, j in col_index.items()}
-
     return ScatteringResult(
         ports=ports,
         s_matrix=s,
-        transfer_rows=rows,
+        transfer_rows={name: x[var_index[var]] for name, var in net.observables.items()},
         condition=condition,
         residual=residual,
         conjugated=dict(net.conjugated),
@@ -227,12 +222,9 @@ def _complete_amplifier_rows(s, ports, physical, net):
     return s
 
 
-def check_commutators(res: ScatteringResult, signs: dict[str, float] | None = None) -> float:
+def check_commutators(res: ScatteringResult) -> float:
     """Max |S eta S^dag - eta| entry, eta = diag of conjugation signs."""
-    if signs is None:
-        eta = np.array([-1.0 if res.conjugated.get(p, False) else 1.0 for p in res.ports])
-    else:
-        eta = np.array([signs[p] for p in res.ports])
+    eta = np.array([-1.0 if res.conjugated.get(p, False) else 1.0 for p in res.ports])
     s = res.s_matrix
     return float(np.abs((s * eta[None, :]) @ s.conj().T - np.diag(eta)).max())
 
@@ -247,8 +239,8 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
     """
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
-    h_m = p.H_m_at(omega)
-    xi_m = h_m - 1j * p.M * omega + 1j * p.K_at(omega) / omega
+    h_m = p.H_m
+    xi_m = h_m - 1j * p.M * omega + 1j * p.K / omega
     z_t = p.z_t(omega)
     z_f = p.z_f
     wt = p.omega_t
@@ -312,22 +304,26 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
     )
 
 
-def _normalized_row(row: dict[str, complex]) -> CoefficientSet:
-    """Coefficient set of a transfer row normalized to unit drive response."""
-    drive = row["F_ext"]
+def _normalized_row(row: np.ndarray) -> np.ndarray:
+    """Sensor transfer row over LINE_LABELS, normalized to unit F_ext response.
+
+    The row runs over the sensor network's incoming fields, LINE_LABELS,
+    then its one drive, F_ext.
+    """
+    drive = row[len(LINE_LABELS)]
     if drive == 0:
         raise ZeroDivisionError("transfer row has no drive response; cannot normalize")
-    return CoefficientSet({label: row[label] / drive for label in LINE_LABELS})
+    return row[:len(LINE_LABELS)] / drive
 
 
-def oracle_velocity_coefficients(p: InstrumentParams, omega: float) -> CoefficientSet:
+def oracle_velocity_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     """lambda coefficients obtained by solving the raw network equations."""
     res = solve(build_sensor_network(p, None, omega), scattering=False)
     return _normalized_row(res.transfer_rows["velocity"])
 
 
 def oracle_estimator_coefficients(p: InstrumentParams, omega: float,
-                                  gain: complex | None = None) -> CoefficientSet:
+                                  gain: complex | None = None) -> np.ndarray:
     """mu coefficients from the solved network (open loop or any gain).
 
     The detected-output row is normalized so the external-force response
@@ -336,13 +332,6 @@ def oracle_estimator_coefficients(p: InstrumentParams, omega: float,
     """
     res = solve(build_sensor_network(p, gain, omega), scattering=False)
     return _normalized_row(res.transfer_rows["detected"])
-
-
-def oracle_velocity_row(p: InstrumentParams, omega: float,
-                        gain: complex | None) -> dict[str, complex]:
-    """Raw velocity transfer row (fields and drive), for loop-gain studies."""
-    res = solve(build_sensor_network(p, gain, omega), scattering=False)
-    return res.transfer_rows["velocity"]
 
 
 def sensor_scattering(p: InstrumentParams, omega: float) -> ScatteringResult:

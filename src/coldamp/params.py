@@ -14,7 +14,7 @@ every stored impedance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class InstrumentParams:
     T_m, T_a, T_l, T_r : float
         Physical temperatures of the mechanical, amplifier, loss and
         detection lines, K.
-    mechanical_overrides : dict
-        Optional per-frequency override table {Omega: (K, H_m)} for a
-        frequency-dependent stiffness/damping; constants are used for
-        any frequency not listed.
     """
 
     M: float
@@ -62,7 +58,6 @@ class InstrumentParams:
     T_a: float
     T_l: float
     T_r: float
-    mechanical_overrides: dict[float, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         positive = {
@@ -99,16 +94,6 @@ class InstrumentParams:
         C_t = 1.0 / (2.0 * omega_ref * Zt_mag)
         return cls(C_f=C_f, C_t=C_t, **kwargs)
 
-    def K_at(self, omega: float) -> float:
-        if omega in self.mechanical_overrides:
-            return self.mechanical_overrides[omega][0]
-        return self.K
-
-    def H_m_at(self, omega: float) -> float:
-        if omega in self.mechanical_overrides:
-            return self.mechanical_overrides[omega][1]
-        return self.H_m
-
     @property
     def z_f(self) -> complex:
         """Feedback impedance Z_f = 1/(-i omega_t C_f), purely imaginary."""
@@ -136,7 +121,7 @@ class InstrumentParams:
         """Reactive-to-dissipative impedance ratio (K/Omega - M Omega)/H_m."""
         if omega == 0.0:
             raise ValueError("delta is undefined at zero frequency")
-        return (self.K_at(omega) / omega - self.M * omega) / self.H_m_at(omega)
+        return (self.K / omega - self.M * omega) / self.H_m
 
     def with_(self, **changes) -> "InstrumentParams":
         """A copy with the given fields replaced (validation re-runs)."""

@@ -14,53 +14,40 @@ quadrature spectra at the carrier omega_t.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import HBAR, K_B
+import numpy as np
+
+from .constants import HBAR
 from .noise import LINE_LABELS, NoiseLine, effective_temperature, input_spectrum, quadrature_spectrum
 from .params import InstrumentParams
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Complex coefficient per noise line, N per unit dimensionless field.
+def coefficients(**entries: complex) -> np.ndarray:
+    """Complex coefficient 9-vector in LINE_LABELS order.
 
-    Every one of the nine canonical labels is present; structural zeros
-    are stored explicitly.
+    Lines not named are structural zeros.
     """
+    table = np.zeros(len(LINE_LABELS), dtype=complex)
+    for label, value in entries.items():
+        table[LINE_LABELS.index(label)] = value
+    return table
 
-    coefficients: dict[str, complex]
 
-    def __post_init__(self):
-        missing = set(LINE_LABELS) - set(self.coefficients)
-        extra = set(self.coefficients) - set(LINE_LABELS)
-        if missing or extra:
-            raise ValueError(f"coefficient set must carry exactly {LINE_LABELS}; "
-                             f"missing {sorted(missing)}, extra {sorted(extra)}")
+def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> float:
+    """Entry-wise relative deviation of theirs from mine, small-entry floor.
 
-    def __getitem__(self, label: str) -> complex:
-        return self.coefficients[label]
-
-    def as_tuple(self) -> tuple[complex, ...]:
-        return tuple(self.coefficients[label] for label in LINE_LABELS)
-
-    def max_rel_diff(self, other: "CoefficientSet") -> float:
-        """Entry-wise relative deviation with a small-entry floor.
-
-        Entries below 1e-6 of the row scale (including structural zeros)
-        are compared against the row scale instead of themselves:
-        double-precision linear algebra cannot resolve such entries
-        relative to their own magnitude, and for zeros the meaningful
-        statement is smallness relative to the row.
-        """
-        scale = max(abs(c) for c in self.as_tuple())
-        worst = 0.0
-        for mine, theirs in zip(self.as_tuple(), other.as_tuple()):
-            denom = abs(mine) if abs(mine) >= 1e-6 * scale else scale
-            worst = max(worst, abs(mine - theirs) / denom)
-        return worst
+    Entries of mine below floor times its largest (including structural
+    zeros) are compared against that largest entry instead of themselves:
+    double-precision linear algebra cannot resolve such entries relative
+    to their own magnitude, and for zeros the meaningful statement is
+    smallness relative to the row.
+    """
+    size = np.abs(mine)
+    scale = size.max()
+    denom = np.where(size >= floor * scale, size, scale)
+    return float((np.abs(mine - theirs) / denom).max())
 
 
 @dataclass(frozen=True)
@@ -82,7 +69,7 @@ def mechanical_impedance(p: InstrumentParams, omega: float) -> complex:
     """Free-running mechanical impedance H_m - i M Omega + i K / Omega, kg/s."""
     if omega == 0.0:
         raise ValueError("mechanical impedance diverges at zero frequency")
-    return p.H_m_at(omega) - 1j * p.M * omega + 1j * p.K_at(omega) / omega
+    return p.H_m - 1j * p.M * omega + 1j * p.K / omega
 
 
 def transducer_impedance(p: InstrumentParams, omega: float) -> complex:
@@ -90,7 +77,7 @@ def transducer_impedance(p: InstrumentParams, omega: float) -> complex:
     return p.z_t(omega)
 
 
-def free_mass_coefficients(p: InstrumentParams, omega: float) -> CoefficientSet:
+def free_mass_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     """Velocity noise coefficients lambda of the free-running mass.
 
     Only the mechanical Langevin term and the amplifier voltage-noise
@@ -98,16 +85,11 @@ def free_mass_coefficients(p: InstrumentParams, omega: float) -> CoefficientSet:
     """
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
-    lam_m = -math.sqrt(2.0 * HBAR * abs(omega) * p.H_m_at(omega))
     lam_a1 = -math.sqrt(2.0 * HBAR * p.omega_t * p.R_a) * p.kappa_t
-    coeffs = {label: 0j for label in LINE_LABELS}
-    coeffs["m"] = complex(lam_m)
-    coeffs["a1"] = complex(lam_a1)
-    coeffs["b1"] = complex(-lam_a1)
-    return CoefficientSet(coeffs)
+    return coefficients(m=-math.sqrt(2.0 * HBAR * abs(omega) * p.H_m), a1=lam_a1, b1=-lam_a1)
 
 
-def estimator_coefficients(p: InstrumentParams, omega: float) -> CoefficientSet:
+def estimator_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     """Force-estimator noise coefficients mu of the open-loop sensor.
 
     The mechanical term and the back action are those of the velocity;
@@ -124,52 +106,42 @@ def estimator_coefficients(p: InstrumentParams, omega: float) -> CoefficientSet:
     kt = p.kappa_t
     wt = p.omega_t
 
-    lam = free_mass_coefficients(p, omega)
-    mu_a1 = lam["a1"] + math.sqrt(2.0 * HBAR * p.R_a * wt) * omega * xi_m / (2.0 * kt * wt * z_f)
+    lam_m, lam_a1 = free_mass_coefficients(p, omega)[:2]      # LINE_LABELS opens m, a1
+    mu_a1 = lam_a1 + math.sqrt(2.0 * HBAR * p.R_a * wt) * omega * xi_m / (2.0 * kt * wt * z_f)
     sens_2 = -1j * omega * math.sqrt(HBAR * p.R_a / (2.0 * wt)) * xi_m / kt
-    coeffs = {
-        "m": lam["m"],
-        "a1": mu_a1,
-        "b1": -mu_a1,
-        "a2": sens_2 * (1.0 / p.R_a - 1.0 / p.R_l - 1.0 / z_t),
-        "b2": sens_2 * (1.0 / p.R_a + 1.0 / p.R_l + 1.0 / z_t),
-        "r1": -math.sqrt(HBAR * p.R_r / (2.0 * wt)) * omega * xi_m / (2.0 * kt * z_f),
-        "r2": 0j,
-        "l1": 0j,
-        "l2": -1j * omega * math.sqrt(HBAR / (2.0 * p.R_l * wt)) * xi_m / kt,
-    }
-    return CoefficientSet(coeffs)
+    return coefficients(
+        m=lam_m,
+        a1=mu_a1,
+        b1=-mu_a1,
+        a2=sens_2 * (1.0 / p.R_a - 1.0 / p.R_l - 1.0 / z_t),
+        b2=sens_2 * (1.0 / p.R_a + 1.0 / p.R_l + 1.0 / z_t),
+        r1=-math.sqrt(HBAR * p.R_r / (2.0 * wt)) * omega * xi_m / (2.0 * kt * z_f),
+        l2=-1j * omega * math.sqrt(HBAR / (2.0 * p.R_l * wt)) * xi_m / kt,
+    )
 
 
-def noise_lines(p: InstrumentParams) -> dict[str, NoiseLine]:
-    """The nine noise lines with their impedances and temperatures."""
-    lines = {"m": NoiseLine("m", p.H_m, p.T_m)}
-    for label in ("a1", "a2"):
-        lines[label] = NoiseLine(label, p.R_a, p.T_a)
-    for label in ("b1", "b2"):
-        lines[label] = NoiseLine(label, p.R_a, p.T_a, conjugated=True)
-    for label in ("r1", "r2"):
-        lines[label] = NoiseLine(label, p.R_r, p.T_r)
-    for label in ("l1", "l2"):
-        lines[label] = NoiseLine(label, p.R_l, p.T_l)
-    return lines
+def line_spectra(p: InstrumentParams, omega: float) -> np.ndarray:
+    """Input spectrum per line in LINE_LABELS order.
 
-
-def line_spectra(p: InstrumentParams, omega: float) -> dict[str, float]:
-    """Input spectrum per line: mechanical at Omega, electrical at omega_t.
-
-    The split is fixed here once rather than inferred per call site.
+    The mechanical line is evaluated at Omega; the electrical lines carry
+    the quadrature spectrum at omega_t.  Lines sharing an element share
+    one spectrum, so only the four distinct lines are built.
     """
-    lines = noise_lines(p)
-    spectra = {"m": input_spectrum(lines["m"], omega)}
-    for label in LINE_LABELS[1:]:
-        spectra[label] = quadrature_spectrum(lines[label], p.omega_t)
-    return spectra
+    m = input_spectrum(NoiseLine("m", p.H_m, p.T_m), omega)
+    a = quadrature_spectrum(NoiseLine("a", p.R_a, p.T_a), p.omega_t)
+    r = quadrature_spectrum(NoiseLine("r", p.R_r, p.T_r), p.omega_t)
+    l = quadrature_spectrum(NoiseLine("l", p.R_l, p.T_l), p.omega_t)
+    return np.array([m, a, a, a, a, r, r, l, l])
 
 
-def coefficient_sum(coeffs: CoefficientSet, spectra: dict[str, float]) -> float:
-    """The quadratic noise sum sum_a |c_a|^2 sigma_a."""
-    return sum(abs(coeffs[label]) ** 2 * spectra[label] for label in LINE_LABELS)
+def coefficient_sum(coeffs: np.ndarray, spectra: np.ndarray) -> float:
+    """The quadratic noise sum sum_a |c_a|^2 sigma_a.
+
+    Summed left to right over Python floats in LINE_LABELS order, which
+    keeps the CSV output bit for bit; np.sum or np.dot pair the additions
+    differently and can change the last digit.
+    """
+    return sum(abs(c) ** 2 * s for c, s in zip(coeffs.tolist(), spectra.tolist()))
 
 
 def sensor_noise_spectrum(p: InstrumentParams, omega: float) -> SpectrumBreakdown:
@@ -188,7 +160,7 @@ def sensor_noise_spectrum(p: InstrumentParams, omega: float) -> SpectrumBreakdow
     k_theta_l = effective_temperature(p.T_l, p.omega_t)
     k_theta_r = effective_temperature(p.T_r, p.omega_t)
 
-    h_m = p.H_m_at(omega)
+    h_m = p.H_m
     kt2 = p.kappa_t**2
     zf_mag = p.zf_mag
     y_lt = abs(1.0 / p.R_l + 1.0 / p.z_t(omega)) ** 2

@@ -9,45 +9,21 @@ coincide entry by entry with the open-loop ones.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+import warnings
+
+import numpy as np
 
 from .constants import HBAR
-from .noise import LINE_LABELS
 from .params import InstrumentParams
-from .sensor import CoefficientSet, estimator_coefficients, free_mass_coefficients, mechanical_impedance
-
-
-@dataclass(frozen=True)
-class ServoParams:
-    """Loop gain and operating mode of the servo."""
-
-    gain: complex
-    mode: str = "infinite-gain"  # or "finite-gain"
-
-    def __post_init__(self):
-        if self.mode not in ("infinite-gain", "finite-gain"):
-            raise ValueError(f"unknown servo mode {self.mode!r}")
-        if self.mode == "finite-gain" and abs(self.gain) == 0.0:
-            raise ValueError("finite-gain mode requires |G_s| > 0")
-
-
-@dataclass(frozen=True)
-class EffectiveImpedance:
-    """Servo-synthesized mechanical impedance H_me + i K_me / Omega, kg/s."""
-
-    value: complex
-    damping: float
-    stiffness: float
+from .sensor import (coefficients, estimator_coefficients, free_mass_coefficients,
+                     max_rel_diff, mechanical_impedance)
 
 
 def _check_loop_preconditions(p: InstrumentParams) -> None:
     # The loop analysis assumes the detection line loads the charge
     # amplifier only weakly.
     if p.R_r / p.zf_mag >= 1e-2:
-        import warnings
-
         warnings.warn(
             f"R_r/|Z_f| = {p.R_r / p.zf_mag:.2e} is not << 1; "
             "the closed-loop expressions assume a weakly loaded output",
@@ -55,21 +31,11 @@ def _check_loop_preconditions(p: InstrumentParams) -> None:
         )
 
 
-def _estimator_prefactor(p: InstrumentParams, omega: float) -> complex:
-    """sqrt(hbar R_r / 2 omega_t) * Omega / (2 kappa_t Z_f)."""
-    return (
-        math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t))
-        * omega
-        / (2.0 * p.kappa_t * p.z_f)
-    )
-
-
-def effective_impedance(p: InstrumentParams, gain: complex, omega: float) -> EffectiveImpedance:
-    """Effective impedance created by a loop of gain G_s, linear in G_s."""
+def effective_impedance(p: InstrumentParams, gain: complex, omega: float) -> complex:
+    """Servo-synthesized impedance H_me + i K_me / Omega, kg/s, linear in G_s."""
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
-    value = -math.sqrt(2.0 * p.omega_t / (HBAR * p.R_r)) * 2.0 * p.kappa_t * p.z_f / omega * gain
-    return EffectiveImpedance(value=value, damping=value.real, stiffness=(value.imag * omega))
+    return -math.sqrt(2.0 * p.omega_t / (HBAR * p.R_r)) * 2.0 * p.kappa_t * p.z_f / omega * gain
 
 
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
@@ -83,22 +49,7 @@ def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: flo
     return -xi_me * omega * math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) / (2.0 * p.kappa_t * p.z_f)
 
 
-def pd_gain_preset(p: InstrumentParams, damping: float, stiffness: float = 0.0):
-    """Proportional-derivative servo preset as an opaque gain function.
-
-    Returns G_s(Omega) synthesizing Xi_me = H_me + i K_me / Omega with
-    the requested effective damping and stiffness at every frequency.
-    """
-    if damping <= 0.0:
-        raise ValueError("cold damping needs a positive effective damping")
-
-    def gain(omega: float) -> complex:
-        return gain_for_effective_impedance(p, damping + 1j * stiffness / omega, omega)
-
-    return gain
-
-
-def cold_damped_velocity_coefficients(p: InstrumentParams, omega: float) -> CoefficientSet:
+def cold_damped_velocity_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     """Normalized residual-velocity coefficients lambda_a / G_s.
 
     Valid in the infinite-gain limit; the external-force coefficient is
@@ -114,28 +65,23 @@ def cold_damped_velocity_coefficients(p: InstrumentParams, omega: float) -> Coef
     z_f = p.z_f
     z_t = p.z_t(omega)
     root_ar = math.sqrt(p.R_a / p.R_r)
-    coeffs = {
-        "m": 0j,
-        "l1": 0j,
-        "l2": -2j * z_f / math.sqrt(p.R_l * p.R_r),
-        "r1": complex(-1.0),
-        "r2": 0j,
-        "a1": complex(2.0 * root_ar),
-        "b1": complex(-2.0 * root_ar),
-        "a2": -2j * z_f * root_ar * (1.0 / p.R_a - 1.0 / p.R_l - 1.0 / z_t),
-        "b2": -2j * z_f * root_ar * (1.0 / p.R_a + 1.0 / p.R_l + 1.0 / z_t),
-    }
-    return CoefficientSet(coeffs)
+    return coefficients(
+        l2=-2j * z_f / math.sqrt(p.R_l * p.R_r),
+        r1=-1.0,
+        a1=2.0 * root_ar,
+        b1=-2.0 * root_ar,
+        a2=-2j * z_f * root_ar * (1.0 / p.R_a - 1.0 / p.R_l - 1.0 / z_t),
+        b2=-2j * z_f * root_ar * (1.0 / p.R_a + 1.0 / p.R_l + 1.0 / z_t),
+    )
 
 
-def cold_damped_velocity(p: InstrumentParams, omega: float) -> CoefficientSet:
+def cold_damped_velocity(p: InstrumentParams, omega: float) -> np.ndarray:
     """Residual-velocity coefficients of the cold-damped mass, (m/s) per field."""
     table = cold_damped_velocity_coefficients(p, omega)
-    pref = -_estimator_prefactor(p, omega)
-    return CoefficientSet({label: pref * table[label] for label in LINE_LABELS})
+    return -math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * omega / (2.0 * p.kappa_t * p.z_f) * table
 
 
-def cold_damped_estimator(p: InstrumentParams, omega: float) -> CoefficientSet:
+def cold_damped_estimator(p: InstrumentParams, omega: float) -> np.ndarray:
     """Closed-loop force-estimator coefficients in the infinite-gain limit.
 
     Computed from the force decomposition F_hat = Xi_m (V_fr - V_cd),
@@ -143,9 +89,7 @@ def cold_damped_estimator(p: InstrumentParams, omega: float) -> CoefficientSet:
     an independent route from the open-loop estimator closed forms.
     """
     xi_m = mechanical_impedance(p, omega)
-    lam = free_mass_coefficients(p, omega)
-    v_cd = cold_damped_velocity(p, omega)
-    return CoefficientSet({label: lam[label] - xi_m * v_cd[label] for label in LINE_LABELS})
+    return free_mass_coefficients(p, omega) - xi_m * cold_damped_velocity(p, omega)
 
 
 def sensing_error_identity(p: InstrumentParams, omega: float) -> float:
@@ -156,15 +100,5 @@ def sensing_error_identity(p: InstrumentParams, omega: float) -> float:
     Exact in the model, so the residual is at rounding level.
     """
     xi_m = mechanical_impedance(p, omega)
-    lam = free_mass_coefficients(p, omega)
-    mu = estimator_coefficients(p, omega)
-    v_cd = cold_damped_velocity(p, omega)
-
-    v_se = {label: (mu[label] - lam[label]) / xi_m for label in LINE_LABELS}
-    scale = max(abs(v) for v in v_se.values())
-    worst = 0.0
-    for label in LINE_LABELS:
-        expected = -v_se[label]
-        denom = abs(expected) if abs(expected) > 1e-14 * scale else scale
-        worst = max(worst, abs(v_cd[label] - expected) / denom)
-    return worst
+    v_se = (estimator_coefficients(p, omega) - free_mass_coefficients(p, omega)) / xi_m
+    return max_rel_diff(-v_se, cold_damped_velocity(p, omega), floor=1e-14)

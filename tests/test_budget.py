@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coldamp.budget import (
+    MatchingError,
     MatchingResult,
     acceleration_sensitivity,
     budget_point,
@@ -111,6 +112,26 @@ def test_numerical_matching_agrees_with_closed_form(reference_params, reference_
     assert value == pytest.approx(closed.sigma_opt, rel=1e-6)
 
 
+def test_numerical_matching_far_from_reference(reference_params, reference_omega):
+    """The search bracket follows the closed form: at 1e10 times the mass
+    the optimum ratio is above 1, outside any fixed bracket under it."""
+    heavy = reference_params.with_(M=reference_params.M * 1e10)
+    closed = optimal_matching(heavy, reference_omega)
+    assert closed.ratio_opt > 1e3
+    ratio, value = numerical_matching(heavy, reference_omega)
+    assert ratio == pytest.approx(closed.ratio_opt, rel=1e-6)
+    assert value == pytest.approx(closed.sigma_opt, rel=1e-6)
+
+
+def test_numerical_matching_edge_raises(reference_params, reference_omega, monkeypatch):
+    """A minimum on the bracket edge is a numerical failure, not a result."""
+    import coldamp.budget as budget
+
+    monkeypatch.setattr(budget, "simplified_budget", lambda p, omega: p.R_a)
+    with pytest.raises(MatchingError, match="edge"):
+        numerical_matching(reference_params, reference_omega)
+
+
 def test_matching_stationarity(reference_params, reference_omega):
     """Central differences confirm the closed-form optimum is stationary."""
     p, w = reference_params, reference_omega
@@ -131,8 +152,10 @@ def test_sweep_validation(reference_params, reference_omega):
         sweep(reference_params, "R_a", [], omega=reference_omega)
     with pytest.raises(ValueError, match="increasing"):
         sweep(reference_params, "R_a", [2.0, 1.0], omega=reference_omega)
-    with pytest.raises(ValueError, match="unknown"):
-        sweep(reference_params, "not_a_field", [1.0], omega=reference_omega)
+    # Only dataclass fields are axes: not properties, methods or anything else.
+    for axis in ("not_a_field", "z_f", "r_m", "delta", "with_"):
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            sweep(reference_params, axis, [1.0], omega=reference_omega)
 
 
 def test_sweep_preserves_order_and_values(reference_params, reference_omega):

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, CSV contract, determinism."""
 
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 import coldamp.verify as verify
 from coldamp import cli
 from coldamp.noise import LINE_LABELS
-from coldamp.sensor import CoefficientSet, estimator_coefficients
+from coldamp.sensor import estimator_coefficients
+
+# SHA-256 of the CLI output on the shipped config, kept with the benchmark.
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
 def run(argv, capsys):
@@ -86,6 +92,66 @@ def test_sweep_axis(capsys):
     assert "5 points" in err
 
 
+@pytest.mark.parametrize("axis", ["z_f", "r_m", "delta", "not_a_field"])
+def test_sweep_rejects_non_field_axis(axis, capsys):
+    code, out, err = run(["sweep", "--axis", axis, "--min", "1", "--max", "2",
+                          "--points", "2"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("configuration error: unknown sweep axis")
+
+
+def _shipped_with(tmp_path, old, new):
+    text = cli._default_config_text()
+    assert old in text
+    path = tmp_path / "edited.cfg"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def test_zero_frequency_config_is_a_config_error(tmp_path, capsys):
+    path = _shipped_with(tmp_path, "frequency = 5.0e-4 Hz", "frequency = 0 Hz")
+    code, out, err = run(["budget", "--config", path], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"configuration error: {path}: line ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_optimize_heavy_mass(tmp_path, capsys):
+    """At 1e10 times the shipped mass the optimum ratio is ~1.6e3."""
+    path = _shipped_with(tmp_path, "mass = 0.27 kg", "mass = 2.7e9 kg")
+    code, out, _ = run(["optimize", "--config", path], capsys)
+    assert code == cli.EXIT_OK
+    residual_line = [l for l in out.splitlines() if "cross-check" in l][0]
+    assert float(residual_line.split(":")[1].split()[0]) < 1e-6
+
+
+def test_matching_failure_exits_numerical(monkeypatch, capsys):
+    def edge(p, omega):
+        raise cli.budget.MatchingError("minimum on the bracket edge", omega=omega,
+                                       condition=float("nan"))
+
+    monkeypatch.setattr(cli.budget, "numerical_matching", edge)
+    code, _, err = run(["optimize"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert err == "numerical failure: minimum on the bracket edge\n"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("budget", ["budget"]),
+    ("dump-config", ["dump-config"]),
+    ("sweep-frequency", ["sweep", "--min", "1e-4", "--max", "1e-2", "--points", "1000"]),
+    ("sweep-R_a", ["sweep", "--axis", "R_a", "--min", "1e4", "--max", "1e6",
+                   "--points", "1000"]),
+])
+def test_shipped_config_output_is_byte_identical(name, argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
 def test_optimize_reports_small_residual(capsys):
     code, out, _ = run(["optimize"], capsys)
     assert code == cli.EXIT_OK
@@ -112,9 +178,8 @@ def test_verify_detects_corrupted_closed_form(capsys, monkeypatch):
 
     def corrupted(p, omega):
         mu = estimator_coefficients(p, omega)
-        values = {label: mu[label] for label in LINE_LABELS}
-        values["l2"] = -values["l2"]
-        return CoefficientSet(values)
+        mu[LINE_LABELS.index("l2")] *= -1.0
+        return mu
 
     monkeypatch.setattr(verify, "estimator_mu", corrupted)
     code, out, err = run(["verify", "--draws", "5"], capsys)

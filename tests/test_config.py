@@ -1,6 +1,7 @@
 """Configuration parsing, validation and canonical round trip."""
 
 import math
+import re
 
 import pytest
 
@@ -145,3 +146,28 @@ def test_load_from_file(tmp_path):
     cfg = load(str(path))
     assert cfg.path == str(path)
     assert cfg.params.M == 0.27
+
+
+@pytest.mark.parametrize("key", ["frequency", "carrier_frequency",
+                                 "feedback_impedance", "transducer_impedance"])
+@pytest.mark.parametrize("value", ["0", "0.0", "-5e-4", "nan", "inf", "-inf"])
+def test_nonpositive_or_nonfinite_value_names_key(key, value):
+    line = next(l for l in GOOD.splitlines() if l.startswith(key + " "))
+    unit = line.split()[-1]
+    broken = GOOD.replace(line, f"{key} = {value} {unit}")
+    match = rf"line \d+: key '{key}' must be positive and finite"
+    with pytest.raises(ConfigError, match=match) as err:
+        loads(broken)
+    assert "\n" not in str(err.value)
+
+
+def test_errors_name_the_source(tmp_path):
+    path = tmp_path / "broken.cfg"
+    path.write_text(GOOD.replace("frequency = 5.0e-4 Hz", "frequency = 0 Hz"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line "):
+        load(str(path))
+    # Errors found after parsing name the source too.
+    with pytest.raises(ConfigError, match="^run.cfg: M must be strictly positive"):
+        loads(GOOD.replace("mass = 0.27 kg", "mass = -1 kg"), path="run.cfg")
+    with pytest.raises(ConfigError, match="^<string>: missing required key 'mass'"):
+        loads(GOOD.replace("mass = 0.27 kg\n", ""))

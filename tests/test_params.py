@@ -55,9 +55,9 @@ def test_detuning_and_mechanical_resistance(reference_params, reference_omega):
     assert p.delta(resonance) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_frequency_overrides(reference_params, reference_omega):
-    p = reference_params.with_(mechanical_overrides={reference_omega: (8e-6, 2.6e-5)})
-    assert p.K_at(reference_omega) == 8e-6
-    assert p.H_m_at(reference_omega) == 2.6e-5
-    assert p.K_at(2.0 * reference_omega) == p.K
-    assert p.H_m_at(2.0 * reference_omega) == p.H_m
+def test_hashable(reference_params):
+    same = reference_params.with_(M=reference_params.M)
+    assert same == reference_params and same is not reference_params
+    assert hash(same) == hash(reference_params)
+    assert {reference_params: 1}[same] == 1
+    assert reference_params.with_(M=1.0) != reference_params

@@ -7,14 +7,17 @@ import pytest
 
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import (
-    CoefficientSet,
+    coefficients,
     estimator_coefficients,
     free_mass_coefficients,
+    max_rel_diff,
     mechanical_impedance,
     sensor_noise_spectrum,
     transducer_impedance,
 )
 from coldamp.verify import draw_params, draw_frequencies
+
+at = LINE_LABELS.index
 
 
 def test_mechanical_impedance_examples(reference_params, reference_omega):
@@ -39,16 +42,16 @@ def test_transducer_impedance_matches_params(reference_params, reference_omega):
 def test_free_mass_zero_pattern(reference_params, reference_omega):
     lam = free_mass_coefficients(reference_params, reference_omega)
     for label in ("a2", "b2", "r1", "r2", "l1", "l2"):
-        assert lam[label] == 0.0
-    assert lam["a1"] == -lam["b1"]
-    assert lam["a1"].real < 0.0
-    assert lam["m"].real < 0.0
+        assert lam[at(label)] == 0.0
+    assert lam[at("a1")] == -lam[at("b1")]
+    assert lam[at("a1")].real < 0.0
+    assert lam[at("m")].real < 0.0
 
 
 def test_decoupled_transducer(reference_params, reference_omega):
     lam = free_mass_coefficients(reference_params.with_(kappa_t=0.0), reference_omega)
-    assert lam["a1"] == 0.0 and lam["b1"] == 0.0
-    assert lam["m"] != 0.0
+    assert lam[at("a1")] == 0.0 and lam[at("b1")] == 0.0
+    assert lam[at("m")] != 0.0
     with pytest.raises(ValueError):
         estimator_coefficients(reference_params.with_(kappa_t=0.0), reference_omega)
 
@@ -57,13 +60,13 @@ def test_estimator_structure(reference_params, reference_omega):
     p = reference_params
     lam = free_mass_coefficients(p, reference_omega)
     mu = estimator_coefficients(p, reference_omega)
-    assert mu["m"] == lam["m"]
-    assert mu["a1"] == -mu["b1"]
-    assert mu["l1"] == 0.0 and mu["r2"] == 0.0
+    assert mu[at("m")] == lam[at("m")]
+    assert mu[at("a1")] == -mu[at("b1")]
+    assert mu[at("l1")] == 0.0 and mu[at("r2")] == 0.0
     # Every added term carries a factor Xi_m.
     xi = mechanical_impedance(p, reference_omega)
     for label in LINE_LABELS:
-        diff = mu[label] - lam[label]
+        diff = mu[at(label)] - lam[at(label)]
         if label in ("m",):
             assert diff == 0.0
         else:
@@ -73,10 +76,10 @@ def test_estimator_structure(reference_params, reference_omega):
     small = p.with_(M=p.M * 1e-8, K=p.K * 1e-8, H_m=p.H_m * 1e-8)
     mu_small = estimator_coefficients(small, reference_omega)
     lam_small = free_mass_coefficients(small, reference_omega)
-    scale = max(abs(mu_small[label]) for label in LINE_LABELS)
+    scale = max(abs(mu_small[at(label)]) for label in LINE_LABELS)
     for label in ("l2", "r1", "a2", "b2"):
-        assert abs(mu_small[label]) < 1e-6 * scale
-    assert mu_small["a1"] == pytest.approx(lam_small["a1"], rel=1e-6)
+        assert abs(mu_small[at(label)]) < 1e-6 * scale
+    assert mu_small[at("a1")] == pytest.approx(lam_small[at("a1")], rel=1e-6)
 
 
 def test_sensing_terms_scale_with_xi_over_kappa(reference_params, reference_omega):
@@ -84,8 +87,8 @@ def test_sensing_terms_scale_with_xi_over_kappa(reference_params, reference_omeg
     mu = estimator_coefficients(p, reference_omega)
     mu10 = estimator_coefficients(p.with_(kappa_t=10.0 * p.kappa_t), reference_omega)
     # back action (in lambda part) grows with kappa, sensing terms shrink.
-    assert abs(mu10["l2"]) == pytest.approx(abs(mu["l2"]) / 10.0, rel=1e-12)
-    assert abs(mu10["r1"]) == pytest.approx(abs(mu["r1"]) / 10.0, rel=1e-12)
+    assert abs(mu10[at("l2")]) == pytest.approx(abs(mu[at("l2")]) / 10.0, rel=1e-12)
+    assert abs(mu10[at("r1")]) == pytest.approx(abs(mu[at("r1")]) / 10.0, rel=1e-12)
 
 
 def test_spectrum_headline_and_decomposition(reference_params, reference_omega):
@@ -121,6 +124,14 @@ def test_decomposition_sum_over_draws(reference_params, reference_omega):
             assert abs(parts - b.total) / b.total < 1e-12
 
 
-def test_coefficient_set_requires_all_labels():
+def test_coefficient_vector_layout():
+    table = coefficients(a1=2.0, l2=-1j)
+    assert table.shape == (len(LINE_LABELS),) and table.dtype == complex
+    assert table[at("a1")] == 2.0 and table[at("l2")] == -1j
+    assert np.count_nonzero(table) == 2
     with pytest.raises(ValueError):
-        CoefficientSet({"m": 1.0})
+        coefficients(z9=1.0)
+    # A structural zero is judged against the row scale, a large entry
+    # against itself.
+    assert max_rel_diff(table, coefficients(a1=2.0, l2=-1j, m=1e-9)) == pytest.approx(5e-10)
+    assert max_rel_diff(table, coefficients(a1=2.2, l2=-1j)) == pytest.approx(0.1)
