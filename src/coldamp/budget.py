@@ -95,7 +95,7 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
     delta = p.delta(omega)
     k_theta_m = effective_temperature(p.T_m, omega)
     k_theta_a = effective_temperature(p.T_a, p.omega_t)
-    ratio = p.R_a / (h_m / p.kappa_t**2)
+    ratio = p.R_a / p.r_m
     return (
         2.0 * h_m * k_theta_m
         + 8.0 * h_m * ratio * k_theta_a
@@ -173,7 +173,7 @@ def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]
     collapses to a negligible zero-point constant, and the reported value
     is evaluated at the found ratio with the true temperature.
     """
-    r_m = p.H_m / p.kappa_t**2
+    r_m = p.r_m
     cold = p.with_(T_m=0.0)
 
     def objective(log_ratio: float) -> float:
@@ -186,7 +186,7 @@ def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]
         raise MatchingError(
             f"numerical matching did not converge: its minimum lies on the edge of "
             f"log10(R_a/R_m) in [{lo:.3f}, {hi:.3f}] at omega = {omega:g} rad/s",
-            omega=omega, condition=math.nan,
+            omega=omega,
         )
     return 10.0**best, simplified_budget(p.with_(R_a=r_m * 10.0**best), omega)
 

@@ -211,8 +211,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NetworkSolveError as exc:
-        condition = "" if math.isnan(exc.condition) else f" (condition {exc.condition:.3e})"
-        print(f"numerical failure: {exc}{condition}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -23,16 +23,12 @@ from .constants import HBAR
 from .noise import LINE_LABELS
 from .params import InstrumentParams
 
-CONDITION_FLAG = 1e12
-
-
 class NetworkSolveError(RuntimeError):
     """Raised when the network matrix is singular at some frequency."""
 
-    def __init__(self, message: str, omega: float, condition: float):
+    def __init__(self, message: str, omega: float):
         super().__init__(message)
         self.omega = omega
-        self.condition = condition
 
 
 @dataclass
@@ -64,7 +60,11 @@ class LinearNetwork:
 
 @dataclass
 class ScatteringResult:
-    """Solved network: S-matrix, transfer rows and solve diagnostics."""
+    """Solved network: S-matrix, transfer rows and solve diagnostics.
+
+    condition is always nan (not computed); the benchmark's tracer
+    (bench/tracer.py) reads it on every solve.
+    """
 
     ports: list[str]
     s_matrix: np.ndarray | None           # outgoing ports x incoming ports
@@ -73,31 +73,9 @@ class ScatteringResult:
     residual: float
     conjugated: dict[str, bool]
 
-    @property
-    def flagged(self) -> bool:
-        return self.condition > CONDITION_FLAG
-
-
-def _equilibrate(a: np.ndarray, b: np.ndarray, sweeps: int = 3):
-    """Two-sided diagonal scaling so entries span few orders of magnitude."""
-    a = a.copy()
-    b = b.copy()
-    n = a.shape[0]
-    col_scale = np.ones(n)
-    for _ in range(sweeps):
-        row = np.abs(a).max(axis=1)
-        row[row == 0.0] = 1.0
-        a /= row[:, None]
-        b /= row[:, None]
-        col = np.abs(a).max(axis=0)
-        col[col == 0.0] = 1.0
-        a /= col[None, :]
-        col_scale *= col
-    return a, b, col_scale
-
 
 def solve(net: LinearNetwork, scattering: bool = True) -> ScatteringResult:
-    """Direct dense solve of the network at its frequency.
+    """Direct dense solve of the raw network matrix at its frequency.
 
     Returns the scattering matrix over the declared ports (with canonical
     completion rows for amplifier ports, see below) and the raw transfer
@@ -119,29 +97,27 @@ def solve(net: LinearNetwork, scattering: bool = True) -> ScatteringResult:
         for name, coef in rhs.items():
             b[i, col_index[name]] += coef
 
-    a_s, b_s, col_scale = _equilibrate(a, b)
-    condition = float(np.linalg.cond(a_s))
-    if not np.isfinite(condition):
-        raise NetworkSolveError(
-            f"singular network matrix at omega = {net.omega:g} rad/s",
-            omega=net.omega, condition=condition,
-        )
     try:
-        x_s = np.linalg.solve(a_s, b_s)
-        # Iterative refinement with an extended-precision residual pushes
-        # the forward error down to rounding level even when the system
-        # is moderately ill-conditioned.
-        a_e = a_s.astype(np.clongdouble)
-        b_e = b_s.astype(np.clongdouble)
+        x = np.linalg.solve(a, b)
+        # Two steps of iterative refinement with an extended-precision
+        # residual (mixed-precision refinement, Higham ch. 12) push the
+        # forward error down to rounding level even though the raw matrix
+        # is ill-conditioned; no scaling is needed on top.
+        a_e = a.astype(np.clongdouble)
+        b_e = b.astype(np.clongdouble)
         for _ in range(2):
-            r = b_e - a_e @ x_s.astype(np.clongdouble)
-            x_s = x_s + np.linalg.solve(a_s, r.astype(complex))
-        x = x_s / col_scale[:, None]
+            r = b_e - a_e @ x.astype(np.clongdouble)
+            x = x + np.linalg.solve(a, r.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NetworkSolveError(
             f"singular network matrix at omega = {net.omega:g} rad/s: {exc}",
-            omega=net.omega, condition=condition,
+            omega=net.omega,
         ) from exc
+    if not np.isfinite(x).all():
+        raise NetworkSolveError(
+            f"non-finite network solution at omega = {net.omega:g} rad/s",
+            omega=net.omega,
+        )
 
     residual = float(
         np.abs(a @ x - b).max()
@@ -168,7 +144,7 @@ def solve(net: LinearNetwork, scattering: bool = True) -> ScatteringResult:
         ports=ports,
         s_matrix=s,
         transfer_rows={name: x[var_index[var]] for name, var in net.observables.items()},
-        condition=condition,
+        condition=math.nan,
         residual=residual,
         conjugated=dict(net.conjugated),
     )
@@ -212,7 +188,7 @@ def _complete_amplifier_rows(s, ports, physical, net):
         raise NetworkSolveError(
             f"cannot complete amplifier rows: complement signature {have} "
             f"does not match ports {net.complete_ports} at omega = {net.omega:g}",
-            omega=net.omega, condition=float("nan"),
+            omega=net.omega,
         )
     pos = [i for i, sg in enumerate(have) if sg > 0]
     neg = [i for i, sg in enumerate(have) if sg < 0]
@@ -304,7 +280,7 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
     )
 
 
-def _normalized_row(row: np.ndarray) -> np.ndarray:
+def normalized_row(row: np.ndarray) -> np.ndarray:
     """Sensor transfer row over LINE_LABELS, normalized to unit F_ext response.
 
     The row runs over the sensor network's incoming fields, LINE_LABELS,
@@ -314,29 +290,6 @@ def _normalized_row(row: np.ndarray) -> np.ndarray:
     if drive == 0:
         raise ZeroDivisionError("transfer row has no drive response; cannot normalize")
     return row[:len(LINE_LABELS)] / drive
-
-
-def oracle_velocity_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
-    """lambda coefficients obtained by solving the raw network equations."""
-    res = solve(build_sensor_network(p, None, omega), scattering=False)
-    return _normalized_row(res.transfer_rows["velocity"])
-
-
-def oracle_estimator_coefficients(p: InstrumentParams, omega: float,
-                                  gain: complex | None = None) -> np.ndarray:
-    """mu coefficients from the solved network (open loop or any gain).
-
-    The detected-output row is normalized so the external-force response
-    is unity, which is the definition of the force estimator; no
-    closed-form prefactor enters.
-    """
-    res = solve(build_sensor_network(p, gain, omega), scattering=False)
-    return _normalized_row(res.transfer_rows["detected"])
-
-
-def sensor_scattering(p: InstrumentParams, omega: float) -> ScatteringResult:
-    """Solved open-loop sensor with its completed scattering matrix."""
-    return solve(build_sensor_network(p, None, omega))
 
 
 def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwork:

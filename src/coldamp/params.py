@@ -115,6 +115,9 @@ class InstrumentParams:
     @property
     def r_m(self) -> float:
         """Mechanical damping as an equivalent electrical resistance."""
+        if self.kappa_t == 0.0:
+            raise ValueError("R_m = H_m/kappa_t^2 is undefined without electromechanical "
+                             "coupling; kappa_t is 0")
         return self.H_m / self.kappa_t**2
 
     def delta(self, omega: float) -> float:

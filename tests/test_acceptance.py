@@ -11,7 +11,7 @@ import numpy as np
 from coldamp.budget import budget_point, numerical_matching, optimal_matching
 from coldamp.constants import HBAR, K_B
 from coldamp.noise import effective_temperature
-from coldamp.network import check_commutators, sensor_scattering
+from coldamp.network import build_sensor_network, check_commutators, solve
 from coldamp.verify import (
     decomposition_consistency,
     finite_gain_exponent,
@@ -76,7 +76,8 @@ def test_acceptance_5_sensing_error_identity(reference_params, reference_omega):
 
 
 def test_acceptance_6_commutator_preservation(reference_params, reference_omega):
-    full = check_commutators(sensor_scattering(reference_params, reference_omega))
+    full = check_commutators(solve(build_sensor_network(reference_params, None,
+                                                        reference_omega)))
     toys = toy_commutators(reference_omega)
     worst = max(full, toys)
     ok = worst < 1e-10

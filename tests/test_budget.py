@@ -213,3 +213,12 @@ def test_acceleration_sensitivity_definition(reference_params, reference_omega):
     assert acceleration_sensitivity(reference_params, reference_omega) == pytest.approx(
         expected, rel=1e-12)
     assert pt.accel_sensitivity == pytest.approx(expected, rel=1e-12)
+
+
+def test_matching_without_coupling_is_a_value_error(reference_params, reference_omega):
+    """R_m is undefined at kappa_t = 0; both matching helpers say so."""
+    q = reference_params.with_(kappa_t=0.0)
+    with pytest.raises(ValueError, match="kappa_t is 0"):
+        simplified_budget(q, reference_omega)
+    with pytest.raises(ValueError, match="kappa_t is 0"):
+        numerical_matching(q, reference_omega)

@@ -118,6 +118,16 @@ def test_zero_frequency_config_is_a_config_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_zero_coupling_is_a_config_error(command, tmp_path, capsys):
+    path = _shipped_with(tmp_path, "coupling = 1.0e-7 C/m", "coupling = 0 C/m")
+    code, _, err = run([command, "--config", path], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("configuration error: ")
+    assert "kappa_t is 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_optimize_heavy_mass(tmp_path, capsys):
     """At 1e10 times the shipped mass the optimum ratio is ~1.6e3."""
     path = _shipped_with(tmp_path, "mass = 0.27 kg", "mass = 2.7e9 kg")
@@ -129,8 +139,7 @@ def test_optimize_heavy_mass(tmp_path, capsys):
 
 def test_matching_failure_exits_numerical(monkeypatch, capsys):
     def edge(p, omega):
-        raise cli.budget.MatchingError("minimum on the bracket edge", omega=omega,
-                                       condition=float("nan"))
+        raise cli.budget.MatchingError("minimum on the bracket edge", omega=omega)
 
     monkeypatch.setattr(cli.budget, "numerical_matching", edge)
     code, _, err = run(["optimize"], capsys)

@@ -51,6 +51,8 @@ def test_detuning_and_mechanical_resistance(reference_params, reference_omega):
     p = reference_params
     assert p.delta(reference_omega) == pytest.approx(32.693, rel=1e-3)
     assert p.r_m == pytest.approx(1.3e9, rel=1e-12)
+    with pytest.raises(ValueError, match="kappa_t is 0"):
+        p.with_(kappa_t=0.0).r_m
     resonance = math.sqrt(p.K / p.M)
     assert p.delta(resonance) == pytest.approx(0.0, abs=1e-12)
 

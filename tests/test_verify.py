@@ -1,0 +1,35 @@
+"""Verification suite: gate honesty, typed errors and hard draws."""
+
+import numpy as np
+import pytest
+
+import coldamp.verify as verify
+from coldamp.noise import LINE_LABELS
+from coldamp.sensor import estimator_coefficients
+
+
+def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega, monkeypatch):
+    """Negative control: every point is held to ORACLE_TOL, none relaxed."""
+
+    def perturbed(p, omega):
+        mu = estimator_coefficients(p, omega)
+        mu[LINE_LABELS.index("m")] *= 1.0 + 1e-9
+        return mu
+
+    monkeypatch.setattr(verify, "estimator_mu", perturbed)
+    _, mu, _ = verify.oracle_agreement(reference_params, reference_omega, draws=1,
+                                       frequencies=10, seed=0, commutators=False)
+    assert mu >= verify.ORACLE_TOL
+
+
+def test_finite_gain_on_a_closed_loop_draw(reference_params, reference_omega):
+    """A draw whose closed-loop scattering cannot be completed still fits -1."""
+    rng = np.random.default_rng(4)
+    q = verify.draw_params(reference_params, rng)
+    w = verify.draw_frequencies(reference_omega, rng, count=1)[0]
+    assert abs(verify.finite_gain_exponent(q, w) + 1.0) < verify.EXPONENT_TOL
+
+
+def test_run_checks_rejects_zero_coupling(reference_params, reference_omega):
+    with pytest.raises(ValueError, match="kappa_t is 0"):
+        verify.run_checks(reference_params.with_(kappa_t=0.0), reference_omega, draws=1)
