@@ -19,13 +19,7 @@ from .budget import (
     sweep,
 )
 from .config import ConfigError, RunConfig, load, loads
-from .noise import (
-    LINE_LABELS,
-    NoiseLine,
-    effective_temperature,
-    input_spectrum,
-    quadrature_spectrum,
-)
+from .noise import LINE_LABELS, effective_temperature
 from .params import InstrumentParams
 from .sensor import (
     SpectrumBreakdown,
@@ -50,8 +44,7 @@ __all__ = [
     "BudgetPoint", "MatchingResult", "acceleration_sensitivity", "budget_point",
     "numerical_matching", "optimal_matching", "simplified_budget", "sweep",
     "ConfigError", "RunConfig", "load", "loads",
-    "LINE_LABELS", "NoiseLine", "effective_temperature", "input_spectrum",
-    "quadrature_spectrum",
+    "LINE_LABELS", "effective_temperature",
     "InstrumentParams",
     "SpectrumBreakdown", "estimator_coefficients",
     "free_mass_coefficients", "mechanical_impedance", "sensor_noise_spectrum",

@@ -47,7 +47,6 @@ class LinearNetwork:
     outgoing: dict[str, str]              # port label -> out-field variable
     conjugated: dict[str, bool]
     omega: float
-    complete_ports: list[str] = field(default_factory=list)
     observables: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -60,29 +59,28 @@ class LinearNetwork:
 
 @dataclass
 class ScatteringResult:
-    """Solved network: S-matrix, transfer rows and solve diagnostics.
+    """Solved network: passive S rows, transfer rows and solve diagnostics.
 
-    condition is always nan (not computed); the benchmark's tracer
-    (bench/tracer.py) reads it on every solve.
+    s_matrix has one row per port with an out-field variable
+    (out_ports), over all incoming ports (ports).  condition is always
+    nan (not computed); the benchmark's tracer (bench/tracer.py) reads
+    it on every solve.
     """
 
     ports: list[str]
-    s_matrix: np.ndarray | None           # outgoing ports x incoming ports
+    out_ports: list[str]
+    s_matrix: np.ndarray
     transfer_rows: dict[str, np.ndarray]  # observable -> row over incoming + drives
     condition: float
-    residual: float
     conjugated: dict[str, bool]
 
 
-def solve(net: LinearNetwork, scattering: bool = True) -> ScatteringResult:
+def solve(net: LinearNetwork) -> ScatteringResult:
     """Direct dense solve of the raw network matrix at its frequency.
 
-    Returns the scattering matrix over the declared ports (with canonical
-    completion rows for amplifier ports, see below) and the raw transfer
-    rows of the declared observables over incoming fields and drives.
-    With scattering=False only the transfer rows and diagnostics are
-    computed (s_matrix is None); this skips the completion step, which
-    costs an extra decomposition per solve.
+    Returns the scattering rows of the ports that have an out-field
+    variable and the raw transfer rows of the declared observables over
+    incoming fields and drives.
     """
     n = len(net.variables)
     var_index = {name: i for i, name in enumerate(net.variables)}
@@ -119,90 +117,36 @@ def solve(net: LinearNetwork, scattering: bool = True) -> ScatteringResult:
             omega=net.omega,
         )
 
-    residual = float(
-        np.abs(a @ x - b).max()
-        / max(np.abs(a).max() * max(np.abs(x).max(), 1.0), np.abs(b).max())
-    )
-
-    ports = list(net.incoming)
-    s = None
-    if scattering:
-        s = np.zeros((len(ports), len(ports)), dtype=complex)
-        physical = []
-        for k, port in enumerate(ports):
-            if port in net.complete_ports:
-                continue
-            if port not in net.outgoing:
-                raise ValueError(
-                    f"port {port!r} has neither an out-field variable nor a completion slot")
-            s[k, :] = x[var_index[net.outgoing[port]], : len(ports)]
-            physical.append(k)
-        if net.complete_ports:
-            s = _complete_amplifier_rows(s, ports, physical, net)
-
+    rows = [var_index[var] for var in net.outgoing.values()]
     return ScatteringResult(
-        ports=ports,
-        s_matrix=s,
+        ports=list(net.incoming),
+        out_ports=list(net.outgoing),
+        s_matrix=x[rows, :len(net.incoming)],
         transfer_rows={name: x[var_index[var]] for name, var in net.observables.items()},
         condition=math.nan,
-        residual=residual,
         conjugated=dict(net.conjugated),
     )
 
 
-def _complete_amplifier_rows(s, ports, physical, net):
-    """Fill the amplified out-field rows by canonical completion.
-
-    The ideal amplifier pins its input on the noise fields with no
-    back-reaction, so the out fields of its own lines and of the line it
-    drives are not commutator-preserving observables of the idealized
-    equations (the model is exact for symmetrized spectra only).  The
-    S-matrix reported here is the canonical dilation: the passive rows
-    are the solved physics, while the amplified rows span the
-    metric-orthogonal complement with the conjugation signature of their
-    ports.  The falsifiable content of the commutator check is the
-    orthonormality of the passive rows and the existence of a complement
-    with the right signature; the physical signal content of the
-    detection port is exposed through the transfer rows instead.
-    """
-    eta = np.array([-1.0 if net.conjugated.get(p, False) else 1.0 for p in ports])
-    s_phys = s[physical, :]
-    # Rows x with S_phys @ diag(eta) @ x^dag = 0: conj(x) spans the null
-    # space of S_phys @ diag(eta), whose vectors are conjugated rows of
-    # vh, so the rows themselves are the trailing vh rows unconjugated.
-    _, sv, vh = np.linalg.svd(s_phys * eta[None, :])
-    n_null = len(ports) - len(physical)
-    basis = vh[-n_null:]
-    gram = (basis * eta[None, :]) @ basis.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    rows = (eigvecs.T.conj() @ basis) / np.sqrt(np.abs(eigvals))[:, None]
-
-    slots = [k for k, p in enumerate(ports) if p in net.complete_ports]
-    want = [-1.0 if net.conjugated.get(ports[k], False) else 1.0 for k in slots]
-    have = list(np.sign(eigvals))
-    if sorted(want) != sorted(have):
-        raise NetworkSolveError(
-            f"cannot complete amplifier rows: complement signature {have} "
-            f"does not match ports {net.complete_ports} at omega = {net.omega:g}",
-            omega=net.omega,
-        )
-    pos = [i for i, sg in enumerate(have) if sg > 0]
-    neg = [i for i, sg in enumerate(have) if sg < 0]
-    for k, sign in zip(slots, want):
-        idx = pos.pop(0) if sign > 0 else neg.pop(0)
-        s[k, :] = rows[idx]
-    return s
-
-
 def check_commutators(res: ScatteringResult) -> float:
-    """Max |S eta S^dag - eta| entry, eta = diag of conjugation signs."""
-    eta = np.array([-1.0 if res.conjugated.get(p, False) else 1.0 for p in res.ports])
+    """Max |S eta S^dag - eta| entry relative to the rows it involves.
+
+    eta holds the conjugation signs of the ports.  Raw S entries grow
+    without bound on extreme parameter draws, so entry (i, j) is divided
+    by the norms of rows i and j, each floored at 1 (unitary networks
+    keep the absolute figure).
+
+    Only passive lines have S rows: the ideal amplifier pins its input
+    with no back-reaction and is exact for symmetrized spectra only
+    (Caves, PRD 26, 1817 (1982)), so its out fields, and that of the
+    line it drives, are not commutator-preserving observables.
+    """
+    eta = {p: -1.0 if res.conjugated.get(p, False) else 1.0 for p in res.ports}
     s = res.s_matrix
-    return float(np.abs((s * eta[None, :]) @ s.conj().T - np.diag(eta)).max())
+    cols = np.array([eta[p] for p in res.ports])
+    d = (s * cols) @ s.conj().T - np.diag([eta[p] for p in res.out_ports])
+    norms = np.maximum(1.0, np.linalg.norm(s, axis=1))
+    return float((np.abs(d) / np.outer(norms, norms)).max())
 
 
 def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float) -> LinearNetwork:
@@ -265,7 +209,7 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
     eqs.append(({"r1_out": 1.0, "U_r1": -c_det_out}, {"r1": -1.0}))
     eqs.append(({"r2_out": 1.0, "U_r2": -c_det_out}, {"r2": -1.0}))
 
-    outgoing = {"m": "m_out", "l1": "l1_out", "l2": "l2_out", "r1": "r1_out", "r2": "r2_out"}
+    outgoing = {"m": "m_out", "l1": "l1_out", "l2": "l2_out"}
     conjugated = {label: label.startswith("b") for label in LINE_LABELS}
     return LinearNetwork(
         variables=variables,
@@ -275,7 +219,6 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
         outgoing=outgoing,
         conjugated=conjugated,
         omega=omega,
-        complete_ports=["a1", "a2", "b1", "b2", "r1", "r2"],
         observables={"velocity": "V", "detected": "r1_out"},
     )
 

@@ -15,7 +15,6 @@ the carrier frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import HBAR, K_B
 
@@ -24,27 +23,6 @@ from .constants import HBAR, K_B
 # voltage/current noise lines (b enters conjugated); "r" is the detection
 # line; "l" the loss line.  Electrical lines carry two quadratures.
 LINE_LABELS = ("m", "a1", "a2", "b1", "b2", "r1", "r2", "l1", "l2")
-
-
-@dataclass(frozen=True)
-class NoiseLine:
-    """One dissipative or amplifier noise port.
-
-    impedance is in ohms for electrical lines and kg/s for the mechanical
-    one.  conjugated is True only for the amplifier current-noise line,
-    whose field enters the equations after conjugation.
-    """
-
-    label: str
-    impedance: float
-    temperature: float
-    conjugated: bool = False
-
-    def __post_init__(self):
-        if not (self.impedance > 0.0) or not math.isfinite(self.impedance):
-            raise ValueError(f"line {self.label!r}: impedance must be positive, got {self.impedance}")
-        if self.temperature < 0.0 or not math.isfinite(self.temperature):
-            raise ValueError(f"line {self.label!r}: temperature must be >= 0, got {self.temperature}")
 
 
 def coth(x: float) -> float:
@@ -82,22 +60,3 @@ def effective_temperature(temperature: float, omega: float) -> float:
     if temperature == 0.0:
         return zero_point
     return zero_point * coth(zero_point / (K_B * temperature))
-
-
-def input_spectrum(line: NoiseLine, omega: float) -> float:
-    """Symmetrized double-sided spectrum of the line's incoming field.
-
-    Dimensionless; equals 1/2 for a zero-temperature line.
-    """
-    return effective_temperature(line.temperature, omega) / (HBAR * abs(omega))
-
-
-def quadrature_spectrum(line: NoiseLine, omega_t: float) -> float:
-    """Spectrum of either quadrature of the line's field around a carrier.
-
-    Both quadratures of a carrier at omega_t >> Omega carry the same
-    spectrum, 2 kB Theta / (hbar omega_t) with Theta evaluated at omega_t.
-    """
-    if omega_t <= 0.0:
-        raise ValueError(f"carrier frequency must be positive, got {omega_t}")
-    return 2.0 * input_spectrum(line, omega_t)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .noise import LINE_LABELS, NoiseLine, effective_temperature, input_spectrum, quadrature_spectrum
+from .noise import LINE_LABELS, effective_temperature
 from .params import InstrumentParams
 
 
@@ -120,20 +120,6 @@ def estimator_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     )
 
 
-def line_spectra(p: InstrumentParams, omega: float) -> np.ndarray:
-    """Input spectrum per line in LINE_LABELS order.
-
-    The mechanical line is evaluated at Omega; the electrical lines carry
-    the quadrature spectrum at omega_t.  Lines sharing an element share
-    one spectrum, so only the four distinct lines are built.
-    """
-    m = input_spectrum(NoiseLine("m", p.H_m, p.T_m), omega)
-    a = quadrature_spectrum(NoiseLine("a", p.R_a, p.T_a), p.omega_t)
-    r = quadrature_spectrum(NoiseLine("r", p.R_r, p.T_r), p.omega_t)
-    l = quadrature_spectrum(NoiseLine("l", p.R_l, p.T_l), p.omega_t)
-    return np.array([m, a, a, a, a, r, r, l, l])
-
-
 def coefficient_sum(coeffs: np.ndarray, spectra: np.ndarray) -> float:
     """The quadratic noise sum sum_a |c_a|^2 sigma_a.
 
@@ -151,14 +137,20 @@ def sensor_noise_spectrum(p: InstrumentParams, omega: float) -> SpectrumBreakdow
     named components are the closed forms for the mechanical Langevin
     noise, the amplifier back action, the sensing error and the signed
     interference between back action and sensing.
+
+    Each line's input spectrum is k Theta / (hbar |w|): the mechanical
+    line at Omega, and either quadrature of an electrical line twice
+    that at the carrier omega_t.
     """
     mu = estimator_coefficients(p, omega)
-    total = coefficient_sum(mu, line_spectra(p, omega))
-
     k_theta_m = effective_temperature(p.T_m, omega)
     k_theta_a = effective_temperature(p.T_a, p.omega_t)
     k_theta_l = effective_temperature(p.T_l, p.omega_t)
     k_theta_r = effective_temperature(p.T_r, p.omega_t)
+
+    a, r, l = (2.0 * (k / (HBAR * p.omega_t)) for k in (k_theta_a, k_theta_r, k_theta_l))
+    spectra = np.array([k_theta_m / (HBAR * abs(omega)), a, a, a, a, r, r, l, l])
+    total = coefficient_sum(mu, spectra)
 
     h_m = p.H_m
     kt2 = p.kappa_t**2

@@ -80,43 +80,24 @@ def _quiet():
         yield
 
 
-def _relative_commutator(res) -> float:
-    """Commutator deviation normalized by the row magnitudes it involves.
-
-    Raw S-matrix entries grow without bound on extreme parameter draws,
-    so the meaningful deviation of entry (i, j) is relative to the norms
-    of the two rows (floored at 1 so small networks keep the absolute
-    scale).
-    """
-    eta = np.array([-1.0 if res.conjugated.get(q, False) else 1.0 for q in res.ports])
-    s = res.s_matrix
-    d = (s * eta[None, :]) @ s.conj().T - np.diag(eta)
-    norms = np.maximum(1.0, np.linalg.norm(s, axis=1))
-    return float((np.abs(d) / np.outer(norms, norms)).max())
-
-
 def oracle_agreement(p: InstrumentParams, omega: float,
                      draws: int, frequencies: int,
-                     seed: int, commutators: bool = True) -> tuple[float, float, float]:
-    """Worst deviations (lambda, mu, commutator) over draws.
+                     seed: int) -> tuple[float, float, float]:
+    """Worst deviations (lambda, mu, passive-row commutator) over draws.
 
-    Every point's deviation compares directly against ORACLE_TOL.  With
-    commutators=False the scattering completion is skipped (cheaper) and
-    the third figure is 0.
+    Every point's deviation compares directly against ORACLE_TOL.
     """
     rng = np.random.default_rng(seed)
     worst_lam = worst_mu = worst_comm = 0.0
     for i in range(draws):
         q = draw_params(p, rng) if i else p
         for w in draw_frequencies(omega, rng, count=frequencies):
-            res = network.solve(network.build_sensor_network(q, None, w),
-                                scattering=commutators)
+            res = network.solve(network.build_sensor_network(q, None, w))
             lam_oracle = network.normalized_row(res.transfer_rows["velocity"])
             mu_oracle = network.normalized_row(res.transfer_rows["detected"])
             worst_lam = max(worst_lam, sensor.max_rel_diff(free_lambda(q, w), lam_oracle))
             worst_mu = max(worst_mu, sensor.max_rel_diff(estimator_mu(q, w), mu_oracle))
-            if commutators:
-                worst_comm = max(worst_comm, _relative_commutator(res))
+            worst_comm = max(worst_comm, network.check_commutators(res))
     return worst_lam, worst_mu, worst_comm
 
 
@@ -155,7 +136,7 @@ def sensing_identity_sweep(p: InstrumentParams, omega: float,
 def finite_gain_deviation(p: InstrumentParams, omega: float, gain: complex) -> float:
     """Distance of the finite-gain velocity row from the infinite-gain table."""
     net = network.build_sensor_network(p, gain, omega)
-    row = network.solve(net, scattering=False).transfer_rows["velocity"]
+    row = network.solve(net).transfer_rows["velocity"]
     target = servo.cold_damped_velocity(p, omega)
     return float(np.abs(row[:len(target)] - target).max() / np.abs(target).max())
 
@@ -190,34 +171,25 @@ def decomposition_consistency(p: InstrumentParams, omega: float,
 
 def run_checks(p: InstrumentParams, omega: float, *,
                draws: int = 100, frequencies: int = 10,
-               seed: int = 0, tol: float | None = None) -> list[CheckResult]:
-    """Run the full verification suite; returns one result per check.
-
-    tol, when given, overrides the deviation tolerances; the convergence
-    exponent keeps its own acceptance band.
-    """
+               seed: int = 0) -> list[CheckResult]:
+    """Run the full verification suite; returns one result per check."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if p.kappa_t == 0.0:
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
-    if tol is not None and tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    base = tol if tol is not None else ORACLE_TOL
-    eq_tol = tol if tol is not None else EQUALITY_TOL
 
     lam, mu, comm = oracle_agreement(p, omega, draws, frequencies, seed)
-    results = [
-        CheckResult("oracle velocity coefficients", lam, base),
-        CheckResult("oracle estimator coefficients", mu, base),
-        CheckResult("sensor commutator preservation", comm, base),
-        CheckResult("toy-network commutator preservation", toy_commutators(omega), base),
+    return [
+        CheckResult("oracle velocity coefficients", lam, ORACLE_TOL),
+        CheckResult("oracle estimator coefficients", mu, ORACLE_TOL),
+        CheckResult("sensor commutator preservation (m, l1, l2)", comm, ORACLE_TOL),
+        CheckResult("toy-network commutator preservation", toy_commutators(omega), ORACLE_TOL),
         CheckResult("open/closed-loop estimator equality",
-                    loop_estimator_equality(p, omega, draws, seed + 1), eq_tol),
+                    loop_estimator_equality(p, omega, draws, seed + 1), EQUALITY_TOL),
         CheckResult("cold-damped velocity vs sensing error",
-                    sensing_identity_sweep(p, omega), base),
+                    sensing_identity_sweep(p, omega), ORACLE_TOL),
         CheckResult("finite-gain convergence exponent",
                     abs(finite_gain_exponent(p, omega) + 1.0), EXPONENT_TOL),
         CheckResult("spectrum decomposition sum",
-                    decomposition_consistency(p, omega, draws, seed + 2), eq_tol),
+                    decomposition_consistency(p, omega, draws, seed + 2), EQUALITY_TOL),
     ]
-    return results

@@ -215,6 +215,27 @@ def test_version_flag(capsys):
     assert out.startswith("coldamp ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["budget", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "--draws", "abc"], "argument --draws: invalid int value: 'abc'"),
+    (["verify", "--tol", "1e3"], "unrecognized arguments: --tol 1e3"),
+], ids=["unknown-flag", "bad-int", "verify-tol"])
+def test_bad_argument_is_a_config_error(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("configuration error: coldamp") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coldamp")
+
+
 def test_summary_frequency_matches_config(capsys):
     _, _, err = run(["budget"], capsys)
     assert "0.0005" in err

@@ -1,4 +1,4 @@
-"""Noise conventions: effective temperatures and line spectra."""
+"""Noise conventions: effective temperatures."""
 
 import math
 
@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coldamp.constants import HBAR, K_B
-from coldamp.noise import (
-    NoiseLine,
-    coth,
-    effective_temperature,
-    input_spectrum,
-    quadrature_spectrum,
-)
+from coldamp.noise import coth, effective_temperature
 
 OMEGA_T = 2.0 * math.pi * 1e5
 
@@ -77,31 +71,3 @@ def test_high_temperature_asymptote(omega):
     temp = HBAR * omega / (2.0 * K_B) * 1e7
     value = effective_temperature(temp, omega)
     assert abs(value - K_B * temp) / (K_B * temp) < 1e-12
-
-
-def test_input_spectrum_values():
-    cold = NoiseLine("p", 50.0, 0.0)
-    assert input_spectrum(cold, 12345.0) == 0.5
-    warm = NoiseLine("p", 50.0, 300.0)
-    assert input_spectrum(warm, OMEGA_T) == pytest.approx(
-        K_B * 300.0 / (HBAR * OMEGA_T), rel=1e-9
-    )
-    assert input_spectrum(warm, OMEGA_T) == pytest.approx(6.25e7, rel=1e-2)
-
-
-def test_quadrature_spectrum_is_twice_input_spectrum():
-    line = NoiseLine("a", 1.5e5, 1.5)
-    assert quadrature_spectrum(line, OMEGA_T) == 2.0 * input_spectrum(line, OMEGA_T)
-    assert quadrature_spectrum(line, OMEGA_T) == pytest.approx(6.25e5, rel=1e-2)
-    assert quadrature_spectrum(NoiseLine("a", 1.0, 0.0), OMEGA_T) == 1.0
-    hot = NoiseLine("l", 2.5e5, 300.0)
-    assert quadrature_spectrum(hot, OMEGA_T) == pytest.approx(1.25e8, rel=1e-2)
-    with pytest.raises(ValueError):
-        quadrature_spectrum(line, -OMEGA_T)
-
-
-def test_noise_line_validation():
-    with pytest.raises(ValueError):
-        NoiseLine("p", -1.0, 300.0)
-    with pytest.raises(ValueError):
-        NoiseLine("p", 50.0, -0.1)

@@ -1,11 +1,14 @@
 """Open-loop sensor closed forms: coefficient tables and noise spectrum."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from coldamp.noise import LINE_LABELS
+from coldamp.budget import budget_point
+from coldamp.constants import HBAR, K_B
+from coldamp.noise import LINE_LABELS, effective_temperature
 from coldamp.sensor import (
     coefficients,
     estimator_coefficients,
@@ -112,6 +115,48 @@ def test_vacuum_floor(reference_params, reference_omega):
     b = sensor_noise_spectrum(cold, reference_omega)
     assert b.total > 0.0
     assert b.langevin > 0.0 and b.back_action > 0.0 and b.sensing > 0.0
+
+
+@pytest.mark.parametrize("temps", [
+    dict(T_m=0.0, T_a=0.0, T_l=0.0, T_r=0.0),
+    dict(T_m=0.0, T_r=30.0),
+    dict(T_r=30.0),
+], ids=["vacuum", "cold-mass", "reference"])
+def test_line_spectra_in_the_quantum_and_classical_limits(temps, reference_params,
+                                                          reference_omega):
+    """Sigma_FF weights each |mu_a|^2 by its line's input spectrum.
+
+    A line at T = 0 carries the vacuum 1/2; the other lines here are
+    classical, kB T / (hbar |Omega|).  Electrical quadratures carry twice
+    that at omega_t.  With the mass at T = 0 the electrical lines set the
+    total, and T_r is moved off T_l so that the two lines are told apart.
+    """
+    p, w = reference_params.with_(**temps), reference_omega
+
+    def limit(temperature, omega):
+        return K_B * temperature / (HBAR * omega) if temperature else 0.5
+
+    electrical = [p.T_a] * 4 + [p.T_r] * 2 + [p.T_l] * 2
+    spectra = [limit(p.T_m, w)] + [2.0 * limit(t, p.omega_t) for t in electrical]
+    expected = np.dot(np.abs(estimator_coefficients(p, w)) ** 2, spectra)
+    assert sensor_noise_spectrum(p, w).total == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def test_budget_point_evaluates_each_temperature_once(reference_params, reference_omega,
+                                                      monkeypatch):
+    """One k Theta per line element (m, a, l, r), not one per use."""
+    calls = []
+
+    def counting(temperature, omega):
+        calls.append((temperature, omega))
+        return effective_temperature(temperature, omega)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coldamp") and \
+                getattr(module, "effective_temperature", None) is effective_temperature:
+            monkeypatch.setattr(module, "effective_temperature", counting)
+    budget_point(reference_params, reference_omega)
+    assert len(calls) == 4
 
 
 def test_decomposition_sum_over_draws(reference_params, reference_omega):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import coldamp.verify as verify
+from coldamp.network import build_sensor_network, check_commutators, solve
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import estimator_coefficients
+from coldamp.servo import gain_for_effective_impedance
 
 
 def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega, monkeypatch):
@@ -18,16 +20,26 @@ def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega, monk
 
     monkeypatch.setattr(verify, "estimator_mu", perturbed)
     _, mu, _ = verify.oracle_agreement(reference_params, reference_omega, draws=1,
-                                       frequencies=10, seed=0, commutators=False)
+                                       frequencies=10, seed=0)
     assert mu >= verify.ORACLE_TOL
 
 
 def test_finite_gain_on_a_closed_loop_draw(reference_params, reference_omega):
-    """A draw whose closed-loop scattering cannot be completed still fits -1."""
+    """A closed-loop draw solves, fits -1, and its passive rows are not canonical.
+
+    The noiseless feedback force is not a passive element, so the
+    closed-loop m, l1, l2 rows need not preserve commutators; here they
+    miss by about 0.31 at every gain, while the open loop passes.
+    """
     rng = np.random.default_rng(4)
     q = verify.draw_params(reference_params, rng)
     w = verify.draw_frequencies(reference_omega, rng, count=1)[0]
     assert abs(verify.finite_gain_exponent(q, w) + 1.0) < verify.EXPONENT_TOL
+    for ratio in (1e3, 1e7):
+        gain = gain_for_effective_impedance(q, ratio * q.H_m, w)
+        closed = check_commutators(solve(build_sensor_network(q, gain, w)))
+        assert closed == pytest.approx(0.31, abs=0.01)
+    assert check_commutators(solve(build_sensor_network(q, None, w))) < verify.ORACLE_TOL
 
 
 def test_run_checks_rejects_zero_coupling(reference_params, reference_omega):
