@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .budget import (
     BudgetPoint,
     MatchingResult,
-    acceleration_sensitivity,
     budget_point,
     numerical_matching,
     optimal_matching,
@@ -27,7 +26,6 @@ from .sensor import (
     free_mass_coefficients,
     mechanical_impedance,
     sensor_noise_spectrum,
-    transducer_impedance,
 )
 from .servo import (
     cold_damped_estimator,
@@ -41,14 +39,13 @@ from .verify import CheckResult, run_checks
 
 __all__ = [
     "__version__",
-    "BudgetPoint", "MatchingResult", "acceleration_sensitivity", "budget_point",
+    "BudgetPoint", "MatchingResult", "budget_point",
     "numerical_matching", "optimal_matching", "simplified_budget", "sweep",
     "ConfigError", "RunConfig", "load", "loads",
     "LINE_LABELS", "effective_temperature",
     "InstrumentParams",
     "SpectrumBreakdown", "estimator_coefficients",
     "free_mass_coefficients", "mechanical_impedance", "sensor_noise_spectrum",
-    "transducer_impedance",
     "cold_damped_estimator", "cold_damped_velocity", "cold_damped_velocity_coefficients",
     "effective_impedance", "gain_for_effective_impedance", "sensing_error_identity",
     "CheckResult", "run_checks",

@@ -221,8 +221,3 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> l
         except ValueError as exc:
             raise ValueError(f"sweep failed at {axis} = {value!r}: {exc}") from exc
     return points
-
-
-def acceleration_sensitivity(p: InstrumentParams, omega: float) -> float:
-    """One-number figure of merit: sqrt(Sigma_FF)/M in m s^-2 per root Hz."""
-    return math.sqrt(sensor_noise_spectrum(p, omega).total) / p.M

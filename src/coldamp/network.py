@@ -1,7 +1,7 @@
 """Independent numerical oracle for the sensor's linear quantum network.
 
 The raw element relations (resistive/mechanical line laws, the transducer
-three-port, the charge-amplifier equations and optionally the feedback
+three-port, the charge-amplifier laws and optionally the feedback
 force) are assembled into one complex linear system per frequency and
 solved directly.  Nothing here reuses the closed-form coefficient
 expressions, so agreement between the two routes is a real check.
@@ -33,27 +33,28 @@ class NetworkSolveError(RuntimeError):
 
 @dataclass
 class LinearNetwork:
-    """Named complex unknowns plus linear relations driving them.
+    """Assembled linear relations a x = b of one network at one frequency.
 
-    Each equation is a pair (lhs, rhs): lhs maps unknown names to
-    coefficients, rhs maps incoming-field/drive names to coefficients,
-    meaning sum(lhs) = sum(rhs).  The system must be square.
+    Each row is one element relation.  Columns of a are the unknowns;
+    columns of b are the incoming fields, in the order of incoming, then
+    any external drives.  outgoing maps each port with an out-field
+    unknown to that unknown's column of a; observables name further
+    unknowns whose transfer rows solve returns.
     """
 
-    variables: list[str]
+    a: np.ndarray
+    b: np.ndarray
     incoming: list[str]
-    drives: list[str]
-    equations: list[tuple[dict[str, complex], dict[str, complex]]]
-    outgoing: dict[str, str]              # port label -> out-field variable
+    outgoing: dict[str, int]              # port label -> out-field unknown
     conjugated: dict[str, bool]
     omega: float
-    observables: dict[str, str] = field(default_factory=dict)
+    observables: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.equations) != len(self.variables):
+        n = len(self.a)
+        if self.a.shape != (n, n) or self.b.shape[:1] != (n,):
             raise ValueError(
-                f"system must be square: {len(self.equations)} equations, "
-                f"{len(self.variables)} unknowns"
+                f"system must be square: a is {self.a.shape}, b is {self.b.shape}"
             )
 
 
@@ -82,30 +83,16 @@ def solve(net: LinearNetwork) -> ScatteringResult:
     variable and the raw transfer rows of the declared observables over
     incoming fields and drives.
     """
-    n = len(net.variables)
-    var_index = {name: i for i, name in enumerate(net.variables)}
-    columns = list(net.incoming) + list(net.drives)
-    col_index = {name: j for j, name in enumerate(columns)}
-
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, len(columns)), dtype=complex)
-    for i, (lhs, rhs) in enumerate(net.equations):
-        for name, coef in lhs.items():
-            a[i, var_index[name]] += coef
-        for name, coef in rhs.items():
-            b[i, col_index[name]] += coef
-
+    a, b = net.a, net.b
     try:
         x = np.linalg.solve(a, b)
-        # Two steps of iterative refinement with an extended-precision
-        # residual (mixed-precision refinement, Higham ch. 12) push the
-        # forward error down to rounding level even though the raw matrix
-        # is ill-conditioned; no scaling is needed on top.
-        a_e = a.astype(np.clongdouble)
-        b_e = b.astype(np.clongdouble)
-        for _ in range(2):
-            r = b_e - a_e @ x.astype(np.clongdouble)
-            x = x + np.linalg.solve(a, r.astype(complex))
+        # The raw matrix is ill-conditioned through the scales of its
+        # entries.  One refinement step with a float64 residual
+        # (fixed-precision refinement: Skeel, Math. Comp. 35 (1980);
+        # Higham ch. 12) restores componentwise stability and brings the
+        # forward error to rounding level; unrefined, some draws miss
+        # ORACLE_TOL.
+        x = x + np.linalg.solve(a, b - a @ x)
     except np.linalg.LinAlgError as exc:
         raise NetworkSolveError(
             f"singular network matrix at omega = {net.omega:g} rad/s: {exc}",
@@ -117,12 +104,11 @@ def solve(net: LinearNetwork) -> ScatteringResult:
             omega=net.omega,
         )
 
-    rows = [var_index[var] for var in net.outgoing.values()]
     return ScatteringResult(
         ports=list(net.incoming),
         out_ports=list(net.outgoing),
-        s_matrix=x[rows, :len(net.incoming)],
-        transfer_rows={name: x[var_index[var]] for name, var in net.observables.items()},
+        s_matrix=x[list(net.outgoing.values()), :len(net.incoming)],
+        transfer_rows={name: x[j] for name, j in net.observables.items()},
         condition=math.nan,
         conjugated=dict(net.conjugated),
     )
@@ -149,6 +135,82 @@ def check_commutators(res: ScatteringResult) -> float:
     return float((np.abs(d) / np.outer(norms, norms)).max())
 
 
+# Unknowns of the sensor network: the proof-mass velocity, the out
+# fields, and per electrical quadrature the node voltage, the branch
+# currents (transducer, feedback, loss) and the amplifier output.
+_SENSOR_UNKNOWNS = (
+    "V", "m_out",
+    "U_1", "U_2", "I_t1", "I_t2", "I_f1", "I_f2", "I_l1", "I_l2",
+    "U_r1", "U_r2", "l1_out", "l2_out", "r1_out", "r2_out",
+)
+# Element relations, one pair (lhs, rhs) per row meaning sum(lhs) =
+# sum(rhs): lhs over the unknowns, rhs over LINE_LABELS and the F_ext
+# drive.  A str coefficient names a per-point value supplied by
+# build_sensor_network.
+_SENSOR_RELATIONS = (
+    # Equation of motion; the feedback force enters only in closed loop.
+    ({"V": "xi_m", "I_t1": "kt*z_t", "r1_out": "gain"}, {"F_ext": 1.0, "m": "-c_mech"}),
+    # Mechanical line out field.
+    ({"m_out": 1.0, "V": "-c_mech_out"}, {"m": 1.0}),
+    # Transducer three-port.
+    ({"U_1": 1.0, "I_t1": "-z_t"}, {}),
+    ({"U_2": 1.0, "I_t2": "-z_t", "V": "-2j*kt*z_t*wt/omega"}, {}),
+    # Amplifier voltage noise pins the input node, per quadrature.
+    ({"U_1": 1.0}, {"a1": "c_volt", "b1": "-c_volt"}),
+    ({"U_2": 1.0}, {"a2": "c_volt", "b2": "-c_volt"}),
+    # Current balance at the input node, per quadrature.
+    ({"I_l1": 1.0, "I_f1": 1.0, "I_t1": 1.0}, {"a1": "c_curr", "b1": "c_curr"}),
+    ({"I_l2": 1.0, "I_f2": 1.0, "I_t2": 1.0}, {"a2": "c_curr", "b2": "c_curr"}),
+    # Feedback element, quadrature-coupled because Z_f is frequency-odd.
+    ({"U_1": 1.0, "U_r1": -1.0, "I_f2": "-1j*z_f"}, {}),
+    ({"U_2": 1.0, "U_r2": -1.0, "I_f1": "1j*z_f"}, {}),
+    # Loss line, per quadrature.
+    ({"U_1": 1.0, "I_l1": "-R_l"}, {"l1": "c_loss"}),
+    ({"U_2": 1.0, "I_l2": "-R_l"}, {"l2": "c_loss"}),
+    ({"l1_out": 1.0, "U_1": "-c_loss_out"}, {"l1": -1.0}),
+    ({"l2_out": 1.0, "U_2": "-c_loss_out"}, {"l2": -1.0}),
+    # Detection line driven by the null-impedance amplifier output.
+    ({"r1_out": 1.0, "U_r1": "-c_det_out"}, {"r1": -1.0}),
+    ({"r2_out": 1.0, "U_r2": "-c_det_out"}, {"r2": -1.0}),
+)
+
+
+def _template(side: int, columns: tuple[str, ...]):
+    """One side (0: a, 1: b) of the sensor relations, for _fill.
+
+    Returns the matrix of constant entries, the (rows, cols) index
+    arrays of the per-point entries and their value names.
+    """
+    index = {name: j for j, name in enumerate(columns)}
+    matrix = np.zeros((len(_SENSOR_RELATIONS), len(columns)), dtype=complex)
+    rows, cols, names = [], [], []
+    for i, relation in enumerate(_SENSOR_RELATIONS):
+        for name, coef in relation[side].items():
+            if isinstance(coef, str):
+                rows.append(i)
+                cols.append(index[name])
+                names.append(coef)
+            else:
+                matrix[i, index[name]] = coef
+    return matrix, (np.array(rows), np.array(cols)), tuple(names)
+
+
+_SENSOR_A = _template(0, _SENSOR_UNKNOWNS)
+_SENSOR_B = _template(1, (*LINE_LABELS, "F_ext"))
+_SENSOR_OUTGOING = {port: _SENSOR_UNKNOWNS.index(f"{port}_out") for port in ("m", "l1", "l2")}
+_SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
+                       "detected": _SENSOR_UNKNOWNS.index("r1_out")}
+_SENSOR_CONJUGATED = {label: label.startswith("b") for label in LINE_LABELS}
+
+
+def _fill(template, values: dict[str, complex]) -> np.ndarray:
+    """A copy of a template matrix with its named per-point entries set."""
+    matrix, at, names = template
+    out = matrix.copy()
+    out[at] = [values[name] for name in names]
+    return out
+
+
 def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float) -> LinearNetwork:
     """Raw element relations of the capacitive sensor at frequency Omega.
 
@@ -160,67 +222,33 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
     h_m = p.H_m
-    xi_m = h_m - 1j * p.M * omega + 1j * p.K / omega
     z_t = p.z_t(omega)
     z_f = p.z_f
     wt = p.omega_t
     kt = p.kappa_t
-
-    c_mech = math.sqrt(2.0 * HBAR * abs(omega) * h_m)        # Langevin force per field
-    c_mech_out = math.sqrt(2.0 * h_m / (HBAR * abs(omega)))  # velocity -> out field
     c_volt = math.sqrt(2.0 * HBAR * wt * p.R_a)              # amplifier voltage noise
-    c_curr = math.sqrt(2.0 * HBAR * wt / p.R_a)              # amplifier current noise
-    c_loss = math.sqrt(2.0 * HBAR * wt * p.R_l)
-    c_loss_out = math.sqrt(2.0 / (HBAR * wt * p.R_l))
-    c_det_out = math.sqrt(2.0 / (HBAR * wt * p.R_r))
-
-    variables = [
-        "V", "m_out",
-        "U_1", "U_2", "I_t1", "I_t2", "I_f1", "I_f2", "I_l1", "I_l2",
-        "U_r1", "U_r2", "l1_out", "l2_out", "r1_out", "r2_out",
-    ]
-    eqs: list[tuple[dict, dict]] = []
-
-    # Equation of motion; the feedback force enters only in closed loop.
-    motion_lhs = {"V": xi_m, "I_t1": kt * z_t}
-    if gain is not None:
-        motion_lhs["r1_out"] = gain
-    eqs.append((motion_lhs, {"F_ext": 1.0, "m": -c_mech}))
-    # Mechanical line out field.
-    eqs.append(({"m_out": 1.0, "V": -c_mech_out}, {"m": 1.0}))
-    # Transducer three-port.
-    eqs.append(({"U_1": 1.0, "I_t1": -z_t}, {}))
-    eqs.append(({"U_2": 1.0, "I_t2": -z_t, "V": -2j * kt * z_t * wt / omega}, {}))
-    # Amplifier voltage noise pins the input node, per quadrature.
-    eqs.append(({"U_1": 1.0}, {"a1": c_volt, "b1": -c_volt}))
-    eqs.append(({"U_2": 1.0}, {"a2": c_volt, "b2": -c_volt}))
-    # Current balance at the input node, per quadrature.
-    eqs.append(({"I_l1": 1.0, "I_f1": 1.0, "I_t1": 1.0}, {"a1": c_curr, "b1": c_curr}))
-    eqs.append(({"I_l2": 1.0, "I_f2": 1.0, "I_t2": 1.0}, {"a2": c_curr, "b2": c_curr}))
-    # Feedback element, quadrature-coupled because Z_f is frequency-odd.
-    eqs.append(({"U_1": 1.0, "U_r1": -1.0, "I_f2": -1j * z_f}, {}))
-    eqs.append(({"U_2": 1.0, "U_r2": -1.0, "I_f1": 1j * z_f}, {}))
-    # Loss line, per quadrature.
-    eqs.append(({"U_1": 1.0, "I_l1": -p.R_l}, {"l1": c_loss}))
-    eqs.append(({"U_2": 1.0, "I_l2": -p.R_l}, {"l2": c_loss}))
-    eqs.append(({"l1_out": 1.0, "U_1": -c_loss_out}, {"l1": -1.0}))
-    eqs.append(({"l2_out": 1.0, "U_2": -c_loss_out}, {"l2": -1.0}))
-    # Detection line driven by the null-impedance amplifier output.
-    eqs.append(({"r1_out": 1.0, "U_r1": -c_det_out}, {"r1": -1.0}))
-    eqs.append(({"r2_out": 1.0, "U_r2": -c_det_out}, {"r2": -1.0}))
-
-    outgoing = {"m": "m_out", "l1": "l1_out", "l2": "l2_out"}
-    conjugated = {label: label.startswith("b") for label in LINE_LABELS}
-    return LinearNetwork(
-        variables=variables,
-        incoming=list(LINE_LABELS),
-        drives=["F_ext"],
-        equations=eqs,
-        outgoing=outgoing,
-        conjugated=conjugated,
-        omega=omega,
-        observables={"velocity": "V", "detected": "r1_out"},
-    )
+    values = {
+        "xi_m": h_m - 1j * p.M * omega + 1j * p.K / omega,
+        "kt*z_t": kt * z_t,
+        "gain": 0.0 if gain is None else gain,
+        "-c_mech": -math.sqrt(2.0 * HBAR * abs(omega) * h_m),          # Langevin force
+        "-c_mech_out": -math.sqrt(2.0 * h_m / (HBAR * abs(omega))),    # velocity -> out field
+        "-z_t": -z_t,
+        "-2j*kt*z_t*wt/omega": -2j * kt * z_t * wt / omega,
+        "c_volt": c_volt,
+        "-c_volt": -c_volt,
+        "c_curr": math.sqrt(2.0 * HBAR * wt / p.R_a),                  # amplifier current noise
+        "-1j*z_f": -1j * z_f,
+        "1j*z_f": 1j * z_f,
+        "-R_l": -p.R_l,
+        "c_loss": math.sqrt(2.0 * HBAR * wt * p.R_l),
+        "-c_loss_out": -math.sqrt(2.0 / (HBAR * wt * p.R_l)),
+        "-c_det_out": -math.sqrt(2.0 / (HBAR * wt * p.R_r)),
+    }
+    return LinearNetwork(a=_fill(_SENSOR_A, values), b=_fill(_SENSOR_B, values),
+                         incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
+                         conjugated=_SENSOR_CONJUGATED, omega=omega,
+                         observables=_SENSOR_OBSERVABLES)
 
 
 def normalized_row(row: np.ndarray) -> np.ndarray:
@@ -241,22 +269,13 @@ def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwor
         raise ValueError("frequency must be nonzero")
     c_1 = math.sqrt(2.0 * HBAR * abs(omega) * r_1)
     c_2 = math.sqrt(2.0 * HBAR * abs(omega) * r_2)
-    eqs = [
-        ({"U": 1.0, "I_1": -r_1}, {"p1": c_1}),
-        ({"U": 1.0, "I_2": -r_2}, {"p2": c_2}),
-        ({"I_1": 1.0, "I_2": 1.0}, {}),
-        ({"p1_out": 1.0, "U": -2.0 / c_1}, {"p1": -1.0}),
-        ({"p2_out": 1.0, "U": -2.0 / c_2}, {"p2": -1.0}),
-    ]
-    return LinearNetwork(
-        variables=["U", "I_1", "I_2", "p1_out", "p2_out"],
-        incoming=["p1", "p2"],
-        drives=[],
-        equations=eqs,
-        outgoing={"p1": "p1_out", "p2": "p2_out"},
-        conjugated={"p1": False, "p2": False},
-        omega=omega,
-    )
+    # Unknowns U, I_1, I_2, p1_out, p2_out; incoming p1, p2.
+    a = np.array([[1.0, -r_1, 0.0, 0.0, 0.0], [1.0, 0.0, -r_2, 0.0, 0.0],
+                  [0.0, 1.0, 1.0, 0.0, 0.0], [-2.0 / c_1, 0.0, 0.0, 1.0, 0.0],
+                  [-2.0 / c_2, 0.0, 0.0, 0.0, 1.0]], dtype=complex)
+    b = np.array([[c_1, 0.0], [0.0, c_2], [0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    return LinearNetwork(a=a, b=b, incoming=["p1", "p2"], outgoing={"p1": 3, "p2": 4},
+                         conjugated={"p1": False, "p2": False}, omega=omega)
 
 
 def build_open_line(r: float, omega: float) -> LinearNetwork:
@@ -264,17 +283,8 @@ def build_open_line(r: float, omega: float) -> LinearNetwork:
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
     c = math.sqrt(2.0 * HBAR * abs(omega) * r)
-    eqs = [
-        ({"U": 1.0, "I": -r}, {"p": c}),
-        ({"I": 1.0}, {}),
-        ({"p_out": 1.0, "U": -2.0 / c}, {"p": -1.0}),
-    ]
-    return LinearNetwork(
-        variables=["U", "I", "p_out"],
-        incoming=["p"],
-        drives=[],
-        equations=eqs,
-        outgoing={"p": "p_out"},
-        conjugated={"p": False},
-        omega=omega,
-    )
+    # Unknowns U, I, p_out; incoming p.
+    a = np.array([[1.0, -r, 0.0], [0.0, 1.0, 0.0], [-2.0 / c, 0.0, 1.0]], dtype=complex)
+    b = np.array([[c], [0.0], [-1.0]], dtype=complex)
+    return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 2},
+                         conjugated={"p": False}, omega=omega)

@@ -109,9 +109,6 @@ class InstrumentParams:
             raise ValueError("Z_t diverges at zero frequency")
         return -1.0 / (2j * omega * self.C_t)
 
-    def zt_mag(self, omega: float) -> float:
-        return abs(self.z_t(omega))
-
     @property
     def r_m(self) -> float:
         """Mechanical damping as an equivalent electrical resistance."""

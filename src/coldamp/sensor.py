@@ -72,11 +72,6 @@ def mechanical_impedance(p: InstrumentParams, omega: float) -> complex:
     return p.H_m - 1j * p.M * omega + 1j * p.K / omega
 
 
-def transducer_impedance(p: InstrumentParams, omega: float) -> complex:
-    """Electrical impedance of the detuned transducer mode, ohm (imaginary)."""
-    return p.z_t(omega)
-
-
 def free_mass_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     """Velocity noise coefficients lambda of the free-running mass.
 

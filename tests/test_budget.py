@@ -9,7 +9,6 @@ import pytest
 from coldamp.budget import (
     MatchingError,
     MatchingResult,
-    acceleration_sensitivity,
     budget_point,
     numerical_matching,
     optimal_matching,
@@ -22,9 +21,9 @@ from coldamp.verify import draw_params
 
 def test_headline_force_noise(reference_params, reference_omega):
     point = budget_point(reference_params, reference_omega)
-    assert point.sigma_ff == pytest.approx(1.1e-25, rel=0.03)
-    assert point.accel_sensitivity == pytest.approx(1.2e-12, rel=0.05)
-    assert point.delta == pytest.approx(32.693, rel=1e-3)
+    assert point.sigma_ff == pytest.approx(1.1e-25, rel=0.03, abs=0.0)
+    assert point.accel_sensitivity == pytest.approx(1.2e-12, rel=0.05, abs=0.0)
+    assert point.delta == pytest.approx(32.693, rel=1e-3, abs=0.0)
 
 
 def test_budget_terms_sum(reference_params, reference_omega):
@@ -32,10 +31,10 @@ def test_budget_terms_sum(reference_params, reference_omega):
     total_v = point.sigma_vfr + point.sigma_vse + point.sigma_cross
     xi2 = point.sigma_ff / total_v
     # sigma_ff is exactly the velocity budget mapped through the mechanics.
-    assert point.sigma_ff == pytest.approx(xi2 * total_v, rel=1e-12)
+    assert point.sigma_ff == pytest.approx(xi2 * total_v, rel=1e-12, abs=0.0)
     b = point.breakdown
     assert point.sigma_ff == pytest.approx(
-        b.langevin + b.back_action + b.sensing + b.interference, rel=1e-12)
+        b.langevin + b.back_action + b.sensing + b.interference, rel=1e-12, abs=0.0)
 
 
 def test_budget_rejects_zero_frequency(reference_params):
@@ -62,7 +61,7 @@ def test_simplified_budget_matches_full_in_clean_limit(reference_params, referen
     )
     full = budget_point(clean, reference_omega).sigma_ff
     simple = simplified_budget(clean, reference_omega)
-    assert simple == pytest.approx(full, rel=1e-3)
+    assert simple == pytest.approx(full, rel=1e-3, abs=0.0)
 
 
 def test_optimal_matching_closed_form(reference_params, reference_omega):
@@ -71,15 +70,15 @@ def test_optimal_matching_closed_form(reference_params, reference_omega):
     assert isinstance(res, MatchingResult)
     delta = p.delta(w)
     expected_ratio = math.sqrt(1.0 + delta * delta) / 2.0 * abs(w) / p.omega_t
-    assert res.ratio_opt == pytest.approx(expected_ratio, rel=1e-12)
+    assert res.ratio_opt == pytest.approx(expected_ratio, rel=1e-12, abs=0.0)
     theta_m = effective_temperature(p.T_m, w)
     theta_a = effective_temperature(p.T_a, p.omega_t)
     expected = (2.0 * p.H_m * theta_m
                 + 8.0 * p.H_m * math.sqrt(1.0 + delta * delta)
                 * (abs(w) / p.omega_t) * theta_a)
-    assert res.sigma_opt == pytest.approx(expected, rel=1e-12)
+    assert res.sigma_opt == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert res.langevin_part + res.detection_part == pytest.approx(
-        res.sigma_opt, rel=1e-12)
+        res.sigma_opt, rel=1e-12, abs=0.0)
 
 
 def test_optimum_on_resonance(reference_params):
@@ -88,7 +87,7 @@ def test_optimum_on_resonance(reference_params):
     w = 2.0 * math.pi * 1e-3
     q = p.with_(K=p.M * w * w)  # resonance: delta = 0
     res = optimal_matching(q, w)
-    assert res.ratio_opt == pytest.approx(0.5 * abs(w) / p.omega_t, rel=1e-12)
+    assert res.ratio_opt == pytest.approx(0.5 * abs(w) / p.omega_t, rel=1e-12, abs=0.0)
 
 
 def test_detection_terms_equal_at_optimum(reference_params, reference_omega):
@@ -101,15 +100,15 @@ def test_detection_terms_equal_at_optimum(reference_params, reference_omega):
     back = 8.0 * q.H_m * (q.R_a / q.r_m) * theta_a
     sens = (2.0 * q.H_m * (1.0 + delta * delta)
             * (w / q.omega_t) ** 2 * (q.r_m / q.R_a) * theta_a)
-    assert back == pytest.approx(sens, rel=1e-9)
-    assert simplified_budget(q, w) == pytest.approx(res.sigma_opt, rel=1e-12)
+    assert back == pytest.approx(sens, rel=1e-9, abs=0.0)
+    assert simplified_budget(q, w) == pytest.approx(res.sigma_opt, rel=1e-12, abs=0.0)
 
 
 def test_numerical_matching_agrees_with_closed_form(reference_params, reference_omega):
     closed = optimal_matching(reference_params, reference_omega)
     ratio, value = numerical_matching(reference_params, reference_omega)
-    assert ratio == pytest.approx(closed.ratio_opt, rel=1e-6)
-    assert value == pytest.approx(closed.sigma_opt, rel=1e-6)
+    assert ratio == pytest.approx(closed.ratio_opt, rel=1e-6, abs=0.0)
+    assert value == pytest.approx(closed.sigma_opt, rel=1e-6, abs=0.0)
 
 
 def test_numerical_matching_far_from_reference(reference_params, reference_omega):
@@ -119,8 +118,8 @@ def test_numerical_matching_far_from_reference(reference_params, reference_omega
     closed = optimal_matching(heavy, reference_omega)
     assert closed.ratio_opt > 1e3
     ratio, value = numerical_matching(heavy, reference_omega)
-    assert ratio == pytest.approx(closed.ratio_opt, rel=1e-6)
-    assert value == pytest.approx(closed.sigma_opt, rel=1e-6)
+    assert ratio == pytest.approx(closed.ratio_opt, rel=1e-6, abs=0.0)
+    assert value == pytest.approx(closed.sigma_opt, rel=1e-6, abs=0.0)
 
 
 def test_numerical_matching_edge_raises(reference_params, reference_omega, monkeypatch):
@@ -164,7 +163,7 @@ def test_sweep_preserves_order_and_values(reference_params, reference_omega):
     assert len(points) == 3
     for value, pt in zip(grid, points):
         direct = budget_point(reference_params.with_(R_a=value), reference_omega)
-        assert pt.sigma_ff == pytest.approx(direct.sigma_ff, rel=1e-12)
+        assert pt.sigma_ff == pytest.approx(direct.sigma_ff, rel=1e-12, abs=0.0)
 
 
 def test_budget_unimodal_across_matching(reference_params, reference_omega):
@@ -204,15 +203,13 @@ def test_detection_terms_linear_in_amplifier_temperature(reference_params, refer
     floor = 2.0 * p.H_m * effective_temperature(p.T_m, w)
     b = simplified_budget(p.with_(T_a=2.0 * p.T_a), w)
     # At 1.5 K thermal >> zero-point, so doubling T_a doubles detection noise.
-    assert (b - floor) == pytest.approx(2.0 * (a - floor), rel=1e-3)
+    assert (b - floor) == pytest.approx(2.0 * (a - floor), rel=1e-3, abs=0.0)
 
 
 def test_acceleration_sensitivity_definition(reference_params, reference_omega):
     pt = budget_point(reference_params, reference_omega)
     expected = math.sqrt(pt.sigma_ff) / reference_params.M
-    assert acceleration_sensitivity(reference_params, reference_omega) == pytest.approx(
-        expected, rel=1e-12)
-    assert pt.accel_sensitivity == pytest.approx(expected, rel=1e-12)
+    assert pt.accel_sensitivity == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_matching_without_coupling_is_a_value_error(reference_params, reference_omega):

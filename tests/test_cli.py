@@ -29,8 +29,8 @@ def test_budget_default_point(capsys):
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert len(fields) == len(cli._CSV_COLUMNS)
-    assert float(fields[0]) == pytest.approx(5.0e-4, rel=1e-11)
-    assert float(fields[5]) == pytest.approx(1.1e-25, rel=0.03)
+    assert float(fields[0]) == pytest.approx(5.0e-4, rel=1e-11, abs=0.0)
+    assert float(fields[5]) == pytest.approx(1.1e-25, rel=0.03, abs=0.0)
     assert "force noise" in err
 
 
@@ -204,7 +204,7 @@ def test_dump_config_round_trips(capsys):
 
     cfg = loads(out)
     assert cfg.params.M == 0.27
-    assert cfg.frequency == pytest.approx(5.0e-4, rel=1e-15)
+    assert cfg.frequency == pytest.approx(5.0e-4, rel=1e-15, abs=0.0)
 
 
 def test_version_flag(capsys):

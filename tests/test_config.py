@@ -40,14 +40,14 @@ def test_parses_reference_design():
     assert p.K == 4.0e-6
     assert p.H_m == 1.3e-5
     assert p.kappa_t == 1.0e-7
-    assert p.omega_t == pytest.approx(2.0 * math.pi * 1.0e5, rel=1e-15)
+    assert p.omega_t == pytest.approx(2.0 * math.pi * 1.0e5, rel=1e-15, abs=0.0)
     assert p.R_l == 2.5e5
     assert p.R_r == 50.0
     assert p.R_a == 1.5e5
-    assert cfg.frequency == pytest.approx(5.0e-4, rel=1e-15)
+    assert cfg.frequency == pytest.approx(5.0e-4, rel=1e-15, abs=0.0)
     # Impedance magnitudes resolve to capacitances at the right frequencies.
-    assert 1.0 / (p.omega_t * p.C_f) == pytest.approx(1.6e5, rel=1e-12)
-    assert 1.0 / (2.0 * cfg.omega * p.C_t) == pytest.approx(1.0e14, rel=1e-12)
+    assert 1.0 / (p.omega_t * p.C_f) == pytest.approx(1.6e5, rel=1e-12, abs=0.0)
+    assert 1.0 / (2.0 * cfg.omega * p.C_t) == pytest.approx(1.0e14, rel=1e-12, abs=0.0)
 
 
 def test_digest_tracks_content():
@@ -64,7 +64,7 @@ def test_bundled_config_matches_inline():
     cfg = loads(text)
     assert cfg.params.M == 0.27
     assert cfg.params.H_m == 1.3e-5
-    assert cfg.frequency == pytest.approx(5.0e-4, rel=1e-15)
+    assert cfg.frequency == pytest.approx(5.0e-4, rel=1e-15, abs=0.0)
 
 
 def test_missing_required_key():

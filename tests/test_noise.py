@@ -12,13 +12,13 @@ OMEGA_T = 2.0 * math.pi * 1e5
 
 
 def test_coth_reference_value():
-    assert coth(1.0) == pytest.approx(1.3130352854993312, rel=1e-14)
+    assert coth(1.0) == pytest.approx(1.3130352854993312, rel=1e-14, abs=0.0)
 
 
 def test_coth_asymptote_and_expansion():
     assert coth(35.0) == 1.0
     x = 1e-9
-    assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-15)
+    assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         coth(0.0)
 
@@ -33,13 +33,28 @@ def test_half_quantum_ratio():
     omega = 1e5
     temp = HBAR * omega / (2.0 * K_B)
     expected = K_B * temp * coth(1.0)
-    assert effective_temperature(temp, omega) == pytest.approx(expected, rel=1e-14)
+    assert effective_temperature(temp, omega) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_classical_limit_at_room_temperature():
     value = effective_temperature(300.0, OMEGA_T)
-    assert value == pytest.approx(K_B * 300.0, rel=1e-10)
-    assert value == pytest.approx(4.1420e-21, rel=1e-4)
+    assert value == pytest.approx(K_B * 300.0, rel=1e-10, abs=0.0)
+    assert value == pytest.approx(4.1420e-21, rel=1e-4, abs=0.0)
+
+
+def test_quantum_crossover_matches_occupation_form():
+    """kTheta = hbar w (1/expm1(x) + 1/2) with x = hbar w / kB T.
+
+    A GHz carrier sweeps x over [1e-3, 1e2], from the classical regime
+    through the crossover to the zero-point regime; the occupation form
+    shares no code with the coth form under test.
+    """
+    omega = 2.0 * math.pi * 1e9
+    for k in range(2001):
+        x = 10.0 ** (-3.0 + 5.0 * k / 2000)
+        expected = HBAR * omega * (1.0 / math.expm1(x) + 0.5)
+        temp = HBAR * omega / (K_B * x)
+        assert effective_temperature(temp, omega) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_rejects_zero_frequency_and_negative_temperature():

@@ -16,7 +16,6 @@ from coldamp.sensor import (
     max_rel_diff,
     mechanical_impedance,
     sensor_noise_spectrum,
-    transducer_impedance,
 )
 from coldamp.verify import draw_params, draw_frequencies
 
@@ -27,19 +26,14 @@ def test_mechanical_impedance_examples(reference_params, reference_omega):
     p = reference_params
     no_spring = p.with_(K=0.0)
     xi = mechanical_impedance(no_spring, reference_omega)
-    assert xi == pytest.approx(p.H_m - 1j * p.M * reference_omega, rel=1e-14)
+    assert xi == pytest.approx(p.H_m - 1j * p.M * reference_omega, rel=1e-14, abs=0.0)
     resonance = math.sqrt(p.K / p.M)
-    assert mechanical_impedance(p, resonance) == pytest.approx(p.H_m, rel=1e-12)
+    assert mechanical_impedance(p, resonance) == pytest.approx(p.H_m, rel=1e-12, abs=0.0)
     xi = mechanical_impedance(p, reference_omega)
     assert xi.real == p.H_m
-    assert xi.imag == pytest.approx(4.25e-4, rel=1e-2)
+    assert xi.imag == pytest.approx(4.25e-4, rel=1e-2, abs=0.0)
     with pytest.raises(ValueError):
         mechanical_impedance(p, 0.0)
-
-
-def test_transducer_impedance_matches_params(reference_params, reference_omega):
-    p = reference_params
-    assert transducer_impedance(p, reference_omega) == p.z_t(reference_omega)
 
 
 def test_free_mass_zero_pattern(reference_params, reference_omega):
@@ -82,7 +76,7 @@ def test_estimator_structure(reference_params, reference_omega):
     scale = max(abs(mu_small[at(label)]) for label in LINE_LABELS)
     for label in ("l2", "r1", "a2", "b2"):
         assert abs(mu_small[at(label)]) < 1e-6 * scale
-    assert mu_small[at("a1")] == pytest.approx(lam_small[at("a1")], rel=1e-6)
+    assert mu_small[at("a1")] == pytest.approx(lam_small[at("a1")], rel=1e-6, abs=0.0)
 
 
 def test_sensing_terms_scale_with_xi_over_kappa(reference_params, reference_omega):
@@ -90,24 +84,24 @@ def test_sensing_terms_scale_with_xi_over_kappa(reference_params, reference_omeg
     mu = estimator_coefficients(p, reference_omega)
     mu10 = estimator_coefficients(p.with_(kappa_t=10.0 * p.kappa_t), reference_omega)
     # back action (in lambda part) grows with kappa, sensing terms shrink.
-    assert abs(mu10[at("l2")]) == pytest.approx(abs(mu[at("l2")]) / 10.0, rel=1e-12)
-    assert abs(mu10[at("r1")]) == pytest.approx(abs(mu[at("r1")]) / 10.0, rel=1e-12)
+    assert abs(mu10[at("l2")]) == pytest.approx(abs(mu[at("l2")]) / 10.0, rel=1e-12, abs=0.0)
+    assert abs(mu10[at("r1")]) == pytest.approx(abs(mu[at("r1")]) / 10.0, rel=1e-12, abs=0.0)
 
 
 def test_spectrum_headline_and_decomposition(reference_params, reference_omega):
     b = sensor_noise_spectrum(reference_params, reference_omega)
-    assert b.total == pytest.approx(1.077e-25, rel=3e-3)
+    assert b.total == pytest.approx(1.077e-25, rel=3e-3, abs=0.0)
     assert b.langevin / b.total > 0.99
     parts = b.langevin + b.back_action + b.sensing + b.interference
-    assert parts == pytest.approx(b.total, rel=1e-12)
+    assert parts == pytest.approx(b.total, rel=1e-12, abs=0.0)
 
 
 def test_back_action_and_sensing_scaling(reference_params, reference_omega):
     p = reference_params
     b1 = sensor_noise_spectrum(p, reference_omega)
     b2 = sensor_noise_spectrum(p.with_(kappa_t=10.0 * p.kappa_t), reference_omega)
-    assert b2.back_action == pytest.approx(100.0 * b1.back_action, rel=1e-12)
-    assert b2.sensing == pytest.approx(b1.sensing / 100.0, rel=1e-12)
+    assert b2.back_action == pytest.approx(100.0 * b1.back_action, rel=1e-12, abs=0.0)
+    assert b2.sensing == pytest.approx(b1.sensing / 100.0, rel=1e-12, abs=0.0)
 
 
 def test_vacuum_floor(reference_params, reference_omega):

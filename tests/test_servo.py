@@ -26,7 +26,7 @@ def test_effective_impedance_linearity(reference_params, reference_omega):
     assert effective_impedance(p, 0.0, reference_omega) == 0.0
     one = effective_impedance(p, 2.5e-4, reference_omega)
     two = effective_impedance(p, 5e-4, reference_omega)
-    assert two == pytest.approx(2.0 * one, rel=1e-14)
+    assert two == pytest.approx(2.0 * one, rel=1e-14, abs=0.0)
 
 
 def test_gain_inversion_round_trip(reference_params, reference_omega):
@@ -34,8 +34,8 @@ def test_gain_inversion_round_trip(reference_params, reference_omega):
     target = 1e3 * p.H_m
     gain = gain_for_effective_impedance(p, target, reference_omega)
     eff = effective_impedance(p, gain, reference_omega)
-    assert eff == pytest.approx(target, rel=1e-12)
-    assert eff.real == pytest.approx(target, rel=1e-12)
+    assert eff == pytest.approx(target, rel=1e-12, abs=0.0)
+    assert eff.real == pytest.approx(target, rel=1e-12, abs=0.0)
     assert abs(eff.imag * reference_omega) < 1e-12 * abs(target) * reference_omega
 
 
