@@ -4,49 +4,44 @@ The instrument is modelled as a linear quantum network of noise lines
 coupled through a detuned capacitive transducer and a cold charge
 amplifier.  Closed-form noise coefficients (sensor and servo modules)
 are cross-validated by an independent numerical network solver.
+
+The public names load on first use (PEP 562), each from the submodule
+that defines it: `import coldamp` and `coldamp.load` do not import
+numpy, which only the closed forms, the oracle and `run_checks` need.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .budget import (
-    BudgetPoint,
-    MatchingResult,
-    budget_point,
-    numerical_matching,
-    optimal_matching,
-    simplified_budget,
-    sweep,
-)
-from .config import ConfigError, RunConfig, load, loads
-from .noise import LINE_LABELS, effective_temperature
-from .params import InstrumentParams
-from .sensor import (
-    SpectrumBreakdown,
-    estimator_coefficients,
-    free_mass_coefficients,
-    mechanical_impedance,
-    sensor_noise_spectrum,
-)
-from .servo import (
-    cold_damped_estimator,
-    cold_damped_velocity,
-    cold_damped_velocity_coefficients,
-    effective_impedance,
-    gain_for_effective_impedance,
-    sensing_error_identity,
-)
-from .verify import CheckResult, run_checks
+# Public name -> defining submodule.
+_EXPORTS = {
+    "BudgetPoint": "budget", "budget_point": "budget", "sweep": "budget",
+    "MatchingResult": "matching", "numerical_matching": "matching",
+    "optimal_matching": "matching", "simplified_budget": "matching",
+    "ConfigError": "config", "RunConfig": "config", "load": "config", "loads": "config",
+    "LINE_LABELS": "noise", "effective_temperature": "noise",
+    "InstrumentParams": "params",
+    "SpectrumBreakdown": "sensor", "estimator_coefficients": "sensor",
+    "free_mass_coefficients": "sensor", "mechanical_impedance": "sensor",
+    "sensor_noise_spectrum": "sensor",
+    "cold_damped_estimator": "servo", "cold_damped_velocity": "servo",
+    "gain_for_effective_impedance": "servo", "sensing_error_identity": "servo",
+    "CheckResult": "verify", "run_checks": "verify",
+}
 
-__all__ = [
-    "__version__",
-    "BudgetPoint", "MatchingResult", "budget_point",
-    "numerical_matching", "optimal_matching", "simplified_budget", "sweep",
-    "ConfigError", "RunConfig", "load", "loads",
-    "LINE_LABELS", "effective_temperature",
-    "InstrumentParams",
-    "SpectrumBreakdown", "estimator_coefficients",
-    "free_mass_coefficients", "mechanical_impedance", "sensor_noise_spectrum",
-    "cold_damped_estimator", "cold_damped_velocity", "cold_damped_velocity_coefficients",
-    "effective_impedance", "gain_for_effective_impedance", "sensing_error_identity",
-    "CheckResult", "run_checks",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

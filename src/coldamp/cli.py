@@ -5,6 +5,10 @@ scientific notation goes to --out (default stdout); the human-readable
 summary goes to stderr so piping the CSV stays clean.  Exit codes are
 0 success, 1 configuration error, 2 verification failure, 3 numerical
 failure.
+
+Only config is imported at module level; each command imports the
+modules it needs once its configuration has loaded, so dump-config,
+optimize, --help and configuration errors run without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import math
 import sys
 from importlib import resources
 
-from . import __version__, budget, config, verify
-from .network import NetworkSolveError
+from . import __version__, config
+from .errors import NetworkSolveError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,6 +87,7 @@ def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
 
 def cmd_budget(args) -> int:
     cfg = _load(args)
+    from . import budget
     if args.freq_min is None and args.freq_max is None:
         omegas = [cfg.omega]
     else:
@@ -104,6 +109,7 @@ def cmd_budget(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    from . import budget
     grid = _geometric_grid(args.min, args.max, args.points)
     if args.axis == "frequency":
         points = budget.sweep(cfg.params, "frequency", [2.0 * math.pi * f for f in grid])
@@ -117,8 +123,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args)
-    m = budget.optimal_matching(cfg.params, cfg.omega)
-    ratio_num, sigma_num = budget.numerical_matching(cfg.params, cfg.omega)
+    from . import matching
+    m = matching.optimal_matching(cfg.params, cfg.omega)
+    ratio_num, sigma_num = matching.numerical_matching(cfg.params, cfg.omega)
     residual = max(
         abs(ratio_num - m.ratio_opt) / m.ratio_opt,
         abs(sigma_num - m.sigma_opt) / m.sigma_opt,
@@ -133,6 +140,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    from . import verify
     results = verify.run_checks(cfg.params, cfg.omega, draws=args.draws, seed=args.seed)
     for result in results:
         print(result)

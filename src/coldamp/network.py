@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HBAR
+from .errors import NetworkSolveError
 from .noise import LINE_LABELS
 from .params import InstrumentParams
-
-class NetworkSolveError(RuntimeError):
-    """Raised when the network matrix is singular at some frequency."""
-
-    def __init__(self, message: str, omega: float):
-        super().__init__(message)
-        self.omega = omega
 
 
 @dataclass

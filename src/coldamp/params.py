@@ -77,23 +77,6 @@ class InstrumentParams:
             if value < 0.0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
-    @classmethod
-    def from_magnitudes(cls, *, Zf_mag: float, Zt_mag: float, omega_ref: float,
-                        **kwargs) -> "InstrumentParams":
-        """Build from quoted impedance magnitudes.
-
-        |Z_f| is converted at the carrier frequency, |Z_t| at the reference
-        analysis frequency omega_ref.
-        """
-        omega_t = kwargs["omega_t"]
-        if Zf_mag <= 0.0 or Zt_mag <= 0.0:
-            raise ValueError("impedance magnitudes must be positive")
-        if omega_ref <= 0.0:
-            raise ValueError("reference frequency must be positive")
-        C_f = 1.0 / (omega_t * Zf_mag)
-        C_t = 1.0 / (2.0 * omega_ref * Zt_mag)
-        return cls(C_f=C_f, C_t=C_t, **kwargs)
-
     @property
     def z_f(self) -> complex:
         """Feedback impedance Z_f = 1/(-i omega_t C_f), purely imaginary."""

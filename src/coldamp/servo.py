@@ -31,31 +31,27 @@ def _check_loop_preconditions(p: InstrumentParams) -> None:
         )
 
 
-def effective_impedance(p: InstrumentParams, gain: complex, omega: float) -> complex:
-    """Servo-synthesized impedance H_me + i K_me / Omega, kg/s, linear in G_s."""
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
-    return -math.sqrt(2.0 * p.omega_t / (HBAR * p.R_r)) * 2.0 * p.kappa_t * p.z_f / omega * gain
-
-
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
     """Loop gain producing a prescribed effective impedance at Omega.
 
-    Inverts the linear relation used by effective_impedance; the usual
-    cold-damping preset is a purely real (dissipative) xi_me.
+    The servo synthesizes xi_me = H_me + i K_me / Omega (kg/s), linear in
+    the gain: xi_me = -sqrt(2 omega_t / hbar R_r) 2 kappa_t Z_f G_s / Omega.
+    This inverts that relation; the usual cold-damping preset is a purely
+    real (dissipative) xi_me.
     """
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
     return -xi_me * omega * math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) / (2.0 * p.kappa_t * p.z_f)
 
 
-def cold_damped_velocity_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
-    """Normalized residual-velocity coefficients lambda_a / G_s.
+def cold_damped_velocity(p: InstrumentParams, omega: float) -> np.ndarray:
+    """Residual-velocity coefficients of the cold-damped mass, (m/s) per field.
 
     Valid in the infinite-gain limit; the external-force coefficient is
-    zero since the loop pins the mass.  The physical velocity follows as
+    zero since the loop pins the mass.  The velocity is
     V_cd = -sqrt(hbar R_r / 2 omega_t) (Omega / 2 kappa_t Z_f)
-           * sum_a (lambda_a/G_s) a_in.
+           * sum_a (lambda_a/G_s) a_in
+    over the normalized coefficients lambda_a / G_s.
     """
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
@@ -65,7 +61,8 @@ def cold_damped_velocity_coefficients(p: InstrumentParams, omega: float) -> np.n
     z_f = p.z_f
     z_t = p.z_t(omega)
     root_ar = math.sqrt(p.R_a / p.R_r)
-    return coefficients(
+    prefactor = -math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * omega / (2.0 * p.kappa_t * z_f)
+    return prefactor * coefficients(
         l2=-2j * z_f / math.sqrt(p.R_l * p.R_r),
         r1=-1.0,
         a1=2.0 * root_ar,
@@ -73,12 +70,6 @@ def cold_damped_velocity_coefficients(p: InstrumentParams, omega: float) -> np.n
         a2=-2j * z_f * root_ar * (1.0 / p.R_a - 1.0 / p.R_l - 1.0 / z_t),
         b2=-2j * z_f * root_ar * (1.0 / p.R_a + 1.0 / p.R_l + 1.0 / z_t),
     )
-
-
-def cold_damped_velocity(p: InstrumentParams, omega: float) -> np.ndarray:
-    """Residual-velocity coefficients of the cold-damped mass, (m/s) per field."""
-    table = cold_damped_velocity_coefficients(p, omega)
-    return -math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * omega / (2.0 * p.kappa_t * p.z_f) * table
 
 
 def cold_damped_estimator(p: InstrumentParams, omega: float) -> np.ndarray:

@@ -124,9 +124,9 @@ def test_numerical_matching_far_from_reference(reference_params, reference_omega
 
 def test_numerical_matching_edge_raises(reference_params, reference_omega, monkeypatch):
     """A minimum on the bracket edge is a numerical failure, not a result."""
-    import coldamp.budget as budget
+    import coldamp.matching as matching
 
-    monkeypatch.setattr(budget, "simplified_budget", lambda p, omega: p.R_a)
+    monkeypatch.setattr(matching, "simplified_budget", lambda p, omega: p.R_a)
     with pytest.raises(MatchingError, match="edge"):
         numerical_matching(reference_params, reference_omega)
 

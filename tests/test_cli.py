@@ -138,10 +138,12 @@ def test_optimize_heavy_mass(tmp_path, capsys):
 
 
 def test_matching_failure_exits_numerical(monkeypatch, capsys):
-    def edge(p, omega):
-        raise cli.budget.MatchingError("minimum on the bracket edge", omega=omega)
+    import coldamp.matching as matching
 
-    monkeypatch.setattr(cli.budget, "numerical_matching", edge)
+    def edge(p, omega):
+        raise matching.MatchingError("minimum on the bracket edge", omega=omega)
+
+    monkeypatch.setattr(matching, "numerical_matching", edge)
     code, _, err = run(["optimize"], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert err == "numerical failure: minimum on the bracket edge\n"

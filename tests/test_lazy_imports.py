@@ -1,0 +1,69 @@
+"""Cold start: the package and the numpy-free commands never load numpy.
+
+Each case runs in a fresh interpreter, since numpy is already loaded in
+this one.  Only the closed forms, the oracle and verify need numpy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coldamp
+
+SRC = str(Path(coldamp.__file__).resolve().parents[1])
+SHIPPED = str(Path(coldamp.__file__).resolve().parent / "data" / "microscope.cfg")
+
+_CLI = """\
+import sys
+from coldamp import cli
+try:
+    rc = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(rc, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _fresh(code: str, *args: str) -> list[str]:
+    """Last stderr line of `python -c code args`, split on whitespace."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    p = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                       capture_output=True, text=True, timeout=60, check=True)
+    return p.stderr.splitlines()[-1].split()
+
+
+def test_import_and_load_skip_numpy():
+    code = ("import sys, coldamp\n"
+            "cfg = coldamp.load(sys.argv[1])\n"
+            "print(cfg.digest, 'numpy' in sys.modules, file=sys.stderr)\n")
+    digest, loaded = _fresh(code, SHIPPED)
+    assert digest == coldamp.load(SHIPPED).digest
+    assert loaded == "False"
+
+
+@pytest.mark.parametrize("argv", [["dump-config"], ["optimize"], ["--help"]],
+                         ids=["dump-config", "optimize", "help"])
+def test_numpy_free_commands(argv):
+    assert _fresh(_CLI, *argv) == ["0", "False"]
+
+
+def test_config_error_skips_numpy(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(Path(SHIPPED).read_text().replace("[analysis]\n", "[analysis]\ncolour = 1.0 K\n"))
+    assert _fresh(_CLI, "budget", "--config", str(bad)) == ["1", "False"]
+
+
+def test_budget_loads_numpy():
+    assert _fresh(_CLI, "budget") == ["0", "True"]
+
+
+def test_every_public_name_resolves():
+    for name in coldamp.__all__:
+        assert getattr(coldamp, name) is not None, name
+    assert set(coldamp.__all__) <= set(dir(coldamp))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        coldamp.nonexistent

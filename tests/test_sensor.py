@@ -172,5 +172,7 @@ def test_coefficient_vector_layout():
         coefficients(z9=1.0)
     # A structural zero is judged against the row scale, a large entry
     # against itself.
-    assert max_rel_diff(table, coefficients(a1=2.0, l2=-1j, m=1e-9)) == pytest.approx(5e-10)
-    assert max_rel_diff(table, coefficients(a1=2.2, l2=-1j)) == pytest.approx(0.1)
+    assert max_rel_diff(table, coefficients(a1=2.0, l2=-1j, m=1e-9)) == pytest.approx(
+        5e-10, rel=1e-14, abs=0.0)
+    assert max_rel_diff(table, coefficients(a1=2.2, l2=-1j)) == pytest.approx(
+        0.1, rel=1e-14, abs=0.0)

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from coldamp.constants import HBAR
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import estimator_coefficients, max_rel_diff, mechanical_impedance
 from coldamp.servo import (
     cold_damped_estimator,
     cold_damped_velocity,
-    cold_damped_velocity_coefficients,
-    effective_impedance,
     gain_for_effective_impedance,
     sensing_error_identity,
 )
@@ -21,41 +20,41 @@ from coldamp.verify import draw_params, draw_frequencies
 at = LINE_LABELS.index
 
 
-def test_effective_impedance_linearity(reference_params, reference_omega):
-    p = reference_params
-    assert effective_impedance(p, 0.0, reference_omega) == 0.0
-    one = effective_impedance(p, 2.5e-4, reference_omega)
-    two = effective_impedance(p, 5e-4, reference_omega)
-    assert two == pytest.approx(2.0 * one, rel=1e-14, abs=0.0)
-
-
 def test_gain_inversion_round_trip(reference_params, reference_omega):
-    p = reference_params
+    """The gain maps back to its impedance through the servo's linear law,
+    xi_me = -sqrt(2 omega_t / hbar R_r) 2 kappa_t Z_f G_s / Omega."""
+    p, w = reference_params, reference_omega
+    assert gain_for_effective_impedance(p, 0.0, w) == 0.0
     target = 1e3 * p.H_m
-    gain = gain_for_effective_impedance(p, target, reference_omega)
-    eff = effective_impedance(p, gain, reference_omega)
+    gain = gain_for_effective_impedance(p, target, w)
+    doubled = gain_for_effective_impedance(p, 2.0 * target, w)
+    assert doubled == pytest.approx(2.0 * gain, rel=1e-14, abs=0.0)
+    eff = -math.sqrt(2.0 * p.omega_t / (HBAR * p.R_r)) * 2.0 * p.kappa_t * p.z_f / w * gain
     assert eff == pytest.approx(target, rel=1e-12, abs=0.0)
     assert eff.real == pytest.approx(target, rel=1e-12, abs=0.0)
     assert abs(eff.imag * reference_omega) < 1e-12 * abs(target) * reference_omega
 
 
 def test_velocity_table_structure(reference_params, reference_omega):
-    table = cold_damped_velocity_coefficients(reference_params, reference_omega)
+    p, w = reference_params, reference_omega
+    table = cold_damped_velocity(p, w)
     assert table[at("m")] == 0.0
     assert table[at("l1")] == 0.0
     assert table[at("r2")] == 0.0
-    assert table[at("r1")] == -1.0
+    # The detection line enters with normalized coefficient -1.
+    r1 = math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * w / (2.0 * p.kappa_t * p.z_f)
+    assert table[at("r1")] == pytest.approx(r1, rel=1e-15, abs=0.0)
     assert table[at("a1")] == -table[at("b1")]
+    assert table[at("a1")] / table[at("r1")] == pytest.approx(
+        -2.0 * math.sqrt(p.R_a / p.R_r), rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
-        cold_damped_velocity_coefficients(
-            reference_params.with_(kappa_t=0.0), reference_omega
-        )
+        cold_damped_velocity(p.with_(kappa_t=0.0), w)
 
 
 def test_loaded_output_warning(reference_params, reference_omega):
     heavy = reference_params.with_(R_r=0.1 * reference_params.zf_mag)
     with pytest.warns(UserWarning, match="weakly loaded"):
-        cold_damped_velocity_coefficients(heavy, reference_omega)
+        cold_damped_velocity(heavy, reference_omega)
 
 
 def test_estimator_equality_reference(reference_params, reference_omega):

@@ -56,3 +56,19 @@ def test_run_checks_pass_at_hard_seeds(reference_params, reference_omega, seed):
     """
     results = verify.run_checks(reference_params, reference_omega, draws=20, seed=seed)
     assert [str(r) for r in results if not r.passed] == []
+
+
+@pytest.mark.xfail(strict=True, reason="known flake: the real part of the a1 entry cancels "
+                   "and the two closed forms differ by 1.1e-11 > EQUALITY_TOL")
+def test_known_equality_flake(reference_params, reference_omega):
+    """Pins the rare failure of the open/closed-loop estimator equality.
+
+    At about 1 in 1e4 seeds of `verify --draws 20` the real part of the
+    a1 entry, -kappa_t + C_f (K - M Omega^2) / 2 kappa_t, nearly cancels
+    while the entry stays above max_rel_diff's 1e-6 floor, so the open-
+    and closed-loop routes differ by a few ulps times ~1e4.  This seed
+    reaches 1.12e-11.  A real fix makes the test pass, and the strict
+    xfail then fails until the marker goes.
+    """
+    results = verify.run_checks(reference_params, reference_omega, draws=20, seed=1996521376)
+    assert [str(r) for r in results if not r.passed] == []
