@@ -3,8 +3,9 @@
 The raw element relations (resistive/mechanical line laws, the transducer
 three-port, the charge-amplifier laws and optionally the feedback
 force) are assembled into one complex linear system per frequency and
-solved directly.  Nothing here reuses the closed-form coefficient
-expressions, so agreement between the two routes is a real check.
+solved directly; an array of frequencies gives a stack of systems.
+Nothing here reuses the closed-form coefficient expressions, so
+agreement between the two routes is a real check.
 
 Electrical quantities are represented per carrier quadrature.  A purely
 reactive feedback impedance is odd in frequency, so it couples the two
@@ -25,6 +26,12 @@ from .noise import LINE_LABELS
 from .params import InstrumentParams
 
 
+def _port_signs(incoming, outgoing, conjugated) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugation signs of the incoming ports, and the diagonal eta of the out ports."""
+    cols = np.array([-1.0 if conjugated.get(port, False) else 1.0 for port in incoming])
+    return cols, np.diag(cols[[list(incoming).index(port) for port in outgoing]])
+
+
 @dataclass
 class LinearNetwork:
     """Assembled linear relations a x = b of one network at one frequency.
@@ -33,7 +40,9 @@ class LinearNetwork:
     columns of b are the incoming fields, in the order of incoming, then
     any external drives.  outgoing maps each port with an out-field
     unknown to that unknown's column of a; observables name further
-    unknowns whose transfer rows solve returns.
+    unknowns whose transfer rows solve returns.  A stack of one layout
+    carries a leading axis on a, b and omega; signs is the layout's
+    _port_signs, computed here unless the builder passes it.
     """
 
     a: np.ndarray
@@ -41,15 +50,18 @@ class LinearNetwork:
     incoming: list[str]
     outgoing: dict[str, int]              # port label -> out-field unknown
     conjugated: dict[str, bool]
-    omega: float
+    omega: float | np.ndarray
     observables: dict[str, int] = field(default_factory=dict)
+    signs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        n = len(self.a)
-        if self.a.shape != (n, n) or self.b.shape[:1] != (n,):
+        a, b = self.a.shape, self.b.shape
+        if len(a) < 2 or a[-1] != a[-2] or b[:-1] != a[:-1]:
             raise ValueError(
                 f"system must be square: a is {self.a.shape}, b is {self.b.shape}"
             )
+        if self.signs is None:
+            self.signs = _port_signs(self.incoming, self.outgoing, self.conjugated)
 
 
 @dataclass
@@ -57,9 +69,10 @@ class ScatteringResult:
     """Solved network: passive S rows, transfer rows and solve diagnostics.
 
     s_matrix has one row per port with an out-field variable
-    (out_ports), over all incoming ports (ports).  condition is always
-    nan (not computed); the benchmark's tracer (bench/tracer.py) reads
-    it on every solve.
+    (out_ports), over all incoming ports (ports); a solved stack keeps
+    its leading axis on s_matrix and the transfer rows.  signs is the
+    network's _port_signs.  condition is always nan (not computed); the
+    benchmark's tracer (bench/tracer.py) reads it on every solve.
     """
 
     ports: list[str]
@@ -67,7 +80,7 @@ class ScatteringResult:
     s_matrix: np.ndarray
     transfer_rows: dict[str, np.ndarray]  # observable -> row over incoming + drives
     condition: float
-    conjugated: dict[str, bool]
+    signs: tuple[np.ndarray, np.ndarray]
 
 
 def solve(net: LinearNetwork) -> ScatteringResult:
@@ -75,7 +88,8 @@ def solve(net: LinearNetwork) -> ScatteringResult:
 
     Returns the scattering rows of the ports that have an out-field
     variable and the raw transfer rows of the declared observables over
-    incoming fields and drives.
+    incoming fields and drives.  A stack is solved in one call; a
+    failure names the frequency of the first failing point.
     """
     a, b = net.a, net.b
     try:
@@ -88,23 +102,25 @@ def solve(net: LinearNetwork) -> ScatteringResult:
         # ORACLE_TOL.
         x = x + np.linalg.solve(a, b - a @ x)
     except np.linalg.LinAlgError as exc:
+        # slogdet's sign is 0 exactly where the LU factorization meets a zero pivot.
+        omega = float(np.ravel(net.omega)[np.flatnonzero(np.linalg.slogdet(a)[0] == 0)[0]])
         raise NetworkSolveError(
-            f"singular network matrix at omega = {net.omega:g} rad/s: {exc}",
-            omega=net.omega,
+            f"singular network matrix at omega = {omega:g} rad/s: {exc}", omega=omega,
         ) from exc
-    if not np.isfinite(x).all():
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    if not finite.all():
+        omega = float(np.ravel(net.omega)[np.argmin(np.ravel(finite))])
         raise NetworkSolveError(
-            f"non-finite network solution at omega = {net.omega:g} rad/s",
-            omega=net.omega,
+            f"non-finite network solution at omega = {omega:g} rad/s", omega=omega,
         )
 
     return ScatteringResult(
         ports=list(net.incoming),
         out_ports=list(net.outgoing),
-        s_matrix=x[list(net.outgoing.values()), :len(net.incoming)],
-        transfer_rows={name: x[j] for name, j in net.observables.items()},
+        s_matrix=x[..., list(net.outgoing.values()), :len(net.incoming)],
+        transfer_rows={name: x[..., j, :] for name, j in net.observables.items()},
         condition=math.nan,
-        conjugated=dict(net.conjugated),
+        signs=net.signs,
     )
 
 
@@ -114,19 +130,18 @@ def check_commutators(res: ScatteringResult) -> float:
     eta holds the conjugation signs of the ports.  Raw S entries grow
     without bound on extreme parameter draws, so entry (i, j) is divided
     by the norms of rows i and j, each floored at 1 (unitary networks
-    keep the absolute figure).
+    keep the absolute figure).  Over a stack, the worst point counts.
 
     Only passive lines have S rows: the ideal amplifier pins its input
     with no back-reaction and is exact for symmetrized spectra only
     (Caves, PRD 26, 1817 (1982)), so its out fields, and that of the
     line it drives, are not commutator-preserving observables.
     """
-    eta = {p: -1.0 if res.conjugated.get(p, False) else 1.0 for p in res.ports}
+    cols, eta = res.signs
     s = res.s_matrix
-    cols = np.array([eta[p] for p in res.ports])
-    d = (s * cols) @ s.conj().T - np.diag([eta[p] for p in res.out_ports])
-    norms = np.maximum(1.0, np.linalg.norm(s, axis=1))
-    return float((np.abs(d) / np.outer(norms, norms)).max())
+    d = (s * cols) @ np.swapaxes(s.conj(), -1, -2) - eta
+    norms = np.maximum(1.0, np.linalg.norm(s, axis=-1))
+    return float((np.abs(d) / (norms[..., :, None] * norms[..., None, :])).max())
 
 
 # Unknowns of the sensor network: the proof-mass velocity, the out
@@ -195,24 +210,38 @@ _SENSOR_OUTGOING = {port: _SENSOR_UNKNOWNS.index(f"{port}_out") for port in ("m"
 _SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
                        "detected": _SENSOR_UNKNOWNS.index("r1_out")}
 _SENSOR_CONJUGATED = {label: label.startswith("b") for label in LINE_LABELS}
+_SENSOR_SIGNS = _port_signs(LINE_LABELS, _SENSOR_OUTGOING, _SENSOR_CONJUGATED)
 
 
-def _fill(template, values: dict[str, complex]) -> np.ndarray:
-    """A copy of a template matrix with its named per-point entries set."""
-    matrix, at, names = template
-    out = matrix.copy()
-    out[at] = [values[name] for name in names]
+def _fill(template, values: list[dict[str, complex]]) -> np.ndarray:
+    """A stack of template matrices, one per point, with the named entries set."""
+    matrix, (rows, cols), names = template
+    out = np.repeat(matrix[None], len(values), axis=0)
+    out[:, rows, cols] = [[point[name] for name in names] for point in values]
     return out
 
 
-def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float) -> LinearNetwork:
+def build_sensor_network(p: InstrumentParams, gain: complex | None,
+                         omega: float | np.ndarray) -> LinearNetwork:
     """Raw element relations of the capacitive sensor at frequency Omega.
 
     gain is the servo loop gain G_s (None for the open-loop sensor).
     One node per electrical quadrature carries the transducer port, the
     loss line and the amplifier input; the charge amplifier's reactive
-    feedback couples the quadratures.
+    feedback couples the quadratures.  A 1-D array of frequencies gives
+    a stack with one leading axis.
     """
+    scalar = np.ndim(omega) == 0
+    values = [_sensor_values(p, gain, w) for w in ([omega] if scalar else omega)]
+    a, b = _fill(_SENSOR_A, values), _fill(_SENSOR_B, values)
+    return LinearNetwork(a=a[0] if scalar else a, b=b[0] if scalar else b,
+                         incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
+                         conjugated=_SENSOR_CONJUGATED, omega=omega,
+                         observables=_SENSOR_OBSERVABLES, signs=_SENSOR_SIGNS)
+
+
+def _sensor_values(p: InstrumentParams, gain: complex | None, omega: float) -> dict[str, complex]:
+    """The per-point entries of the sensor relations at one frequency."""
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
     h_m = p.H_m
@@ -221,7 +250,7 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
     wt = p.omega_t
     kt = p.kappa_t
     c_volt = math.sqrt(2.0 * HBAR * wt * p.R_a)              # amplifier voltage noise
-    values = {
+    return {
         "xi_m": h_m - 1j * p.M * omega + 1j * p.K / omega,
         "kt*z_t": kt * z_t,
         "gain": 0.0 if gain is None else gain,
@@ -239,22 +268,18 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None, omega: float
         "-c_loss_out": -math.sqrt(2.0 / (HBAR * wt * p.R_l)),
         "-c_det_out": -math.sqrt(2.0 / (HBAR * wt * p.R_r)),
     }
-    return LinearNetwork(a=_fill(_SENSOR_A, values), b=_fill(_SENSOR_B, values),
-                         incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
-                         conjugated=_SENSOR_CONJUGATED, omega=omega,
-                         observables=_SENSOR_OBSERVABLES)
 
 
 def normalized_row(row: np.ndarray) -> np.ndarray:
     """Sensor transfer row over LINE_LABELS, normalized to unit F_ext response.
 
     The row runs over the sensor network's incoming fields, LINE_LABELS,
-    then its one drive, F_ext.
+    then its one drive, F_ext.  A stack of rows is normalized row by row.
     """
-    drive = row[len(LINE_LABELS)]
-    if drive == 0:
+    drive = row[..., len(LINE_LABELS), None]
+    if (drive == 0).any():
         raise ZeroDivisionError("transfer row has no drive response; cannot normalize")
-    return row[:len(LINE_LABELS)] / drive
+    return row[..., :len(LINE_LABELS)] / drive
 
 
 def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwork:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +36,11 @@ def coefficients(**entries: complex) -> np.ndarray:
     return table
 
 
+def exact_product_sum(*products: tuple[float, ...]) -> float:
+    """sum_k prod(products[k]) over float factors, computed exactly and rounded once."""
+    return float(sum(math.prod(map(Fraction, factors)) for factors in products))
+
+
 def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> float:
     """Entry-wise relative deviation of theirs from mine, small-entry floor.
 
@@ -42,10 +48,11 @@ def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> f
     zeros) are compared against that largest entry instead of themselves:
     double-precision linear algebra cannot resolve such entries relative
     to their own magnitude, and for zeros the meaningful statement is
-    smallness relative to the row.
+    smallness relative to the row.  A stack of rows reduces along the
+    last axis, each row against its own largest entry.
     """
     size = np.abs(mine)
-    scale = size.max()
+    scale = size.max(axis=-1, keepdims=True)
     denom = np.where(size >= floor * scale, size, scale)
     return float((np.abs(mine - theirs) / denom).max())
 
@@ -103,6 +110,14 @@ def estimator_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
 
     lam_m, lam_a1 = free_mass_coefficients(p, omega)[:2]      # LINE_LABELS opens m, a1
     mu_a1 = lam_a1 + math.sqrt(2.0 * HBAR * p.R_a * wt) * omega * xi_m / (2.0 * kt * wt * z_f)
+    # With 1/Z_f = -i omega_t C_f, Re mu_a1 is sqrt(2 hbar R_a omega_t) / (2 kappa_t)
+    # times the bracket C_f K - C_f M Omega^2 - 2 kappa_t^2.  Where the
+    # bracket cancels, the sum above keeps only its rounding error, so the
+    # bracket is evaluated exactly and the prefactor applied once.
+    terms = (p.C_f * p.K, p.C_f * p.M * omega * omega, 2.0 * kt * kt)
+    if abs(terms[0] - terms[1] - terms[2]) < 2.0**-10 * max(terms):
+        bracket = exact_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
+        mu_a1 = complex(math.sqrt(2.0 * HBAR * p.R_a * wt) / (2.0 * kt) * bracket, mu_a1.imag)
     sens_2 = -1j * omega * math.sqrt(HBAR * p.R_a / (2.0 * wt)) * xi_m / kt
     return coefficients(
         m=lam_m,

@@ -15,9 +15,10 @@ import warnings
 import numpy as np
 
 from .constants import HBAR
+from .noise import LINE_LABELS
 from .params import InstrumentParams
-from .sensor import (coefficients, estimator_coefficients, free_mass_coefficients,
-                     max_rel_diff, mechanical_impedance)
+from .sensor import (coefficients, estimator_coefficients, exact_product_sum,
+                     free_mass_coefficients, max_rel_diff, mechanical_impedance)
 
 
 def _check_loop_preconditions(p: InstrumentParams) -> None:
@@ -80,7 +81,18 @@ def cold_damped_estimator(p: InstrumentParams, omega: float) -> np.ndarray:
     an independent route from the open-loop estimator closed forms.
     """
     xi_m = mechanical_impedance(p, omega)
-    return free_mass_coefficients(p, omega) - xi_m * cold_damped_velocity(p, omega)
+    mu = free_mass_coefficients(p, omega) - xi_m * cold_damped_velocity(p, omega)
+    # lambda_a1 = -2 kappa_t^2 sqrt(hbar R_a omega_t / 2) / kappa_t; Re(-Xi_m V_cd,a1) is
+    # C_f K - C_f M Omega^2 times that factor.  Where the two cancel, the difference
+    # keeps only its rounding error: evaluate the bracket exactly, apply the factor once.
+    kt = p.kappa_t
+    terms = (p.C_f * p.K, p.C_f * p.M * omega * omega, 2.0 * kt * kt)
+    if abs(terms[0] - terms[1] - terms[2]) < 2.0**-10 * max(terms):
+        bracket = exact_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
+        a1, b1 = LINE_LABELS.index("a1"), LINE_LABELS.index("b1")
+        mu[a1] = complex(math.sqrt(HBAR * p.R_a * p.omega_t / 2.0) / kt * bracket, mu[a1].imag)
+        mu[b1] = -mu[a1]
+    return mu
 
 
 def sensing_error_identity(p: InstrumentParams, omega: float) -> float:

@@ -82,6 +82,27 @@ def test_non_finite_solution_is_a_solve_error():
     assert err.value.omega == 5.0
 
 
+def _stack(a, b):
+    """A 3-point stack of 2x2 networks at omega = 1, 2, 3 rad/s."""
+    return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 0},
+                         conjugated={"p": False}, omega=np.array([1.0, 2.0, 3.0]))
+
+
+def test_stacked_solve_errors_name_the_failing_point():
+    a = np.array([np.eye(2)] * 3, dtype=complex)
+    b = np.ones((3, 2, 1), dtype=complex)
+    singular = a.copy()
+    singular[1] = [[1.0, 1.0], [2.0, 2.0]]
+    with pytest.raises(NetworkSolveError, match="singular") as err:
+        solve(_stack(singular, b))
+    assert err.value.omega == 2.0 and np.ndim(err.value.omega) == 0
+    non_finite = b.copy()
+    non_finite[2, 0, 0] = math.nan
+    with pytest.raises(NetworkSolveError, match="non-finite") as err:
+        solve(_stack(a, non_finite))
+    assert err.value.omega == 3.0 and np.ndim(err.value.omega) == 0
+
+
 def test_square_system_enforced():
     for a, b in [
         (np.zeros((1, 2)), np.zeros((1, 1))),   # more unknowns than relations

@@ -176,3 +176,14 @@ def test_coefficient_vector_layout():
         5e-10, rel=1e-14, abs=0.0)
     assert max_rel_diff(table, coefficients(a1=2.2, l2=-1j)) == pytest.approx(
         0.1, rel=1e-14, abs=0.0)
+
+
+def test_max_rel_diff_scales_each_row_by_its_own_maximum():
+    """A stack of rows reduces row by row; a global scale would hide the small row."""
+    rng = np.random.default_rng(1)
+    mine = rng.normal(size=(2, 9)) + 1j * rng.normal(size=(2, 9))
+    mine[1] *= 1e-8
+    theirs = mine * (1.0 + np.array([[1e-12], [1e-9]]) * rng.normal(size=(2, 9)))
+    rows = [max_rel_diff(mine[k], theirs[k]) for k in range(2)]
+    assert rows[1] > 1e-10 > rows[0]
+    assert max_rel_diff(mine, theirs) == max(rows)
