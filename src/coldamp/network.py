@@ -26,12 +26,6 @@ from .noise import LINE_LABELS
 from .params import InstrumentParams
 
 
-def _port_signs(incoming, outgoing, conjugated) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugation signs of the incoming ports, and the diagonal eta of the out ports."""
-    cols = np.array([-1.0 if conjugated.get(port, False) else 1.0 for port in incoming])
-    return cols, np.diag(cols[[list(incoming).index(port) for port in outgoing]])
-
-
 @dataclass
 class LinearNetwork:
     """Assembled linear relations a x = b of one network at one frequency.
@@ -41,8 +35,9 @@ class LinearNetwork:
     any external drives.  outgoing maps each port with an out-field
     unknown to that unknown's column of a; observables name further
     unknowns whose transfer rows solve returns.  A stack of one layout
-    carries a leading axis on a, b and omega; signs is the layout's
-    _port_signs, computed here unless the builder passes it.
+    carries a leading axis on a, b and omega.  signs, derived here from
+    the layout, holds the conjugation signs of the incoming ports and
+    the diagonal eta of the out ports.
     """
 
     a: np.ndarray
@@ -52,7 +47,7 @@ class LinearNetwork:
     conjugated: dict[str, bool]
     omega: float | np.ndarray
     observables: dict[str, int] = field(default_factory=dict)
-    signs: tuple[np.ndarray, np.ndarray] | None = None
+    signs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = self.a.shape, self.b.shape
@@ -60,8 +55,8 @@ class LinearNetwork:
             raise ValueError(
                 f"system must be square: a is {self.a.shape}, b is {self.b.shape}"
             )
-        if self.signs is None:
-            self.signs = _port_signs(self.incoming, self.outgoing, self.conjugated)
+        cols = np.array([-1.0 if self.conjugated.get(p, False) else 1.0 for p in self.incoming])
+        self.signs = cols, np.diag(cols[[self.incoming.index(port) for port in self.outgoing]])
 
 
 @dataclass
@@ -71,7 +66,7 @@ class ScatteringResult:
     s_matrix has one row per port with an out-field variable
     (out_ports), over all incoming ports (ports); a solved stack keeps
     its leading axis on s_matrix and the transfer rows.  signs is the
-    network's _port_signs.  condition is always nan (not computed); the
+    network's.  condition is always nan (not computed); the
     benchmark's tracer (bench/tracer.py) reads it on every solve.
     """
 
@@ -210,7 +205,6 @@ _SENSOR_OUTGOING = {port: _SENSOR_UNKNOWNS.index(f"{port}_out") for port in ("m"
 _SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
                        "detected": _SENSOR_UNKNOWNS.index("r1_out")}
 _SENSOR_CONJUGATED = {label: label.startswith("b") for label in LINE_LABELS}
-_SENSOR_SIGNS = _port_signs(LINE_LABELS, _SENSOR_OUTGOING, _SENSOR_CONJUGATED)
 
 
 def _fill(template, values: list[dict[str, complex]]) -> np.ndarray:
@@ -237,7 +231,7 @@ def build_sensor_network(p: InstrumentParams, gain: complex | None,
     return LinearNetwork(a=a[0] if scalar else a, b=b[0] if scalar else b,
                          incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
                          conjugated=_SENSOR_CONJUGATED, omega=omega,
-                         observables=_SENSOR_OBSERVABLES, signs=_SENSOR_SIGNS)
+                         observables=_SENSOR_OBSERVABLES)
 
 
 def _sensor_values(p: InstrumentParams, gain: complex | None, omega: float) -> dict[str, complex]:

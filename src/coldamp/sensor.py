@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,8 +35,20 @@ def coefficients(**entries: complex) -> np.ndarray:
     return table
 
 
-def exact_product_sum(*products: tuple[float, ...]) -> float:
-    """sum_k prod(products[k]) over float factors, computed exactly and rounded once."""
+def cancelling_product_sum(*products: tuple[float, ...]) -> float | None:
+    """sum_k prod(products[k]), computed exactly and rounded once, if it cancels.
+
+    None where the float sum is at least half its largest term: a float
+    expression of the sum then loses at most about a bit to cancellation.
+    """
+    total = largest = 0.0
+    for factors in products:  # a plain loop: this runs on every closed-form call
+        term = math.prod(factors)
+        total += term
+        largest = abs(term) if abs(term) > largest else largest
+    if not abs(total) < 0.5 * largest:  # also where a term is nan or infinite
+        return None
+    from fractions import Fraction  # imported here: it pulls in decimal at cold start
     return float(sum(math.prod(map(Fraction, factors)) for factors in products))
 
 
@@ -114,9 +125,8 @@ def estimator_coefficients(p: InstrumentParams, omega: float) -> np.ndarray:
     # times the bracket C_f K - C_f M Omega^2 - 2 kappa_t^2.  Where the
     # bracket cancels, the sum above keeps only its rounding error, so the
     # bracket is evaluated exactly and the prefactor applied once.
-    terms = (p.C_f * p.K, p.C_f * p.M * omega * omega, 2.0 * kt * kt)
-    if abs(terms[0] - terms[1] - terms[2]) < 2.0**-10 * max(terms):
-        bracket = exact_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
+    bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
+    if bracket is not None:
         mu_a1 = complex(math.sqrt(2.0 * HBAR * p.R_a * wt) / (2.0 * kt) * bracket, mu_a1.imag)
     sens_2 = -1j * omega * math.sqrt(HBAR * p.R_a / (2.0 * wt)) * xi_m / kt
     return coefficients(

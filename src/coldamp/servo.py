@@ -17,7 +17,7 @@ import numpy as np
 from .constants import HBAR
 from .noise import LINE_LABELS
 from .params import InstrumentParams
-from .sensor import (coefficients, estimator_coefficients, exact_product_sum,
+from .sensor import (cancelling_product_sum, coefficients, estimator_coefficients,
                      free_mass_coefficients, max_rel_diff, mechanical_impedance)
 
 
@@ -86,9 +86,8 @@ def cold_damped_estimator(p: InstrumentParams, omega: float) -> np.ndarray:
     # C_f K - C_f M Omega^2 times that factor.  Where the two cancel, the difference
     # keeps only its rounding error: evaluate the bracket exactly, apply the factor once.
     kt = p.kappa_t
-    terms = (p.C_f * p.K, p.C_f * p.M * omega * omega, 2.0 * kt * kt)
-    if abs(terms[0] - terms[1] - terms[2]) < 2.0**-10 * max(terms):
-        bracket = exact_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
+    bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
+    if bracket is not None:
         a1, b1 = LINE_LABELS.index("a1"), LINE_LABELS.index("b1")
         mu[a1] = complex(math.sqrt(HBAR * p.R_a * p.omega_t / 2.0) / kt * bracket, mu[a1].imag)
         mu[b1] = -mu[a1]

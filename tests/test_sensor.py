@@ -10,6 +10,7 @@ from coldamp.budget import budget_point
 from coldamp.constants import HBAR, K_B
 from coldamp.noise import LINE_LABELS, effective_temperature
 from coldamp.sensor import (
+    cancelling_product_sum,
     coefficients,
     estimator_coefficients,
     free_mass_coefficients,
@@ -187,3 +188,13 @@ def test_max_rel_diff_scales_each_row_by_its_own_maximum():
     rows = [max_rel_diff(mine[k], theirs[k]) for k in range(2)]
     assert rows[1] > 1e-10 > rows[0]
     assert max_rel_diff(mine, theirs) == max(rows)
+
+
+def test_cancelling_product_sum_is_exact_only_where_the_sum_cancels():
+    eps = 2.0**-30
+    # (1 + eps)^2 - 1 is 2 eps + eps^2 exactly; the float square drops eps^2.
+    assert (1.0 + eps) * (1.0 + eps) - 1.0 == 2.0 * eps
+    assert cancelling_product_sum((1.0 + eps, 1.0 + eps), (-1.0,)) == 2.0 * eps + eps * eps
+    assert cancelling_product_sum((1.0,), (-0.25,)) is None         # sum is 3/4 of its top term
+    assert cancelling_product_sum((1.0,), (-0.75,)) == 0.25
+    assert cancelling_product_sum((math.nan,), (1.0,)) is None     # the caller's nan stands

@@ -75,12 +75,15 @@ def test_known_equality_flake(reference_params, reference_omega):
     Omega^2) / 2 kappa_t, nearly cancels while the entry stays above
     max_rel_diff's 1e-6 floor.  Rounded term by term, the open- and
     closed-loop routes differed by 1.12e-11; with the bracket evaluated
-    exactly in each route they agree to about an ulp.
+    exactly in each route they agree to about an ulp.  At seed 700416345
+    the bracket is just above 2^-10 of its largest term; a guard that
+    narrow left the routes 4.1e-13 apart there.
     """
     results = verify.run_checks(reference_params, reference_omega, draws=20, seed=1996521376)
     assert [str(r) for r in results if not r.passed] == []
-    assert verify.loop_estimator_equality(reference_params, reference_omega, 20,
-                                          1996521376 + 1) < 1e-14
+    for seed in (1996521376, 700416345):
+        assert verify.loop_estimator_equality(reference_params, reference_omega, 20,
+                                              seed + 1) < 1e-14
 
 
 def test_equality_gate_catches_the_rounded_bracket(reference_params, reference_omega,
