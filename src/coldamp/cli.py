@@ -26,16 +26,13 @@ EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERICAL = 3
 
-_CSV_COLUMNS = (
-    "frequency_hz", "delta",
-    "sigma_vfr", "sigma_vse", "sigma_cross", "sigma_ff",
-    "langevin", "back_action", "sensing", "interference",
-    "accel_sensitivity", "config_digest", "tool_version",
-)
+_CSV_COLUMNS = ("frequency_hz", "delta", "sigma_vfr", "sigma_vse", "sigma_cross", "sigma_ff",
+                "langevin", "back_action", "sensing", "interference", "accel_sensitivity",
+                "config_digest", "tool_version")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
+_NUMBER = "%.11e"  # 12 significant digits
+_fmt = _NUMBER.__mod__
 
 
 def _default_config_text() -> str:
@@ -48,17 +45,14 @@ def _load(args) -> config.RunConfig:
     return config.load(args.config)
 
 
-def _csv(points, cfg) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for pt in points:
-        b = pt.breakdown
-        fields = [
-            _fmt(pt.omega / (2.0 * math.pi)), _fmt(pt.delta),
-            _fmt(pt.sigma_vfr), _fmt(pt.sigma_vse), _fmt(pt.sigma_cross), _fmt(pt.sigma_ff),
-            _fmt(b.langevin), _fmt(b.back_action), _fmt(b.sensing), _fmt(b.interference),
-            _fmt(pt.accel_sensitivity), cfg.digest, __version__,
-        ]
-        lines.append(",".join(fields))
+def _csv(table, cfg) -> str:
+    """CSV of a grid budget (a BudgetPoint of (N,) columns), one row per point."""
+    b = table.breakdown
+    columns = (table.omega / (2.0 * math.pi), table.delta, table.sigma_vfr, table.sigma_vse,
+               table.sigma_cross, table.sigma_ff, b.langevin, b.back_action, b.sensing,
+               b.interference, table.accel_sensitivity)
+    row = ",".join([_NUMBER] * len(columns) + [cfg.digest, __version__])
+    lines = [",".join(_CSV_COLUMNS), *map(row.__mod__, zip(*(c.tolist() for c in columns)))]
     return "\n".join(lines) + "\n"
 
 
@@ -95,9 +89,9 @@ def cmd_budget(args) -> int:
         hi = args.freq_max if args.freq_max is not None else cfg.frequency
         grid = _geometric_grid(lo, hi, args.points)
         omegas = [2.0 * math.pi * f for f in grid]
-    points = [budget.budget_point(cfg.params, w) for w in omegas]
+    points = budget.budget_point(cfg.params, omegas)
     _write(_csv(points, cfg), args.out)
-    head = points[0] if len(points) == 1 else min(points, key=lambda q: abs(q.omega - cfg.omega))
+    head = points[min(range(len(omegas)), key=lambda k: abs(omegas[k] - cfg.omega))]
     print(
         f"coldamp budget ({cfg.digest}): at {head.omega / (2 * math.pi):.6g} Hz "
         f"force noise {head.sigma_ff:.4e} N^2/Hz, "

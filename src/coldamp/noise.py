@@ -23,6 +23,7 @@ from .constants import HBAR, K_B
 # voltage/current noise lines (b enters conjugated); "r" is the detection
 # line; "l" the loss line.  Electrical lines carry two quadratures.
 LINE_LABELS = ("m", "a1", "a2", "b1", "b2", "r1", "r2", "l1", "l2")
+SLOT = {label: k for k, label in enumerate(LINE_LABELS)}  # label -> table column
 
 
 def coth(x: float) -> float:
@@ -40,7 +41,7 @@ def coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _check_omega(omega: float) -> None:
+def check_frequency(omega: float) -> None:
     if omega == 0.0:
         raise ValueError("frequency must be nonzero")
     if not math.isfinite(omega):
@@ -53,7 +54,7 @@ def effective_temperature(temperature: float, omega: float) -> float:
     Reproduces the zero-point energy hbar|w|/2 exactly at T = 0 and the
     classical result kB T at high temperature.
     """
-    _check_omega(omega)
+    check_frequency(omega)
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     zero_point = 0.5 * HBAR * abs(omega)

@@ -13,51 +13,33 @@ every stored impedance.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
 class InstrumentParams:
     """Full parameter set of the accelerometer model.
 
-    Attributes
-    ----------
-    M : float
-        Proof mass, kg.
-    K : float
-        Restoring stiffness, N/m (>= 0).
-    H_m : float
-        Residual viscous damping, kg/s.
-    kappa_t : float
-        Electromechanical coupling, C/m.
-    omega_t : float
-        Carrier (pump) angular frequency, rad/s.
-    R_l, R_r, R_a : float
-        Loss, detection-line and amplifier noise impedances, ohm.
-    C_f : float
-        Feedback capacitance, F.
-    C_t : float
-        Transducer mode capacitance, F.
-    T_m, T_a, T_l, T_r : float
-        Physical temperatures of the mechanical, amplifier, loss and
-        detection lines, K.
+    Each field is a float, or an (N,) array for N parameter sets at once
+    (see grid).
     """
 
-    M: float
-    K: float
-    H_m: float
-    kappa_t: float
-    omega_t: float
-    R_l: float
-    R_r: float
-    R_a: float
-    C_f: float
-    C_t: float
-    T_m: float
-    T_a: float
-    T_l: float
-    T_r: float
+    M: float         # proof mass, kg
+    K: float         # restoring stiffness, N/m (>= 0)
+    H_m: float       # residual viscous damping, kg/s
+    kappa_t: float   # electromechanical coupling, C/m
+    omega_t: float   # carrier (pump) angular frequency, rad/s
+    R_l: float       # loss-line noise impedance, ohm
+    R_r: float       # detection-line noise impedance, ohm
+    R_a: float       # amplifier noise impedance, ohm
+    C_f: float       # feedback capacitance, F
+    C_t: float       # transducer mode capacitance, F
+    T_m: float       # mechanical-line temperature, K
+    T_a: float       # amplifier temperature, K
+    T_l: float       # loss-line temperature, K
+    T_r: float       # detection-line temperature, K
 
     def __post_init__(self):
         positive = {
@@ -86,11 +68,15 @@ class InstrumentParams:
     def zf_mag(self) -> float:
         return 1.0 / (self.omega_t * self.C_f)
 
+    def x_t(self, omega):
+        """Transducer reactance Im Z_t = 1/(2 Omega C_t), ohm; elementwise on arrays."""
+        return 1.0 / (2.0 * omega * self.C_t)
+
     def z_t(self, omega: float) -> complex:
-        """Transducer impedance Z_t = -1/(2 i Omega C_t)."""
+        """Transducer impedance Z_t = -1/(2 i Omega C_t) = i x_t."""
         if omega == 0.0:
             raise ValueError("Z_t diverges at zero frequency")
-        return -1.0 / (2j * omega * self.C_t)
+        return 1j * self.x_t(omega)
 
     @property
     def r_m(self) -> float:
@@ -109,3 +95,15 @@ class InstrumentParams:
     def with_(self, **changes) -> "InstrumentParams":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **changes)
+
+    def grid(self, **columns) -> "InstrumentParams":
+        """A copy whose named fields hold (N,) arrays, not validated here.
+
+        The closed forms evaluate each array elementwise.  Validate the
+        values first: with_ on each set, or on the two ends of a sorted axis.
+        """
+        if not columns.keys() <= {f.name for f in fields(self)}:
+            raise ValueError(f"unknown parameters {sorted(columns)}")
+        stacked = copy.copy(self)
+        stacked.__dict__.update(columns)
+        return stacked

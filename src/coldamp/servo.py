@@ -15,21 +15,11 @@ import warnings
 import numpy as np
 
 from .constants import HBAR
-from .noise import LINE_LABELS
+from .noise import SLOT
 from .params import InstrumentParams
-from .sensor import (cancelling_product_sum, coefficients, estimator_coefficients,
-                     free_mass_coefficients, max_rel_diff, mechanical_impedance)
-
-
-def _check_loop_preconditions(p: InstrumentParams) -> None:
-    # The loop analysis assumes the detection line loads the charge
-    # amplifier only weakly.
-    if p.R_r / p.zf_mag >= 1e-2:
-        warnings.warn(
-            f"R_r/|Z_f| = {p.R_r / p.zf_mag:.2e} is not << 1; "
-            "the closed-loop expressions assume a weakly loaded output",
-            stacklevel=3,
-        )
+from .sensor import (_frequencies, cancelling_product_sum, coefficients,
+                     estimator_coefficients, free_mass_coefficients, max_rel_diff,
+                     mechanical_impedance)
 
 
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
@@ -45,62 +35,71 @@ def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: flo
     return -xi_me * omega * math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) / (2.0 * p.kappa_t * p.z_f)
 
 
-def cold_damped_velocity(p: InstrumentParams, omega: float) -> np.ndarray:
+def cold_damped_velocity(p: InstrumentParams, omega) -> np.ndarray:
     """Residual-velocity coefficients of the cold-damped mass, (m/s) per field.
 
-    Valid in the infinite-gain limit; the external-force coefficient is
-    zero since the loop pins the mass.  The velocity is
+    A (9,) or (N, 9) table, valid in the infinite-gain limit; the
+    external-force coefficient is zero since the loop pins the mass.
     V_cd = -sqrt(hbar R_r / 2 omega_t) (Omega / 2 kappa_t Z_f)
-           * sum_a (lambda_a/G_s) a_in
-    over the normalized coefficients lambda_a / G_s.
+           * sum_a (lambda_a/G_s) a_in, and with Z_f = i |Z_f| the
+    prefactor is -i q for a real q.
     """
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
-    if p.kappa_t == 0.0:
+    w = _frequencies(omega)
+    if not np.asarray(p.kappa_t).all():
         raise ValueError("cold damping requires a nonzero electromechanical coupling")
-    _check_loop_preconditions(p)
-    z_f = p.z_f
-    z_t = p.z_t(omega)
-    root_ar = math.sqrt(p.R_a / p.R_r)
-    prefactor = -math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * omega / (2.0 * p.kappa_t * z_f)
-    return prefactor * coefficients(
-        l2=-2j * z_f / math.sqrt(p.R_l * p.R_r),
-        r1=-1.0,
-        a1=2.0 * root_ar,
-        b1=-2.0 * root_ar,
-        a2=-2j * z_f * root_ar * (1.0 / p.R_a - 1.0 / p.R_l - 1.0 / z_t),
-        b2=-2j * z_f * root_ar * (1.0 / p.R_a + 1.0 / p.R_l + 1.0 / z_t),
+    ratio = p.R_r / p.zf_mag  # the loop analysis assumes a weakly loaded amplifier output
+    if np.any(ratio >= 1e-2):
+        warnings.warn(f"R_r/|Z_f| = {np.max(ratio):.2e} is not << 1; the closed-loop "
+                      "expressions assume a weakly loaded output", stacklevel=2)
+    zf = p.zf_mag
+    q = -np.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * w / (2.0 * p.kappa_t * zf)
+    root_ar = np.sqrt(p.R_a / p.R_r)
+    # -2i Z_f sqrt(R_a/R_r) (1/R_a -+ 1/R_l -+ 1/Z_t) = g (f + i y) for a2, g (f - i y) for b2
+    g, y = 2.0 * zf * root_ar, 1.0 / p.x_t(w)
+    f_a, f_b = 1.0 / p.R_a - 1.0 / p.R_l, 1.0 / p.R_a + 1.0 / p.R_l
+    return coefficients(
+        l2=-1j * q * (2.0 * zf / np.sqrt(p.R_l * p.R_r)),
+        r1=1j * q,
+        a1=-1j * q * (2.0 * root_ar),
+        b1=1j * q * (2.0 * root_ar),
+        a2=q * (g * y) - 1j * q * (g * f_a),
+        b2=-q * (g * y) - 1j * q * (g * f_b),
     )
 
 
-def cold_damped_estimator(p: InstrumentParams, omega: float) -> np.ndarray:
+def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     """Closed-loop force-estimator coefficients in the infinite-gain limit.
 
-    Computed from the force decomposition F_hat = Xi_m (V_fr - V_cd),
-    which uses only the free-mass table and the cold-damped velocity:
-    an independent route from the open-loop estimator closed forms.
+    A (9,) table, or (N, 9) over a grid.  Computed from the force
+    decomposition F_hat = Xi_m (V_fr - V_cd), which uses only the
+    free-mass table and the cold-damped velocity: an independent route
+    from the open-loop estimator closed forms.
     """
-    xi_m = mechanical_impedance(p, omega)
-    mu = free_mass_coefficients(p, omega) - xi_m * cold_damped_velocity(p, omega)
+    w = _frequencies(omega)
+    v = cold_damped_velocity(p, w)
+    lam = free_mass_coefficients(p, w)
+    xi = np.asarray(mechanical_impedance(p, w))[..., None]
+    # mu = lambda - Xi_m V_cd, in real arithmetic
+    mu = (lam.real - (xi.real * v.real - xi.imag * v.imag)) \
+        + 1j * (lam.imag - (xi.real * v.imag + xi.imag * v.real))
     # lambda_a1 = -2 kappa_t^2 sqrt(hbar R_a omega_t / 2) / kappa_t; Re(-Xi_m V_cd,a1) is
     # C_f K - C_f M Omega^2 times that factor.  Where the two cancel, the difference
     # keeps only its rounding error: evaluate the bracket exactly, apply the factor once.
     kt = p.kappa_t
-    bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, omega, omega), (-2.0, kt, kt))
-    if bracket is not None:
-        a1, b1 = LINE_LABELS.index("a1"), LINE_LABELS.index("b1")
-        mu[a1] = complex(math.sqrt(HBAR * p.R_a * p.omega_t / 2.0) / kt * bracket, mu[a1].imag)
-        mu[b1] = -mu[a1]
+    cancels, bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
+    a1 = mu[..., SLOT["a1"]]
+    a1.real = np.where(cancels, np.sqrt(HBAR * p.R_a * p.omega_t / 2.0) / kt * bracket, a1.real)
+    mu[..., SLOT["b1"]] = -a1
     return mu
 
 
-def sensing_error_identity(p: InstrumentParams, omega: float) -> float:
-    """Maximum entry-wise relative deviation from V_cd = -V_se.
+def sensing_error_identity(p: InstrumentParams, omega) -> float:
+    """Maximum entry-wise relative deviation from V_cd = -V_se, worst point of a grid.
 
     V_cd comes from the infinite-gain velocity table; V_se is the
     Xi_m-proportional part of the open-loop estimator divided by Xi_m.
     Exact in the model, so the residual is at rounding level.
     """
-    xi_m = mechanical_impedance(p, omega)
-    v_se = (estimator_coefficients(p, omega) - free_mass_coefficients(p, omega)) / xi_m
+    xi = np.asarray(mechanical_impedance(p, omega))[..., None]
+    v_se = (estimator_coefficients(p, omega) - free_mass_coefficients(p, omega)) / xi
     return max_rel_diff(-v_se, cold_damped_velocity(p, omega), floor=1e-14)

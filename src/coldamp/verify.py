@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import network, sensor, servo
+from .budget import budget_point
+from .noise import LINE_LABELS
 from .params import InstrumentParams
 
 # Closed forms under test, bound once at module level so a test harness
@@ -57,10 +59,8 @@ class CheckResult:
 def draw_params(base: InstrumentParams, rng: np.random.Generator,
                 decades: float = 2.0) -> InstrumentParams:
     """Random parameter set log-uniform within +-decades of the base."""
-    changes = {
-        name: getattr(base, name) * 10.0 ** rng.uniform(-decades, decades)
-        for name in _DRAWN
-    }
+    changes = {name: getattr(base, name) * 10.0 ** rng.uniform(-decades, decades)
+               for name in _DRAWN}
     changes["T_m"] = base.T_m * 10.0 ** rng.uniform(-1.0, 1.0)
     changes["T_a"] = base.T_a * 10.0 ** rng.uniform(-1.0, 1.0)
     return base.with_(**changes)
@@ -80,69 +80,80 @@ def _quiet():
         yield
 
 
+def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int):
+    """Draw parameter sets (the first is p) with count frequencies each.
+
+    Returns them as one grid, its (draws * count,) frequencies, and the sets."""
+    rng = np.random.default_rng(seed)
+    sets, ws = [], []
+    for i in range(draws):
+        sets.append(draw_params(p, rng) if i else p)
+        ws.append(draw_frequencies(omega, rng, count=count))
+    columns = {f.name: [getattr(q, f.name) for q in sets] for f in fields(InstrumentParams)}
+    grid = p.grid(**{k: np.repeat(v, count) for k, v in columns.items() if len(set(v)) > 1})
+    return grid, np.concatenate(ws), sets
+
+
+def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -> float:
+    """Worst deviation of the budget's velocity split, rebuilt from the rows.
+
+    |Xi_m|^2 sigma_vfr, sigma_vse, sigma_cross are sum_a sigma_a times
+    |lambda_a|^2, |mu_a - lambda_a|^2 and the rest of |mu_a|^2; each
+    point is compared relative to vfr + vse + |cross|.
+    """
+    with _quiet():
+        table = budget_point(q, ws)
+    sigma = sensor.line_spectra(q, ws)[0]
+    vfr, vse, ff = (sensor.coefficient_sum(c, sigma) for c in (lam, mu - lam, mu))
+    xi = sensor.mechanical_impedance(q, ws)
+    rebuilt = np.array([vfr, vse, ff - vfr - vse]) / sensor._abs2(xi.real, xi.imag)
+    closed = np.array([table.sigma_vfr, table.sigma_vse, table.sigma_cross])
+    return float((np.abs(rebuilt - closed) / (closed[0] + closed[1] + np.abs(closed[2]))).max())
+
+
 def oracle_agreement(p: InstrumentParams, omega: float,
                      draws: int, frequencies: int,
-                     seed: int) -> tuple[float, float, float]:
-    """Worst deviations (lambda, mu, passive-row commutator) over draws.
+                     seed: int) -> tuple[float, float, float, float]:
+    """Worst deviations (lambda, mu, passive-row commutator, velocity split).
 
-    Every point's deviation compares directly against ORACLE_TOL.  The
-    frequencies of one draw are solved as one stack; the closed forms
-    are evaluated point by point.
+    Every point compares directly against ORACLE_TOL.  Each draw's
+    frequencies are solved as one stack; the closed forms and the
+    velocity split evaluate all draws as one grid, from the same solves.
     """
-    rng = np.random.default_rng(seed)
-    worst_lam = worst_mu = worst_comm = 0.0
-    for i in range(draws):
-        q = draw_params(p, rng) if i else p
-        ws = draw_frequencies(omega, rng, count=frequencies)
-        res = network.solve(network.build_sensor_network(q, None, ws))
-        lam_oracle = network.normalized_row(res.transfer_rows["velocity"])
-        mu_oracle = network.normalized_row(res.transfer_rows["detected"])
-        lam = np.array([free_lambda(q, w) for w in ws])
-        mu = np.array([estimator_mu(q, w) for w in ws])
-        worst_lam = max(worst_lam, sensor.max_rel_diff(lam, lam_oracle))
-        worst_mu = max(worst_mu, sensor.max_rel_diff(mu, mu_oracle))
+    grid, ws, sets = _draws(p, omega, seed, draws, frequencies)
+    lam, mu = (np.empty((len(ws), len(LINE_LABELS)), dtype=complex) for _ in range(2))
+    worst_comm = 0.0
+    for i, q in enumerate(sets):
+        rows = slice(i * frequencies, (i + 1) * frequencies)
+        res = network.solve(network.build_sensor_network(q, None, ws[rows]))
+        lam[rows] = network.normalized_row(res.transfer_rows["velocity"])
+        mu[rows] = network.normalized_row(res.transfer_rows["detected"])
         worst_comm = max(worst_comm, network.check_commutators(res))
-    return worst_lam, worst_mu, worst_comm
+    return (sensor.max_rel_diff(free_lambda(grid, ws), lam),
+            sensor.max_rel_diff(estimator_mu(grid, ws), mu),
+            worst_comm, _split_deviation(grid, ws, lam, mu))
 
 
 def toy_commutators(omega: float) -> float:
     """Commutator deviation over the toy networks (passive, eta = 1)."""
-    worst = 0.0
-    for net in (
-        network.build_matched_junction(50.0, 50.0, omega),
-        network.build_matched_junction(50.0, 800.0, omega),
-        network.build_open_line(120.0, omega),
-    ):
-        worst = max(worst, network.check_commutators(network.solve(net)))
-    return worst
+    nets = (network.build_matched_junction(50.0, 50.0, omega),
+            network.build_matched_junction(50.0, 800.0, omega),
+            network.build_open_line(120.0, omega))
+    return max(network.check_commutators(network.solve(net)) for net in nets)
 
 
 def loop_estimator_equality(p: InstrumentParams, omega: float,
                             draws: int, seed: int) -> float:
     """Closed-loop vs open-loop estimator coefficients, independent paths."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+    grid, ws, _ = _draws(p, omega, seed, draws, 3)
     with _quiet():
-        for i in range(draws):
-            q = draw_params(p, rng) if i else p
-            for w in draw_frequencies(omega, rng, count=3):
-                worst = max(worst, sensor.max_rel_diff(estimator_mu(q, w), closed_loop_mu(q, w)))
-    return worst
+        return sensor.max_rel_diff(estimator_mu(grid, ws), closed_loop_mu(grid, ws))
 
 
 def sensing_identity_sweep(p: InstrumentParams, omega: float,
                            points: int = 31) -> float:
     """Max V_cd = -V_se residual over a three-decade frequency sweep."""
-    grid = omega * np.logspace(-1.5, 1.5, points)
-    return max(servo.sensing_error_identity(p, w) for w in grid)
-
-
-def finite_gain_deviation(p: InstrumentParams, omega: float, gain: complex) -> float:
-    """Distance of the finite-gain velocity row from the infinite-gain table."""
-    net = network.build_sensor_network(p, gain, omega)
-    row = network.solve(net).transfer_rows["velocity"]
-    target = servo.cold_damped_velocity(p, omega)
-    return float(np.abs(row[:len(target)] - target).max() / np.abs(target).max())
+    return servo.sensing_error_identity(p, omega * np.logspace(-1.5, 1.5, points))
 
 
 def finite_gain_exponent(p: InstrumentParams, omega: float,
@@ -154,7 +165,10 @@ def finite_gain_exponent(p: InstrumentParams, omega: float,
     -1 for a first-order limit.
     """
     gains = [servo.gain_for_effective_impedance(p, r * p.H_m, omega) for r in ratios]
-    devs = [finite_gain_deviation(p, omega, g) for g in gains]
+    target = servo.cold_damped_velocity(p, omega)   # the infinite-gain velocity table
+    rows = [network.solve(network.build_sensor_network(p, g, omega)).transfer_rows["velocity"]
+            for g in gains]
+    devs = [np.abs(row[:len(target)] - target).max() / np.abs(target).max() for row in rows]
     slope = np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0]
     return float(slope)
 
@@ -162,15 +176,11 @@ def finite_gain_exponent(p: InstrumentParams, omega: float,
 def decomposition_consistency(p: InstrumentParams, omega: float,
                               draws: int, seed: int) -> float:
     """Component sum vs direct quadratic total of the force spectrum."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(draws):
-        q = draw_params(p, rng) if i else p
-        for w in draw_frequencies(omega, rng, count=3):
-            b = sensor.sensor_noise_spectrum(q, w)
-            parts = math.fsum((b.langevin, b.back_action, b.sensing, b.interference))
-            worst = max(worst, abs(parts - b.total) / b.total)
-    return worst
+    grid, ws, _ = _draws(p, omega, seed, draws, 3)
+    b = sensor.sensor_noise_spectrum(grid, ws)
+    columns = (b.total, b.langevin, b.back_action, b.sensing, b.interference)
+    return max(abs(math.fsum(parts) - total) / total
+               for total, *parts in zip(*(c.tolist() for c in columns)))
 
 
 def run_checks(p: InstrumentParams, omega: float, *,
@@ -182,11 +192,12 @@ def run_checks(p: InstrumentParams, omega: float, *,
     if p.kappa_t == 0.0:
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
-    lam, mu, comm = oracle_agreement(p, omega, draws, frequencies, seed)
+    lam, mu, comm, split = oracle_agreement(p, omega, draws, frequencies, seed)
     return [
         CheckResult("oracle velocity coefficients", lam, ORACLE_TOL),
         CheckResult("oracle estimator coefficients", mu, ORACLE_TOL),
         CheckResult("sensor commutator preservation (m, l1, l2)", comm, ORACLE_TOL),
+        CheckResult("oracle velocity split (vfr, vse, cross)", split, ORACLE_TOL),
         CheckResult("toy-network commutator preservation", toy_commutators(omega), ORACLE_TOL),
         CheckResult("open/closed-loop estimator equality",
                     loop_estimator_equality(p, omega, draws, seed + 1), EQUALITY_TOL),

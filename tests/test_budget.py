@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from coldamp.budget import (
     sweep,
 )
 from coldamp.noise import effective_temperature
-from coldamp.verify import draw_params
+from coldamp.sensor import cancelling_product_sum, estimator_coefficients, free_mass_coefficients
+from coldamp.servo import cold_damped_estimator
+from coldamp.verify import draw_frequencies, draw_params
 
 
 def test_headline_force_noise(reference_params, reference_omega):
@@ -219,3 +222,84 @@ def test_matching_without_coupling_is_a_value_error(reference_params, reference_
         simplified_budget(q, reference_omega)
     with pytest.raises(ValueError, match="kappa_t is 0"):
         numerical_matching(q, reference_omega)
+
+
+def _verify_draw(p, omega, seed, index, count=10):
+    """Parameter set and sorted frequencies of draw `index` in verify's stream."""
+    rng = np.random.default_rng(seed)
+    for i in range(index + 1):
+        q = draw_params(p, rng) if i else p
+        ws = draw_frequencies(omega, rng, count=count)
+    return q, np.sort(ws)
+
+
+# Draw 4 of verify seed 1996521376 takes the exact a1 bracket at some of
+# its frequencies but not all; the others are plain draws.
+GRID_DRAWS = [(0, 0), (1996521376, 4), (173518645, 7), (11, 3)]
+
+
+def _a1_guard(q, ws):
+    return cancelling_product_sum((q.C_f, q.K), (-q.C_f, q.M, ws, ws),
+                                  (-2.0, q.kappa_t, q.kappa_t))[0]
+
+
+def test_a1_guard_fires_on_part_of_a_grid(reference_params, reference_omega):
+    q, ws = _verify_draw(reference_params, reference_omega, *GRID_DRAWS[1])
+    assert 0 < np.count_nonzero(_a1_guard(q, ws)) < len(ws)
+
+
+@pytest.mark.parametrize("seed, index", GRID_DRAWS)
+def test_sweeps_equal_single_point_budgets_bit_for_bit(reference_params, reference_omega,
+                                                        seed, index):
+    """A grid budget is a loop of N = 1 budget_point calls, field by field."""
+    q, ws = _verify_draw(reference_params, reference_omega, seed, index)
+    r_a = np.sort(q.R_a * 10.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # extreme draws may leave the sideband band
+        cases = [
+            (sweep(q, "frequency", ws), [budget_point(q, w) for w in ws]),
+            (sweep(q, "R_a", r_a, omega=ws[3]),
+             [budget_point(q.with_(R_a=r), ws[3]) for r in r_a]),
+        ]
+    for grid, points in cases:
+        assert len(grid) == len(points)
+        for k, point in enumerate(points):
+            values = (*astuple(point)[:-1], *astuple(point.breakdown))
+            assert all(type(v) is float for v in values)
+            assert (*astuple(grid[k])[:-1], *astuple(grid[k].breakdown)) == values
+
+
+@pytest.mark.parametrize("seed, index", GRID_DRAWS)
+def test_coefficient_grids_equal_stacked_single_points(reference_params, reference_omega,
+                                                       seed, index):
+    q, ws = _verify_draw(reference_params, reference_omega, seed, index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # the loop's weak-loading precondition
+        for table in (free_mass_coefficients, estimator_coefficients, cold_damped_estimator):
+            stacked = np.array([table(q, w) for w in ws])
+            assert table(q, ws).shape == stacked.shape == (len(ws), 9)
+            assert np.array_equal(table(q, ws), stacked), table.__name__
+
+
+def test_sweep_names_the_first_invalid_point(reference_params, reference_omega):
+    with pytest.raises(ValueError, match=r"^sweep failed at K = -1\.0: "):
+        sweep(reference_params, "K", [-1.0, 0.0, 1.0], omega=reference_omega)
+    with pytest.raises(ValueError, match=r"^sweep failed at T_a = inf: "):
+        sweep(reference_params, "T_a", [1.0, 2.0, math.inf], omega=reference_omega)
+    with pytest.raises(ValueError, match=r"^sweep failed at frequency = 0\.0: .*nonzero"):
+        sweep(reference_params, "frequency", [-1e-3, 0.0, 1e-3])
+    with pytest.raises(ValueError, match=r"^sweep failed at kappa_t = 0\.0: "):
+        sweep(reference_params, "kappa_t", [0.0, 1e-7], omega=reference_omega)
+    with pytest.raises(ValueError, match="increasing"):
+        sweep(reference_params, "R_a", [1e4, math.nan, 1e6], omega=reference_omega)
+
+
+def test_sideband_warning_once_per_grid(reference_params):
+    """A grid crossing the 1e3 carrier-to-signal ratio warns once, not per point."""
+    wt = reference_params.omega_t
+    grid = np.geomspace(wt / 1e5, wt / 10.0, 50)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(reference_params, "frequency", grid)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "carrier-to-signal" in str(caught[0].message)

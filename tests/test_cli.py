@@ -174,7 +174,7 @@ def test_verify_passes(capsys):
     code, out, _ = run(["verify", "--draws", "5"], capsys)
     assert code == cli.EXIT_OK
     assert "verification passed" in out
-    assert out.count("[ok  ]") == 8
+    assert out.count("[ok  ]") == 9
     assert "[FAIL]" not in out
 
 
@@ -189,7 +189,7 @@ def test_verify_detects_corrupted_closed_form(capsys, monkeypatch):
 
     def corrupted(p, omega):
         mu = estimator_coefficients(p, omega)
-        mu[LINE_LABELS.index("l2")] *= -1.0
+        mu[..., LINE_LABELS.index("l2")] *= -1.0
         return mu
 
     monkeypatch.setattr(verify, "estimator_mu", corrupted)

@@ -194,7 +194,13 @@ def test_cancelling_product_sum_is_exact_only_where_the_sum_cancels():
     eps = 2.0**-30
     # (1 + eps)^2 - 1 is 2 eps + eps^2 exactly; the float square drops eps^2.
     assert (1.0 + eps) * (1.0 + eps) - 1.0 == 2.0 * eps
-    assert cancelling_product_sum((1.0 + eps, 1.0 + eps), (-1.0,)) == 2.0 * eps + eps * eps
-    assert cancelling_product_sum((1.0,), (-0.25,)) is None         # sum is 3/4 of its top term
-    assert cancelling_product_sum((1.0,), (-0.75,)) == 0.25
-    assert cancelling_product_sum((math.nan,), (1.0,)) is None     # the caller's nan stands
+    cancels, exact = cancelling_product_sum((1.0 + eps, 1.0 + eps), (-1.0,))
+    assert cancels and exact == 2.0 * eps + eps * eps
+    assert not cancelling_product_sum((1.0,), (-0.25,))[0]     # sum is 3/4 of its top term
+    assert cancelling_product_sum((1.0,), (-0.75,)) == (True, 0.25)
+    assert not cancelling_product_sum((math.nan,), (1.0,))[0]  # the caller's nan stands
+    # Over a grid, only the cancelling points take the exact sum.
+    x = np.array([1.0 + eps, 2.0, math.nan, 1.0 + eps])
+    cancels, exact = cancelling_product_sum((x, x), (-1.0,))
+    assert cancels.tolist() == [True, False, False, True]
+    assert exact.tolist() == [2.0 * eps + eps * eps, 0.0, 0.0, 2.0 * eps + eps * eps]

@@ -1,6 +1,7 @@
 """Verification suite: gate honesty, typed errors and hard draws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,12 @@ def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega, monk
 
     def perturbed(p, omega):
         mu = estimator_coefficients(p, omega)
-        mu[LINE_LABELS.index("m")] *= 1.0 + 1e-9
+        mu[..., LINE_LABELS.index("m")] *= 1.0 + 1e-9
         return mu
 
     monkeypatch.setattr(verify, "estimator_mu", perturbed)
-    _, mu, _ = verify.oracle_agreement(reference_params, reference_omega, draws=1,
-                                       frequencies=10, seed=0)
+    _, mu, _, _ = verify.oracle_agreement(reference_params, reference_omega, draws=1,
+                                          frequencies=10, seed=0)
     assert mu >= verify.ORACLE_TOL
 
 
@@ -88,19 +89,22 @@ def test_known_equality_flake(reference_params, reference_omega):
 
 def test_equality_gate_catches_the_rounded_bracket(reference_params, reference_omega,
                                                    monkeypatch):
-    """Negative control: both routes rounded term by term fail the equality gate."""
+    """Negative control: both routes rounded term by term fail the equality gate.
+
+    The routes evaluate a grid of draws at once, as loop_estimator_equality calls them.
+    """
 
     def plain_estimator(p, omega):
         mu = estimator_coefficients(p, omega)
-        lam_a1 = free_mass_coefficients(p, omega)[LINE_LABELS.index("a1")]
-        a1 = lam_a1 + (math.sqrt(2.0 * HBAR * p.R_a * p.omega_t) * omega
+        lam_a1 = free_mass_coefficients(p, omega)[..., LINE_LABELS.index("a1")]
+        a1 = lam_a1 + (np.sqrt(2.0 * HBAR * p.R_a * p.omega_t) * omega
                        * mechanical_impedance(p, omega) / (2.0 * p.kappa_t * p.omega_t * p.z_f))
-        mu[LINE_LABELS.index("a1")], mu[LINE_LABELS.index("b1")] = a1, -a1
+        mu[..., LINE_LABELS.index("a1")], mu[..., LINE_LABELS.index("b1")] = a1, -a1
         return mu
 
     def plain_closed_loop(p, omega):
         return (free_mass_coefficients(p, omega)
-                - mechanical_impedance(p, omega) * cold_damped_velocity(p, omega))
+                - mechanical_impedance(p, omega)[..., None] * cold_damped_velocity(p, omega))
 
     monkeypatch.setattr(verify, "estimator_mu", plain_estimator)
     monkeypatch.setattr(verify, "closed_loop_mu", plain_closed_loop)
@@ -109,9 +113,9 @@ def test_equality_gate_catches_the_rounded_bracket(reference_params, reference_o
 
 
 def _per_point_oracle(p, omega, draws, frequencies, seed):
-    """oracle_agreement written as one unstacked solve per point."""
+    """oracle_agreement written as one unstacked solve and closed form per point."""
     rng = np.random.default_rng(seed)
-    worst_lam = worst_mu = worst_comm = 0.0
+    worst_lam = worst_mu = worst_comm = worst_split = 0.0
     for i in range(draws):
         q = verify.draw_params(p, rng) if i else p
         for w in verify.draw_frequencies(omega, rng, count=frequencies):
@@ -121,11 +125,30 @@ def _per_point_oracle(p, omega, draws, frequencies, seed):
             worst_lam = max(worst_lam, max_rel_diff(free_mass_coefficients(q, w), lam))
             worst_mu = max(worst_mu, max_rel_diff(estimator_coefficients(q, w), mu))
             worst_comm = max(worst_comm, check_commutators(res))
-    return worst_lam, worst_mu, worst_comm
+            worst_split = max(worst_split, verify._split_deviation(q, w, lam, mu))
+    return worst_lam, worst_mu, worst_comm, worst_split
 
 
 def test_stacked_oracle_equals_the_per_point_solve(reference_params, reference_omega):
-    """One stacked solve per draw gives bit for bit the per-point figures."""
+    """Stacked solves and one grid of closed forms over all draws give bit for
+    bit the per-point figures."""
     for seed in [*range(100), 173518645, 519218416, 1987374907]:
         args = (reference_params, reference_omega, 20, 10, seed)
         assert verify.oracle_agreement(*args) == _per_point_oracle(*args), seed
+
+
+def test_split_gate_catches_a_dropped_back_action(reference_params, reference_omega,
+                                                  monkeypatch):
+    """Negative control: sigma_vfr without its back action fails the velocity-split check."""
+    from coldamp.budget import budget_point
+
+    def without_back_action(p, omega):
+        table = budget_point(p, omega)
+        b = table.breakdown
+        vfr = table.sigma_vfr * b.langevin / (b.langevin + b.back_action)
+        return replace(table, sigma_vfr=vfr)
+
+    monkeypatch.setattr(verify, "budget_point", without_back_action)
+    split = verify.oracle_agreement(reference_params, reference_omega, draws=3,
+                                    frequencies=10, seed=0)[3]
+    assert split >= verify.ORACLE_TOL
