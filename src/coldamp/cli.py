@@ -14,6 +14,7 @@ optimize, --help and configuration errors run without loading numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from importlib import resources
@@ -157,7 +158,9 @@ class _Parser(argparse.ArgumentParser):
         raise config.ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="coldamp",
         description="Noise budget of a cold-damped capacitive accelerometer.",

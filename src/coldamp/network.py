@@ -2,10 +2,10 @@
 
 The raw element relations (resistive/mechanical line laws, the transducer
 three-port, the charge-amplifier laws and optionally the feedback
-force) are assembled into one complex linear system per frequency and
-solved directly; an array of frequencies gives a stack of systems.
-Nothing here reuses the closed-form coefficient expressions, so
-agreement between the two routes is a real check.
+force) are assembled into one complex linear system per point and
+solved directly; arrays of frequencies, gains or parameter sets give a
+stack of systems.  Nothing here reuses the closed-form coefficient
+expressions, so agreement between the two routes is a real check.
 
 Electrical quantities are represented per carrier quadrature.  A purely
 reactive feedback impedance is odd in frequency, so it couples the two
@@ -24,20 +24,22 @@ from .constants import HBAR
 from .errors import NetworkSolveError
 from .noise import LINE_LABELS
 from .params import InstrumentParams
+from .sensor import _frequencies
 
 
 @dataclass
 class LinearNetwork:
-    """Assembled linear relations a x = b of one network at one frequency.
+    """Assembled linear relations a x = b of one network at one point.
 
     Each row is one element relation.  Columns of a are the unknowns;
     columns of b are the incoming fields, in the order of incoming, then
     any external drives.  outgoing maps each port with an out-field
     unknown to that unknown's column of a; observables name further
     unknowns whose transfer rows solve returns.  A stack of one layout
-    carries a leading axis on a, b and omega.  signs, derived here from
-    the layout, holds the conjugation signs of the incoming ports and
-    the diagonal eta of the out ports.
+    (one system per frequency, gain or parameter set) carries a leading
+    axis on a, b and omega, the frequency of each point.  signs,
+    derived here from the layout, holds the conjugation signs of the
+    incoming ports and the diagonal eta of the out ports.
     """
 
     a: np.ndarray
@@ -153,21 +155,22 @@ _SENSOR_UNKNOWNS = (
 # build_sensor_network.
 _SENSOR_RELATIONS = (
     # Equation of motion; the feedback force enters only in closed loop.
-    ({"V": "xi_m", "I_t1": "kt*z_t", "r1_out": "gain"}, {"F_ext": 1.0, "m": "-c_mech"}),
+    ({"V": "xi_m", "I_t1": "1j*kt*x_t", "r1_out": "gain"}, {"F_ext": 1.0, "m": "-c_mech"}),
     # Mechanical line out field.
     ({"m_out": 1.0, "V": "-c_mech_out"}, {"m": 1.0}),
-    # Transducer three-port.
-    ({"U_1": 1.0, "I_t1": "-z_t"}, {}),
-    ({"U_2": 1.0, "I_t2": "-z_t", "V": "-2j*kt*z_t*wt/omega"}, {}),
+    # Transducer three-port, Z_t = i x_t.
+    ({"U_1": 1.0, "I_t1": "-1j*x_t"}, {}),
+    ({"U_2": 1.0, "I_t2": "-1j*x_t", "V": "2*kt*x_t*wt/omega"}, {}),
     # Amplifier voltage noise pins the input node, per quadrature.
     ({"U_1": 1.0}, {"a1": "c_volt", "b1": "-c_volt"}),
     ({"U_2": 1.0}, {"a2": "c_volt", "b2": "-c_volt"}),
     # Current balance at the input node, per quadrature.
     ({"I_l1": 1.0, "I_f1": 1.0, "I_t1": 1.0}, {"a1": "c_curr", "b1": "c_curr"}),
     ({"I_l2": 1.0, "I_f2": 1.0, "I_t2": 1.0}, {"a2": "c_curr", "b2": "c_curr"}),
-    # Feedback element, quadrature-coupled because Z_f is frequency-odd.
-    ({"U_1": 1.0, "U_r1": -1.0, "I_f2": "-1j*z_f"}, {}),
-    ({"U_2": 1.0, "U_r2": -1.0, "I_f1": "1j*z_f"}, {}),
+    # Feedback element, quadrature-coupled because Z_f = i |Z_f| is
+    # frequency-odd: -i Z_f = |Z_f|.
+    ({"U_1": 1.0, "U_r1": -1.0, "I_f2": "zf_mag"}, {}),
+    ({"U_2": 1.0, "U_r2": -1.0, "I_f1": "-zf_mag"}, {}),
     # Loss line, per quadrature.
     ({"U_1": 1.0, "I_l1": "-R_l"}, {"l1": "c_loss"}),
     ({"U_2": 1.0, "I_l2": "-R_l"}, {"l2": "c_loss"}),
@@ -182,21 +185,19 @@ _SENSOR_RELATIONS = (
 def _template(side: int, columns: tuple[str, ...]):
     """One side (0: a, 1: b) of the sensor relations, for _fill.
 
-    Returns the matrix of constant entries, the (rows, cols) index
-    arrays of the per-point entries and their value names.
+    Returns the matrix of constant entries and, per per-point entry,
+    its (row, column, value name).
     """
     index = {name: j for j, name in enumerate(columns)}
     matrix = np.zeros((len(_SENSOR_RELATIONS), len(columns)), dtype=complex)
-    rows, cols, names = [], [], []
+    entries = []
     for i, relation in enumerate(_SENSOR_RELATIONS):
         for name, coef in relation[side].items():
             if isinstance(coef, str):
-                rows.append(i)
-                cols.append(index[name])
-                names.append(coef)
+                entries.append((i, index[name], coef))
             else:
                 matrix[i, index[name]] = coef
-    return matrix, (np.array(rows), np.array(cols)), tuple(names)
+    return matrix, tuple(entries)
 
 
 _SENSOR_A = _template(0, _SENSOR_UNKNOWNS)
@@ -207,60 +208,64 @@ _SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
 _SENSOR_CONJUGATED = {label: label.startswith("b") for label in LINE_LABELS}
 
 
-def _fill(template, values: list[dict[str, complex]]) -> np.ndarray:
-    """A stack of template matrices, one per point, with the named entries set."""
-    matrix, (rows, cols), names = template
-    out = np.repeat(matrix[None], len(values), axis=0)
-    out[:, rows, cols] = [[point[name] for name in names] for point in values]
+def _fill(template, values: dict, shape: tuple) -> np.ndarray:
+    """Template matrices over shape, one per point, with the named entries set."""
+    matrix, entries = template
+    out = np.empty((*shape, *matrix.shape), dtype=complex)
+    out[...] = matrix
+    for i, j, name in entries:
+        out[..., i, j] = values[name]
     return out
 
 
-def build_sensor_network(p: InstrumentParams, gain: complex | None,
+def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
                          omega: float | np.ndarray) -> LinearNetwork:
     """Raw element relations of the capacitive sensor at frequency Omega.
 
     gain is the servo loop gain G_s (None for the open-loop sensor).
     One node per electrical quadrature carries the transducer port, the
     loss line and the amplifier input; the charge amplifier's reactive
-    feedback couples the quadratures.  A 1-D array of frequencies gives
-    a stack with one leading axis.
+    feedback couples the quadratures.  A parameter grid
+    (InstrumentParams.grid) and (N,) arrays of gains or frequencies give
+    a stack of N systems with one leading axis.
     """
-    scalar = np.ndim(omega) == 0
-    values = [_sensor_values(p, gain, w) for w in ([omega] if scalar else omega)]
-    a, b = _fill(_SENSOR_A, values), _fill(_SENSOR_B, values)
-    return LinearNetwork(a=a[0] if scalar else a, b=b[0] if scalar else b,
+    w = _frequencies(omega)
+    values = _sensor_values(p, gain, w)
+    shape = np.broadcast(*values.values()).shape
+    return LinearNetwork(a=_fill(_SENSOR_A, values, shape), b=_fill(_SENSOR_B, values, shape),
                          incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
-                         conjugated=_SENSOR_CONJUGATED, omega=omega,
+                         conjugated=_SENSOR_CONJUGATED,
+                         omega=np.broadcast_to(w, shape)[()],
                          observables=_SENSOR_OBSERVABLES)
 
 
-def _sensor_values(p: InstrumentParams, gain: complex | None, omega: float) -> dict[str, complex]:
-    """The per-point entries of the sensor relations at one frequency."""
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
-    h_m = p.H_m
-    z_t = p.z_t(omega)
-    z_f = p.z_f
-    wt = p.omega_t
-    kt = p.kappa_t
-    c_volt = math.sqrt(2.0 * HBAR * wt * p.R_a)              # amplifier voltage noise
+def _sensor_values(p: InstrumentParams, gain: complex | np.ndarray | None, w) -> dict:
+    """The per-point entries of the sensor relations, floats or (N,) columns.
+
+    Each is computed in real arithmetic with the operations, in order,
+    of the complex products it stands for (Z_t = i x_t, Z_f = i |Z_f|),
+    and then placed on the real or imaginary axis, so a grid point
+    equals the single point bit for bit.
+    """
+    h_m, wt, kt, x_t, zf_mag = p.H_m, p.omega_t, p.kappa_t, p.x_t(w), p.zf_mag
+    c_volt = np.sqrt(2.0 * HBAR * wt * p.R_a)              # amplifier voltage noise
     return {
-        "xi_m": h_m - 1j * p.M * omega + 1j * p.K / omega,
-        "kt*z_t": kt * z_t,
+        "xi_m": h_m + 1j * (-(p.M * w) + p.K / w),
+        "1j*kt*x_t": 1j * (kt * x_t),
         "gain": 0.0 if gain is None else gain,
-        "-c_mech": -math.sqrt(2.0 * HBAR * abs(omega) * h_m),          # Langevin force
-        "-c_mech_out": -math.sqrt(2.0 * h_m / (HBAR * abs(omega))),    # velocity -> out field
-        "-z_t": -z_t,
-        "-2j*kt*z_t*wt/omega": -2j * kt * z_t * wt / omega,
+        "-c_mech": -np.sqrt(2.0 * HBAR * abs(w) * h_m),          # Langevin force
+        "-c_mech_out": -np.sqrt(2.0 * h_m / (HBAR * abs(w))),    # velocity -> out field
+        "-1j*x_t": 1j * -x_t,
+        "2*kt*x_t*wt/omega": 2.0 * kt * x_t * wt / w,
         "c_volt": c_volt,
         "-c_volt": -c_volt,
-        "c_curr": math.sqrt(2.0 * HBAR * wt / p.R_a),                  # amplifier current noise
-        "-1j*z_f": -1j * z_f,
-        "1j*z_f": 1j * z_f,
+        "c_curr": np.sqrt(2.0 * HBAR * wt / p.R_a),              # amplifier current noise
+        "zf_mag": zf_mag,
+        "-zf_mag": -zf_mag,
         "-R_l": -p.R_l,
-        "c_loss": math.sqrt(2.0 * HBAR * wt * p.R_l),
-        "-c_loss_out": -math.sqrt(2.0 / (HBAR * wt * p.R_l)),
-        "-c_det_out": -math.sqrt(2.0 / (HBAR * wt * p.R_r)),
+        "c_loss": np.sqrt(2.0 * HBAR * wt * p.R_l),
+        "-c_loss_out": -np.sqrt(2.0 / (HBAR * wt * p.R_l)),
+        "-c_det_out": -np.sqrt(2.0 / (HBAR * wt * p.R_r)),
     }
 
 

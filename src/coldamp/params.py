@@ -69,14 +69,8 @@ class InstrumentParams:
         return 1.0 / (self.omega_t * self.C_f)
 
     def x_t(self, omega):
-        """Transducer reactance Im Z_t = 1/(2 Omega C_t), ohm; elementwise on arrays."""
+        """Transducer reactance x_t = 1/(2 Omega C_t), ohm, with Z_t = i x_t; elementwise."""
         return 1.0 / (2.0 * omega * self.C_t)
-
-    def z_t(self, omega: float) -> complex:
-        """Transducer impedance Z_t = -1/(2 i Omega C_t) = i x_t."""
-        if omega == 0.0:
-            raise ValueError("Z_t diverges at zero frequency")
-        return 1j * self.x_t(omega)
 
     @property
     def r_m(self) -> float:

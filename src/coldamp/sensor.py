@@ -72,14 +72,30 @@ def cancelling_product_sum(*products) -> tuple[np.ndarray, np.ndarray]:
     cancels = np.asarray(abs(sum(terms)) < 0.5 * functools.reduce(np.maximum, map(abs, terms)))
     exact = np.zeros(cancels.shape)
     if cancels.any():
-        from fractions import Fraction  # imported here: it pulls in decimal at cold start
-
         at = np.flatnonzero(cancels).tolist()
         columns = [[np.ravel(f)[at].tolist() if np.ndim(f) else [f] * len(at) for f in factors]
                    for factors in products]
-        exact.flat[at] = [float(sum(math.prod(Fraction(f[j]) for f in c) for c in columns))
-                          for j in range(len(at))]
+        exact.flat[at] = [_exact_sum(point) for point in zip(*(zip(*c) for c in columns))]
     return cancels, exact
+
+
+def _exact_sum(products) -> float:
+    """sum_k prod(products[k]) of finite floats, exact, then rounded once.
+
+    Each float is m / 2^k (as_integer_ratio); the products are summed as
+    integers over their largest power of two, and Python's int division
+    rounds the quotient correctly.
+    """
+    terms = []
+    for factors in products:
+        num, shift = 1, 0
+        for f in factors:
+            m, d = f.as_integer_ratio()
+            num *= m
+            shift += d.bit_length() - 1
+        terms.append((num, shift))
+    top = max(shift for _, shift in terms)
+    return sum(num << (top - shift) for num, shift in terms) / (1 << top)
 
 
 def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> float:

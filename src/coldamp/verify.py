@@ -36,6 +36,8 @@ EXPONENT_TOL = 0.05
 
 # Parameters drawn log-uniformly around the reference design point.
 _DRAWN = ("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C_f", "C_t")
+# Points per stacked oracle solve: memory stays flat at any draw count.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,30 @@ def _quiet():
 def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int):
     """Draw parameter sets (the first is p) with count frequencies each.
 
-    Returns them as one grid, its (draws * count,) frequencies, and the sets."""
+    The stream of draw_params and draw_frequencies called per draw,
+    drawn as one array.  Returns one grid of the sets, each repeated
+    count times, and its (draws * count,) frequencies.
+    """
     rng = np.random.default_rng(seed)
-    sets, ws = [], []
-    for i in range(draws):
-        sets.append(draw_params(p, rng) if i else p)
-        ws.append(draw_frequencies(omega, rng, count=count))
-    columns = {f.name: [getattr(q, f.name) for q in sets] for f in fields(InstrumentParams)}
-    grid = p.grid(**{k: np.repeat(v, count) for k, v in columns.items() if len(set(v)) > 1})
-    return grid, np.concatenate(ws), sets
+    first = rng.uniform(-1.5, 1.5, size=count)
+    names = (*_DRAWN, "T_m", "T_a")
+    high = np.array([2.0] * len(_DRAWN) + [1.0, 1.0] + [1.5] * count)
+    u = rng.uniform(-high, high, size=(draws - 1, len(high)))
+    base = np.array([getattr(p, name) for name in names])
+    # float_power is the C pow of Python's **; numpy's ** rounds some factors differently.
+    with np.errstate(over="ignore"):      # an overflowed set fails validation below
+        sets = np.vstack([base, base * np.float_power(10.0, u[:, :len(names)])])
+    # Every InstrumentParams rule bounds one field, so the column ends validate all sets.
+    for ends in (sets.min(axis=0), sets.max(axis=0)):
+        p.with_(**dict(zip(names, ends.tolist())))
+    grid = p.grid(**{name: np.repeat(sets[:, k], count) for k, name in enumerate(names)})
+    return grid, omega * 10.0 ** np.concatenate([first, u[:, len(names):].ravel()])
+
+
+def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
+    """The grid's points at rows."""
+    return grid.grid(**{f.name: v[rows] for f in fields(grid)
+                        if np.ndim(v := getattr(grid, f.name))})
 
 
 def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -> float:
@@ -116,16 +133,16 @@ def oracle_agreement(p: InstrumentParams, omega: float,
                      seed: int) -> tuple[float, float, float, float]:
     """Worst deviations (lambda, mu, passive-row commutator, velocity split).
 
-    Every point compares directly against ORACLE_TOL.  Each draw's
-    frequencies are solved as one stack; the closed forms and the
-    velocity split evaluate all draws as one grid, from the same solves.
+    Every point compares directly against ORACLE_TOL.  The drawn grid is
+    solved as stacks of up to _BLOCK points; the closed forms and the
+    velocity split evaluate the whole grid at once, from the same solves.
     """
-    grid, ws, sets = _draws(p, omega, seed, draws, frequencies)
+    grid, ws = _draws(p, omega, seed, draws, frequencies)
     lam, mu = (np.empty((len(ws), len(LINE_LABELS)), dtype=complex) for _ in range(2))
     worst_comm = 0.0
-    for i, q in enumerate(sets):
-        rows = slice(i * frequencies, (i + 1) * frequencies)
-        res = network.solve(network.build_sensor_network(q, None, ws[rows]))
+    for start in range(0, len(ws), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        res = network.solve(network.build_sensor_network(_points(grid, rows), None, ws[rows]))
         lam[rows] = network.normalized_row(res.transfer_rows["velocity"])
         mu[rows] = network.normalized_row(res.transfer_rows["detected"])
         worst_comm = max(worst_comm, network.check_commutators(res))
@@ -145,7 +162,7 @@ def toy_commutators(omega: float) -> float:
 def loop_estimator_equality(p: InstrumentParams, omega: float,
                             draws: int, seed: int) -> float:
     """Closed-loop vs open-loop estimator coefficients, independent paths."""
-    grid, ws, _ = _draws(p, omega, seed, draws, 3)
+    grid, ws = _draws(p, omega, seed, draws, 3)
     with _quiet():
         return sensor.max_rel_diff(estimator_mu(grid, ws), closed_loop_mu(grid, ws))
 
@@ -164,11 +181,10 @@ def finite_gain_exponent(p: InstrumentParams, omega: float,
     the given ratios; the log-log slope of deviation vs |G_s| should be
     -1 for a first-order limit.
     """
-    gains = [servo.gain_for_effective_impedance(p, r * p.H_m, omega) for r in ratios]
+    gains = np.array([servo.gain_for_effective_impedance(p, r * p.H_m, omega) for r in ratios])
     target = servo.cold_damped_velocity(p, omega)   # the infinite-gain velocity table
-    rows = [network.solve(network.build_sensor_network(p, g, omega)).transfer_rows["velocity"]
-            for g in gains]
-    devs = [np.abs(row[:len(target)] - target).max() / np.abs(target).max() for row in rows]
+    rows = network.solve(network.build_sensor_network(p, gains, omega)).transfer_rows["velocity"]
+    devs = np.abs(rows[:, :len(target)] - target).max(axis=1) / np.abs(target).max()
     slope = np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0]
     return float(slope)
 
@@ -176,7 +192,7 @@ def finite_gain_exponent(p: InstrumentParams, omega: float,
 def decomposition_consistency(p: InstrumentParams, omega: float,
                               draws: int, seed: int) -> float:
     """Component sum vs direct quadratic total of the force spectrum."""
-    grid, ws, _ = _draws(p, omega, seed, draws, 3)
+    grid, ws = _draws(p, omega, seed, draws, 3)
     b = sensor.sensor_noise_spectrum(grid, ws)
     columns = (b.total, b.langevin, b.back_action, b.sensing, b.interference)
     return max(abs(math.fsum(parts) - total) / total

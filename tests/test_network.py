@@ -1,11 +1,14 @@
 """Network oracle: toy networks, solve diagnostics, oracle equivalence."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from coldamp.network import (
+    _SENSOR_RELATIONS,
+    _SENSOR_UNKNOWNS,
     LinearNetwork,
     NetworkSolveError,
     build_matched_junction,
@@ -17,6 +20,7 @@ from coldamp.network import (
 )
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import estimator_coefficients, free_mass_coefficients, max_rel_diff
+from coldamp.servo import gain_for_effective_impedance
 from coldamp.verify import ORACLE_TOL, draw_params, draw_frequencies
 
 OMEGA = 2.0 * math.pi * 1e5
@@ -197,11 +201,48 @@ def test_refinement_step_is_needed(reference_params, reference_omega):
 
 def test_closed_loop_estimator_row_is_gain_independent(reference_params, reference_omega):
     """The normalized detected row equals the open-loop estimator at any gain."""
-    from coldamp.servo import gain_for_effective_impedance
-
     p, w = reference_params, reference_omega
     mu = estimator_coefficients(p, w)
     for ratio in (1e2, 1e5):
         gain = gain_for_effective_impedance(p, ratio * p.H_m, w)
         _, mu_closed = oracle_rows(p, w, gain=gain)
         assert max_rel_diff(mu, mu_closed) < 1e-10
+
+
+def test_sensor_entries_equal_their_complex_expressions(reference_params, reference_omega):
+    """Entries built in real arithmetic are bit for bit the complex products they
+    stand for, with Z_t = i x_t and Z_f = 1/(-i omega_t C_f)."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        q = draw_params(reference_params, rng)
+        w = float(draw_frequencies(reference_omega, rng, count=1)[0])
+        z_t, z_f, kt, wt = 1j * q.x_t(w), q.z_f, q.kappa_t, q.omega_t
+        expected = {"xi_m": q.H_m - 1j * q.M * w + 1j * q.K / w, "1j*kt*x_t": kt * z_t,
+                    "-1j*x_t": -z_t, "2*kt*x_t*wt/omega": -2j * kt * z_t * wt / w,
+                    "zf_mag": -1j * z_f, "-zf_mag": 1j * z_f}
+        a = build_sensor_network(q, None, w).a
+        checked = set()
+        for i, (lhs, _) in enumerate(_SENSOR_RELATIONS):
+            for unknown, coef in lhs.items():
+                if coef in expected:
+                    assert a[i, _SENSOR_UNKNOWNS.index(unknown)] == expected[coef], coef
+                    checked.add(coef)
+        assert checked == expected.keys()
+
+
+def test_grid_network_equals_stacked_per_set_builds(reference_params, reference_omega):
+    """A parameter grid with (N,) gains and frequencies builds, bit for bit, the
+    stack of one build per point."""
+    rng = np.random.default_rng(11)
+    sets = [draw_params(reference_params, rng) for _ in range(6)]
+    ws = draw_frequencies(reference_omega, rng, count=len(sets))
+    grid = reference_params.grid(**{f.name: np.array([getattr(q, f.name) for q in sets])
+                                    for f in fields(reference_params)})
+    gains = np.array([gain_for_effective_impedance(q, 1e4 * q.H_m, w) for q, w in zip(sets, ws)])
+    for gain in (None, gains):
+        net = build_sensor_network(grid, gain, ws)
+        per_set = [build_sensor_network(q, None if gain is None else gain[k], w)
+                   for k, (q, w) in enumerate(zip(sets, ws))]
+        assert np.array_equal(net.a, np.stack([n.a for n in per_set]))
+        assert np.array_equal(net.b, np.stack([n.b for n in per_set]))
+        assert np.array_equal(net.omega, ws)

@@ -28,23 +28,20 @@ def test_magnitude_conversions(reference_params, reference_omega):
     assert p.C_t == pytest.approx(1.0 / (2.0 * reference_omega * 1e14), rel=1e-14, abs=0.0)
     assert p.C_t == pytest.approx(1.59e-12, rel=1e-2, abs=0.0)
     assert p.zf_mag == pytest.approx(1.6e5, rel=1e-12, abs=0.0)
-    assert abs(p.z_t(reference_omega)) == pytest.approx(1e14, rel=1e-12, abs=0.0)
+    assert p.x_t(reference_omega) == pytest.approx(1e14, rel=1e-12, abs=0.0)
 
 
 def test_impedance_phases(reference_params, reference_omega):
     p = reference_params
-    # Both stored reactances are positive-imaginary under the -i convention.
+    # Z_f and Z_t = i x_t are positive-imaginary under the -i convention.
     assert p.z_f.real == 0.0
     assert p.z_f.imag > 0.0
-    z_t = p.z_t(reference_omega)
-    assert z_t.real == 0.0
-    assert z_t.imag > 0.0
+    x_t = p.x_t(reference_omega)
+    assert x_t > 0.0
     # C_t doubled halves the transducer impedance.
     doubled = p.with_(C_t=2.0 * p.C_t)
-    assert abs(doubled.z_t(reference_omega)) == pytest.approx(abs(z_t) / 2.0, rel=1e-14, abs=0.0)
-    assert abs(p.z_t(10.0 * reference_omega)) == pytest.approx(abs(z_t) / 10.0, rel=1e-14, abs=0.0)
-    with pytest.raises(ValueError):
-        p.z_t(0.0)
+    assert doubled.x_t(reference_omega) == pytest.approx(x_t / 2.0, rel=1e-14, abs=0.0)
+    assert p.x_t(10.0 * reference_omega) == pytest.approx(x_t / 10.0, rel=1e-14, abs=0.0)
 
 
 def test_detuning_and_mechanical_resistance(reference_params, reference_omega):

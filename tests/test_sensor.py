@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,3 +205,24 @@ def test_cancelling_product_sum_is_exact_only_where_the_sum_cancels():
     cancels, exact = cancelling_product_sum((x, x), (-1.0,))
     assert cancels.tolist() == [True, False, False, True]
     assert exact.tolist() == [2.0 * eps + eps * eps, 0.0, 0.0, 2.0 * eps + eps * eps]
+
+
+def test_cancelling_product_sum_equals_the_fraction_sum():
+    """Over 10^4 random triples, with zero and negative factors, the exact sum is
+    the Fraction sum rounded once wherever the float sum cancels."""
+    rng = np.random.default_rng(5)
+    n = 10_000
+    c, k, m, w = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+                  for _ in range(4))
+    m[::3] = k[::3] / (w[::3] * w[::3]) * (1.0 + rng.uniform(-1e-9, 1e-9, m[::3].size))
+    kt = np.sqrt(np.abs(c * k - c * m * w * w) / 2.0) * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+    c[::97], k[::89], kt[::83] = 0.0, 0.0, 0.0
+    products = ((c, k), (-c, m, w, w), (-2.0, kt, kt))
+    cancels, exact = cancelling_product_sum(*products)
+    assert 0.3 * n < cancels.sum() < n
+    assert not exact[~cancels].any()
+    at = np.flatnonzero(cancels)
+    columns = [[np.broadcast_to(f, n)[at].tolist() for f in factors] for factors in products]
+    reference = [float(sum(math.prod(Fraction(f[j]) for f in factors) for factors in columns))
+                 for j in range(len(at))]
+    assert exact[at].tolist() == reference

@@ -1,7 +1,7 @@
 """Verification suite: gate honesty, typed errors and hard draws."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,6 +45,51 @@ def test_finite_gain_on_a_closed_loop_draw(reference_params, reference_omega):
         closed = check_commutators(solve(build_sensor_network(q, gain, w)))
         assert closed == pytest.approx(0.31, abs=0.01)
     assert check_commutators(solve(build_sensor_network(q, None, w))) < verify.ORACLE_TOL
+
+
+@pytest.mark.parametrize("draw", [False, True])
+def test_stacked_finite_gain_equals_the_per_gain_solves(reference_params, reference_omega,
+                                                        draw):
+    """The five gains solve as one stack, bit for bit one solve per gain."""
+    p, w = reference_params, reference_omega
+    if draw:
+        rng = np.random.default_rng(4)
+        p = verify.draw_params(p, rng)
+        w = verify.draw_frequencies(w, rng, count=1)[0]
+    gains = np.array([gain_for_effective_impedance(p, r * p.H_m, w)
+                      for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
+    stacked = solve(build_sensor_network(p, gains, w)).transfer_rows["velocity"]
+    rows = [solve(build_sensor_network(p, g, w)).transfer_rows["velocity"] for g in gains]
+    assert np.array_equal(stacked, np.stack(rows))
+    target = cold_damped_velocity(p, w)
+    devs = [np.abs(row[:len(target)] - target).max() / np.abs(target).max() for row in rows]
+    slope = np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0]
+    assert verify.finite_gain_exponent(p, w) == slope
+
+
+@pytest.mark.parametrize("draws, count", [(1, 10), (2, 3), (20, 3), (20, 10)])
+def test_draws_equal_the_per_draw_stream(reference_params, reference_omega, draws, count):
+    """The stream drawn as one array is bit for bit draw_params and
+    draw_frequencies called draw by draw."""
+    for seed in [0, 1, 2, 173518645, 519218416, 1987374907, 1996521376, 90060358,
+                 1384096408, 902664218, 1555450229, 1316148024]:   # the hard seeds below
+        rng = np.random.default_rng(seed)
+        sets, ws = [], []
+        for i in range(draws):
+            sets.append(verify.draw_params(reference_params, rng) if i else reference_params)
+            ws.append(verify.draw_frequencies(reference_omega, rng, count=count))
+        grid, grid_ws = verify._draws(reference_params, reference_omega, seed, draws, count)
+        assert np.array_equal(grid_ws, np.concatenate(ws)), seed
+        for f in fields(grid):
+            column = np.broadcast_to(getattr(grid, f.name), grid_ws.shape)
+            expected = np.repeat([getattr(q, f.name) for q in sets], count)
+            assert np.array_equal(column, expected), (seed, f.name)
+
+
+def test_draws_validate_every_set(reference_params, reference_omega):
+    """A drawn set that overflows a field raises, as InstrumentParams would."""
+    with pytest.raises(ValueError, match="M must be strictly positive, got inf"):
+        verify._draws(reference_params.with_(M=1e307), reference_omega, 0, 20, 3)
 
 
 def test_run_checks_rejects_zero_coupling(reference_params, reference_omega):
