@@ -2,10 +2,13 @@
 
 The raw element relations (resistive/mechanical line laws, the transducer
 three-port, the charge-amplifier laws and optionally the feedback
-force) are assembled into one complex linear system per point and
-solved directly; arrays of frequencies, gains or parameter sets give a
-stack of systems.  Nothing here reuses the closed-form coefficient
-expressions, so agreement between the two routes is a real check.
+force) are assembled into one complex linear system per point; arrays
+of frequencies, gains or parameter sets give a stack of systems.  Each
+relation ties two or three fields, so solve takes them in a
+substitution order, one division per unknown, and leaves LAPACK only
+the dense block of a feedback loop.  Nothing here reuses the
+closed-form coefficient expressions, so agreement between the two
+routes is a real check.
 
 Electrical quantities are represented per carrier quadrature.  A purely
 reactive feedback impedance is odd in frequency, so it couples the two
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,36 +84,107 @@ class ScatteringResult:
     signs: tuple[np.ndarray, np.ndarray]
 
 
+class _Order(NamedTuple):
+    """Substitution order of one nonzero pattern; see _substitution_order."""
+
+    steps: tuple[tuple[int, int, tuple[int, ...]], ...]  # (relation, unknown, other unknowns)
+    pivots: tuple[np.ndarray, np.ndarray]                # (relations, unknowns) of the steps
+    block_rows: np.ndarray                               # relations of the dense block
+    block_cols: np.ndarray                               # unknowns of the dense block
+    feed: tuple[int, ...]                                # solved unknowns the block uses
+
+
+# Substitution orders by the bytes of a nonzero pattern.
+_ORDERS: dict[bytes, _Order] = {}
+
+
+def _substitution_order(nonzero: np.ndarray) -> _Order:
+    """Substitution order of an n x n nonzero pattern.
+
+    Repeatedly takes the first relation with exactly one unknown not yet
+    solved; that relation gives its unknown by one division.  The
+    relations and unknowns left over form one dense block, a feedback
+    loop.  Ordered so, the matrix is block lower triangular: the steps'
+    pivots, then the block.
+    """
+    uses = [set(np.flatnonzero(row).tolist()) for row in nonzero]
+    solved, steps, left = set(), [], list(range(len(uses)))
+    while (r := next((r for r in left if len(uses[r] - solved) == 1), None)) is not None:
+        (c,) = uses[r] - solved
+        steps.append((r, c, tuple(sorted(uses[r] - {c}))))
+        solved.add(c)
+        left.remove(r)
+    return _Order(
+        steps=tuple(steps),
+        pivots=tuple(np.array([s[k] for s in steps], dtype=np.intp) for k in (0, 1)),
+        block_rows=np.array(left, dtype=np.intp),
+        block_cols=np.array(sorted(set(range(len(uses))) - solved), dtype=np.intp),
+        feed=tuple(sorted(set().union(*(uses[r] for r in left)) & solved)),
+    )
+
+
+def _solve_error(net: LinearNetwork, failed: np.ndarray, what: str) -> NetworkSolveError:
+    """The solve error naming the first failed point of a stack."""
+    omega = float(np.ravel(net.omega)[np.argmax(np.ravel(failed))])
+    return NetworkSolveError(f"{what} at omega = {omega:g} rad/s", omega=omega)
+
+
 def solve(net: LinearNetwork) -> ScatteringResult:
-    """Direct dense solve of the raw network matrix at its frequency.
+    """Solve the raw network relations in substitution order.
 
     Returns the scattering rows of the ports that have an out-field
     variable and the raw transfer rows of the declared observables over
     incoming fields and drives.  A stack is solved in one call; a
     failure names the frequency of the first failing point.
+
+    The order comes from the nonzero pattern of a (over a stack, the
+    union of its points' patterns): each relation that ties one unknown
+    not yet solved gives that unknown by one division, summing its
+    other terms elementwise in a fixed order, so a stacked point equals
+    the point solved alone bit for bit when both have the stack's
+    pattern.  The relations left over form one dense block, a feedback
+    loop (6 x 6 for the closed-loop sensor; none in open loop), solved
+    by LAPACK plus one refinement step.  The matrix is block
+    triangular, so a zero pivot means it is singular at that point.
     """
     a, b = net.a, net.b
-    try:
-        x = np.linalg.solve(a, b)
-        # The raw matrix is ill-conditioned through the scales of its
-        # entries.  One refinement step with a float64 residual
-        # (fixed-precision refinement: Skeel, Math. Comp. 35 (1980);
-        # Higham ch. 12) restores componentwise stability and brings the
-        # forward error to rounding level; unrefined, some draws miss
-        # ORACLE_TOL.
-        x = x + np.linalg.solve(a, b - a @ x)
-    except np.linalg.LinAlgError as exc:
-        # slogdet's sign is 0 exactly where the LU factorization meets a zero pivot.
-        omega = float(np.ravel(net.omega)[np.flatnonzero(np.linalg.slogdet(a)[0] == 0)[0]])
-        raise NetworkSolveError(
-            f"singular network matrix at omega = {omega:g} rad/s: {exc}", omega=omega,
-        ) from exc
-    finite = np.isfinite(x).all(axis=(-2, -1))
-    if not finite.all():
-        omega = float(np.ravel(net.omega)[np.argmin(np.ravel(finite))])
-        raise NetworkSolveError(
-            f"non-finite network solution at omega = {omega:g} rad/s", omega=omega,
-        )
+    n = a.shape[-1]
+    nonzero = (a != 0).reshape(-1, n, n).any(axis=0)
+    key = nonzero.tobytes()
+    if (order := _ORDERS.get(key)) is None:
+        order = _ORDERS[key] = _substitution_order(nonzero)
+    zero = (a[..., order.pivots[0], order.pivots[1]] == 0).any(axis=-1)
+    if zero.any():
+        raise _solve_error(net, zero, "singular network matrix")
+    x = np.empty(b.shape, dtype=np.result_type(a, b))
+    # An overflow or invalid operation leaves a non-finite x, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, c, others in order.steps:
+            rhs = b[..., r, :]
+            for k in others:
+                rhs = rhs - a[..., r, k, None] * x[..., k, :]
+            x[..., c, :] = rhs / a[..., r, c, None]
+        if len(rows := order.block_rows):
+            cols = order.block_cols
+            rhs = b[..., rows, :]
+            for k in order.feed:
+                rhs = rhs - a[..., rows, k, None] * x[..., k, None, :]
+            block = a[..., rows[:, None], cols]
+            try:
+                y = np.linalg.solve(block, rhs)
+                # The block is ill-conditioned through the scales of its
+                # entries.  One refinement step with a float64 residual
+                # (fixed-precision refinement: Skeel, Math. Comp. 35
+                # (1980); Higham ch. 12) restores componentwise stability
+                # and brings the forward error to rounding level.
+                x[..., cols, :] = y + np.linalg.solve(block, rhs - block @ y)
+            except np.linalg.LinAlgError as exc:
+                # slogdet's sign is 0 exactly where LU meets a zero pivot.
+                raise _solve_error(net, np.linalg.slogdet(block)[0] == 0,
+                                   "singular network matrix") from exc
+    failed = ~np.isfinite(x).all(axis=(-2, -1))
+    if failed.any():
+        raise _solve_error(net, failed, "non-finite network solution")
 
     return ScatteringResult(
         ports=list(net.incoming),

@@ -32,10 +32,17 @@ ORACLE_TOL = 1e-10
 # ScatteringResult.condition exceeds it; that condition is nan, so none do.
 ILL_CONDITIONED = 1e10
 EQUALITY_TOL = 1e-12
+# Both estimator routes evaluate the cancelling a1 bracket exactly; over
+# 100 000 seeds at 20 draws they differ by at most 1.47e-15.
+LOOP_TOL = 1e-14
 EXPONENT_TOL = 0.05
 
-# Parameters drawn log-uniformly around the reference design point.
-_DRAWN = ("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C_f", "C_t")
+# Half-widths, in decades, of the log-uniform draws around the reference
+# design point, in stream order: the parameters, then "omega" for each
+# analysis frequency.
+_DECADES = {**dict.fromkeys(("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C_f", "C_t"), 2.0),
+            "T_m": 1.0, "T_a": 1.0, "omega": 1.5}
+_PARAMS = tuple(_DECADES)[:-1]
 # Points per stacked oracle solve: memory stays flat at any draw count.
 _BLOCK = 64
 
@@ -58,20 +65,17 @@ class CheckResult:
                 f"(tolerance {self.tolerance:.3e})")
 
 
-def draw_params(base: InstrumentParams, rng: np.random.Generator,
-                decades: float = 2.0) -> InstrumentParams:
-    """Random parameter set log-uniform within +-decades of the base."""
-    changes = {name: getattr(base, name) * 10.0 ** rng.uniform(-decades, decades)
-               for name in _DRAWN}
-    changes["T_m"] = base.T_m * 10.0 ** rng.uniform(-1.0, 1.0)
-    changes["T_a"] = base.T_a * 10.0 ** rng.uniform(-1.0, 1.0)
-    return base.with_(**changes)
+def draw_params(base: InstrumentParams, rng: np.random.Generator) -> InstrumentParams:
+    """Random parameter set, each field log-uniform within its _DECADES of the base."""
+    return base.with_(**{name: getattr(base, name) * 10.0 ** rng.uniform(-high, high)
+                         for name, high in _DECADES.items() if name != "omega"})
 
 
 def draw_frequencies(base_omega: float, rng: np.random.Generator,
-                     count: int = 10, decades: float = 1.5) -> np.ndarray:
+                     count: int = 10) -> np.ndarray:
     """Random analysis frequencies log-uniform around a reference."""
-    return base_omega * 10.0 ** rng.uniform(-decades, decades, size=count)
+    high = _DECADES["omega"]
+    return base_omega * 10.0 ** rng.uniform(-high, high, size=count)
 
 
 @contextmanager
@@ -90,19 +94,18 @@ def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int)
     count times, and its (draws * count,) frequencies.
     """
     rng = np.random.default_rng(seed)
-    first = rng.uniform(-1.5, 1.5, size=count)
-    names = (*_DRAWN, "T_m", "T_a")
-    high = np.array([2.0] * len(_DRAWN) + [1.0, 1.0] + [1.5] * count)
+    first = rng.uniform(-_DECADES["omega"], _DECADES["omega"], size=count)
+    high = np.array([_DECADES[name] for name in _PARAMS] + [_DECADES["omega"]] * count)
     u = rng.uniform(-high, high, size=(draws - 1, len(high)))
-    base = np.array([getattr(p, name) for name in names])
+    base = np.array([getattr(p, name) for name in _PARAMS])
     # float_power is the C pow of Python's **; numpy's ** rounds some factors differently.
     with np.errstate(over="ignore"):      # an overflowed set fails validation below
-        sets = np.vstack([base, base * np.float_power(10.0, u[:, :len(names)])])
+        sets = np.vstack([base, base * np.float_power(10.0, u[:, :len(_PARAMS)])])
     # Every InstrumentParams rule bounds one field, so the column ends validate all sets.
     for ends in (sets.min(axis=0), sets.max(axis=0)):
-        p.with_(**dict(zip(names, ends.tolist())))
-    grid = p.grid(**{name: np.repeat(sets[:, k], count) for k, name in enumerate(names)})
-    return grid, omega * 10.0 ** np.concatenate([first, u[:, len(names):].ravel()])
+        p.with_(**dict(zip(_PARAMS, ends.tolist())))
+    grid = p.grid(**{name: np.repeat(sets[:, k], count) for k, name in enumerate(_PARAMS)})
+    return grid, omega * 10.0 ** np.concatenate([first, u[:, len(_PARAMS):].ravel()])
 
 
 def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
@@ -205,6 +208,8 @@ def run_checks(p: InstrumentParams, omega: float, *,
     """Run the full verification suite; returns one result per check."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if frequencies < 1:
+        raise ValueError("frequencies must be >= 1")
     if p.kappa_t == 0.0:
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
@@ -216,7 +221,7 @@ def run_checks(p: InstrumentParams, omega: float, *,
         CheckResult("oracle velocity split (vfr, vse, cross)", split, ORACLE_TOL),
         CheckResult("toy-network commutator preservation", toy_commutators(omega), ORACLE_TOL),
         CheckResult("open/closed-loop estimator equality",
-                    loop_estimator_equality(p, omega, draws, seed + 1), EQUALITY_TOL),
+                    loop_estimator_equality(p, omega, draws, seed + 1), LOOP_TOL),
         CheckResult("cold-damped velocity vs sensing error",
                     sensing_identity_sweep(p, omega), ORACLE_TOL),
         CheckResult("finite-gain convergence exponent",

@@ -6,9 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import coldamp.verify as verify
 from coldamp.network import (
     _SENSOR_RELATIONS,
     _SENSOR_UNKNOWNS,
+    _substitution_order,
     LinearNetwork,
     NetworkSolveError,
     build_matched_junction,
@@ -55,7 +57,7 @@ def test_open_line_reflects_everything():
 def test_solver_residual_and_flag(reference_params, reference_omega):
     res = solve(build_sensor_network(reference_params, None, reference_omega))
     # The design point mixes 1e14-ohm and 1e-5 kg/s scales; the raw
-    # matrix is ill-conditioned, yet the refined solve is accurate (the
+    # matrix is ill-conditioned, yet the solve is accurate (the
     # oracle-agreement tests hold it to 1e-10).
     assert res.out_ports == ["m", "l1", "l2"]
     assert res.s_matrix.shape == (3, len(LINE_LABELS))
@@ -76,6 +78,7 @@ def test_singular_network_error_carries_diagnostics():
     assert err.value.omega == 123.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_solution_is_a_solve_error():
     net = LinearNetwork(
         a=np.array([[1.0]], dtype=complex), b=np.array([[math.inf]], dtype=complex),
@@ -92,6 +95,7 @@ def _stack(a, b):
                          conjugated={"p": False}, omega=np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_stacked_solve_errors_name_the_failing_point():
     a = np.array([np.eye(2)] * 3, dtype=complex)
     b = np.ones((3, 2, 1), dtype=complex)
@@ -105,6 +109,67 @@ def test_stacked_solve_errors_name_the_failing_point():
     with pytest.raises(NetworkSolveError, match="non-finite") as err:
         solve(_stack(a, non_finite))
     assert err.value.omega == 3.0 and np.ndim(err.value.omega) == 0
+
+
+def test_substitution_orders_of_the_layouts(reference_params, reference_omega):
+    """Substitutions and the dense block of each network layout.
+
+    Only the closed-loop sensor and the matched junction have a
+    feedback loop; the closed loop's runs through the velocity, the
+    quadrature-2 transducer current, the feedback element and the
+    detection line back to the feedback force.
+    """
+    p, w = reference_params, reference_omega
+    gain = gain_for_effective_impedance(p, 1e4 * p.H_m, w)
+    layouts = {"open": (build_sensor_network(p, None, w), 16, 0),
+               "closed": (build_sensor_network(p, gain, w), 10, 6),
+               "junction": (build_matched_junction(50.0, 800.0, w), 0, 5),
+               "line": (build_open_line(120.0, w), 3, 0)}
+    for name, (net, steps, block) in layouts.items():
+        order = _substitution_order(net.a != 0)
+        assert (len(order.steps), len(order.block_rows), len(order.block_cols)) == \
+            (steps, block, block), name
+        for r, c, others in order.steps:
+            assert set(np.flatnonzero(net.a[r])) == {c, *others}, name
+    order = _substitution_order(layouts["closed"][0].a != 0)
+    assert {_SENSOR_UNKNOWNS[c] for c in order.block_cols} == \
+        {"V", "m_out", "I_t2", "I_f2", "U_r1", "r1_out"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_pivot_names_its_point(reference_params, reference_omega):
+    """A zero xi_m at one point of a sensor stack is a singular matrix there,
+    reported with that point's frequency and no floating-point warning."""
+    ws = reference_omega * np.array([0.5, 1.0, 2.0])
+    net = build_sensor_network(reference_params, None, ws)
+    net.a[1, 0, _SENSOR_UNKNOWNS.index("V")] = 0.0     # xi_m of the equation of motion
+    with pytest.raises(NetworkSolveError, match="singular") as err:
+        solve(net)
+    assert err.value.omega == ws[1]
+
+
+def _lapack_solve(net):
+    """The dense reference: LAPACK on the raw matrix plus one float64 refinement step."""
+    x = np.linalg.solve(net.a, net.b)
+    return x + np.linalg.solve(net.a, net.b - net.a @ x)
+
+
+@pytest.mark.parametrize("seed, draws", [(0, 1000), (173518645, 20), (519218416, 20),
+                                         (1987374907, 20)])
+def test_substitution_solve_agrees_with_lapack(reference_params, reference_omega, seed, draws):
+    """Over gate 3's stream and the hard seeds, the substitution solve and the
+    dense refined LAPACK solve agree within ORACLE_TOL on the normalized
+    transfer rows and on the S rows."""
+    grid, ws = verify._draws(reference_params, reference_omega, seed, draws, 10)
+    for start in range(0, len(ws), verify._BLOCK):
+        rows = slice(start, start + verify._BLOCK)
+        net = build_sensor_network(verify._points(grid, rows), None, ws[rows])
+        res, x = solve(net), _lapack_solve(net)
+        for name, j in net.observables.items():
+            assert max_rel_diff(normalized_row(x[:, j]),
+                                normalized_row(res.transfer_rows[name])) < ORACLE_TOL, name
+        s = x[:, list(net.outgoing.values()), :len(net.incoming)]
+        assert max_rel_diff(s, res.s_matrix) < ORACLE_TOL
 
 
 def test_square_system_enforced():
@@ -181,11 +246,11 @@ def test_passive_row_commutators_catch_a_1e9_error(reference_params, reference_o
 
 
 def test_refinement_step_is_needed(reference_params, reference_omega):
-    """Negative control: a plain LAPACK solve misses ORACLE_TOL at one point.
+    """Negative control: plain LAPACK on the raw matrix misses ORACLE_TOL.
 
     Draw 190, frequency 7 of oracle_agreement's seed-0 stream (the
-    acceptance gate's stream): unrefined, the velocity row is off by
-    5.8e-10; the refined solve is off by 2e-16.
+    acceptance gate's stream): the unrefined LAPACK velocity row is off
+    by 5.8e-10; the substitution solve is off by 2e-16.
     """
     rng = np.random.default_rng(0)
     for i in range(191):
@@ -197,6 +262,25 @@ def test_refinement_step_is_needed(reference_params, reference_omega):
     assert max_rel_diff(lam, normalized_row(plain)) > ORACLE_TOL
     refined = solve(net).transfer_rows["velocity"]
     assert max_rel_diff(lam, normalized_row(refined)) < 1e-14
+
+
+def test_feedback_block_refinement_is_needed(reference_params, reference_omega):
+    """Negative control for the refinement of the closed loop's dense block.
+
+    Draw 36, frequency 6 of the per-draw stream of seed 0, closed at
+    H_me = 1e3 H_m: plain LAPACK misses ORACLE_TOL on the detected row
+    (3.6e-10, and the same with the block alone solved unrefined); the
+    substitution solve with the refined block is off by 3e-16.
+    """
+    rng = np.random.default_rng(0)
+    for i in range(37):
+        q = draw_params(reference_params, rng) if i else reference_params
+        w = draw_frequencies(reference_omega, rng, count=10)[6]
+    net = build_sensor_network(q, gain_for_effective_impedance(q, 1e3 * q.H_m, w), w)
+    mu = estimator_coefficients(q, w)
+    plain = np.linalg.solve(net.a, net.b)[net.observables["detected"]]
+    assert max_rel_diff(mu, normalized_row(plain)) > ORACLE_TOL
+    assert max_rel_diff(mu, normalized_row(solve(net).transfer_rows["detected"])) < 1e-14
 
 
 def test_closed_loop_estimator_row_is_gain_independent(reference_params, reference_omega):

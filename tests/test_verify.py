@@ -103,9 +103,9 @@ def test_run_checks_rejects_zero_coupling(reference_params, reference_omega):
 def test_run_checks_pass_at_hard_seeds(reference_params, reference_omega, seed):
     """The hardest seeds found pass every check at 20 draws.
 
-    The first three are the hardest of 1500 random seeds for the oracle:
-    their worst estimator deviations are 1.7e-12, 6.8e-13 and 4.7e-13,
-    the largest found for the refined solve.  The other six failed the
+    The first three are the hardest of 1500 random seeds for the dense
+    LAPACK solve; with the substitution solve their worst estimator
+    deviations are 1.7e-12, 8.2e-13 and 1.8e-12.  The other six failed the
     open/closed-loop estimator equality before the a1 bracket was
     evaluated exactly (up to 1.39e-11 against EQUALITY_TOL); the last
     three come from the verify-oracle benchmark streams.
@@ -132,29 +132,53 @@ def test_known_equality_flake(reference_params, reference_omega):
                                               seed + 1) < 1e-14
 
 
+def _plain_estimator(p, omega):
+    """The open-loop estimator with the a1 bracket rounded term by term.
+
+    Like both routes below, it evaluates a grid of draws at once, as
+    loop_estimator_equality calls them.
+    """
+    mu = estimator_coefficients(p, omega)
+    lam_a1 = free_mass_coefficients(p, omega)[..., LINE_LABELS.index("a1")]
+    a1 = lam_a1 + (np.sqrt(2.0 * HBAR * p.R_a * p.omega_t) * omega
+                   * mechanical_impedance(p, omega) / (2.0 * p.kappa_t * p.omega_t * p.z_f))
+    mu[..., LINE_LABELS.index("a1")], mu[..., LINE_LABELS.index("b1")] = a1, -a1
+    return mu
+
+
+def _plain_closed_loop(p, omega):
+    """The closed-loop estimator, lambda - Xi_m V_cd, rounded term by term."""
+    return (free_mass_coefficients(p, omega)
+            - mechanical_impedance(p, omega)[..., None] * cold_damped_velocity(p, omega))
+
+
 def test_equality_gate_catches_the_rounded_bracket(reference_params, reference_omega,
                                                    monkeypatch):
-    """Negative control: both routes rounded term by term fail the equality gate.
-
-    The routes evaluate a grid of draws at once, as loop_estimator_equality calls them.
-    """
-
-    def plain_estimator(p, omega):
-        mu = estimator_coefficients(p, omega)
-        lam_a1 = free_mass_coefficients(p, omega)[..., LINE_LABELS.index("a1")]
-        a1 = lam_a1 + (np.sqrt(2.0 * HBAR * p.R_a * p.omega_t) * omega
-                       * mechanical_impedance(p, omega) / (2.0 * p.kappa_t * p.omega_t * p.z_f))
-        mu[..., LINE_LABELS.index("a1")], mu[..., LINE_LABELS.index("b1")] = a1, -a1
-        return mu
-
-    def plain_closed_loop(p, omega):
-        return (free_mass_coefficients(p, omega)
-                - mechanical_impedance(p, omega)[..., None] * cold_damped_velocity(p, omega))
-
-    monkeypatch.setattr(verify, "estimator_mu", plain_estimator)
-    monkeypatch.setattr(verify, "closed_loop_mu", plain_closed_loop)
+    """Negative control: both routes rounded term by term fail the equality gate."""
+    monkeypatch.setattr(verify, "estimator_mu", _plain_estimator)
+    monkeypatch.setattr(verify, "closed_loop_mu", _plain_closed_loop)
     dev = verify.loop_estimator_equality(reference_params, reference_omega, 20, 1996521376 + 1)
     assert dev >= verify.EQUALITY_TOL
+
+
+def test_loop_gate_catches_the_rounded_bracket_below_equality_tol(reference_params,
+                                                                 reference_omega, monkeypatch):
+    """Negative control for LOOP_TOL: at run_checks seed 183 both routes rounded
+    term by term differ by 3.9e-14, which EQUALITY_TOL would pass; with the
+    exact bracket they agree to 5.9e-16."""
+    args = (reference_params, reference_omega, 20, 183 + 1)
+    assert verify.loop_estimator_equality(*args) < verify.LOOP_TOL
+    monkeypatch.setattr(verify, "estimator_mu", _plain_estimator)
+    monkeypatch.setattr(verify, "closed_loop_mu", _plain_closed_loop)
+    assert verify.LOOP_TOL <= verify.loop_estimator_equality(*args) < verify.EQUALITY_TOL
+    (loop,) = [r for r in verify.run_checks(reference_params, reference_omega, draws=20, seed=183)
+               if not r.passed]
+    assert loop.name == "open/closed-loop estimator equality"
+
+
+def test_run_checks_rejects_no_frequencies(reference_params, reference_omega):
+    with pytest.raises(ValueError, match="frequencies must be >= 1"):
+        verify.run_checks(reference_params, reference_omega, draws=1, frequencies=0)
 
 
 def _per_point_oracle(p, omega, draws, frequencies, seed):
