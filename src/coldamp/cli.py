@@ -65,19 +65,23 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
+def _geometric_grid(lo: float, hi: float, n: int, axis: str) -> list[float]:
     if n < 1:
         raise config.ConfigError("points must be >= 1")
-    if lo <= 0.0 or hi <= 0.0:
-        raise config.ConfigError("frequency bounds must be positive")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise config.ConfigError(f"{axis} bounds must be positive and finite, "
+                                 f"got {lo!r} and {hi!r}")
     if n == 1:
         if lo != hi:
             raise config.ConfigError("points=1 requires equal bounds")
         return [lo]
     if lo >= hi:
-        raise config.ConfigError("freq-min must be below freq-max")
+        raise config.ConfigError(f"{axis} lower bound must be below the upper bound")
     step = (hi / lo) ** (1.0 / (n - 1))
-    return [lo * step**k for k in range(n)]
+    try:
+        return [lo * step**k for k in range(n)]
+    except OverflowError:  # step**k rounded past the largest float
+        raise config.ConfigError(f"{axis} grid leaves the float range") from None
 
 
 def cmd_budget(args) -> int:
@@ -88,9 +92,8 @@ def cmd_budget(args) -> int:
     else:
         lo = args.freq_min if args.freq_min is not None else cfg.frequency
         hi = args.freq_max if args.freq_max is not None else cfg.frequency
-        grid = _geometric_grid(lo, hi, args.points)
-        omegas = [2.0 * math.pi * f for f in grid]
-    points = budget.budget_point(cfg.params, omegas)
+        omegas = [2.0 * math.pi * f for f in _geometric_grid(lo, hi, args.points, "frequency")]
+    points = budget.sweep(cfg.params, "frequency", omegas)
     _write(_csv(points, cfg), args.out)
     head = points[min(range(len(omegas)), key=lambda k: abs(omegas[k] - cfg.omega))]
     print(
@@ -105,7 +108,7 @@ def cmd_budget(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     from . import budget
-    grid = _geometric_grid(args.min, args.max, args.points)
+    grid = _geometric_grid(args.min, args.max, args.points, args.axis)
     if args.axis == "frequency":
         points = budget.sweep(cfg.params, "frequency", [2.0 * math.pi * f for f in grid])
     else:

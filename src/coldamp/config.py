@@ -3,7 +3,8 @@
 The format is deliberately simple: named sections in square brackets,
 one `key = value unit` assignment per line, `#` comments.  Units are
 fixed per key and checked verbatim; anything unknown is an error that
-names the key and the line it appeared on.
+names the key and the line it appeared on.  One table, _KEYS, describes
+every key; parsing, loading and dumping all read it.
 """
 
 from __future__ import annotations
@@ -14,36 +15,40 @@ from dataclasses import dataclass
 
 from .params import InstrumentParams
 
-# section -> key -> (unit, required)
-_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
-    "mechanics": {
-        "mass": ("kg", True),
-        "stiffness": ("N/m", True),
-        "damping": ("kg/s", True),
-    },
-    "electronics": {
-        "coupling": ("C/m", True),
-        "carrier_frequency": ("Hz", True),
-        "loss_resistance": ("ohm", True),
-        "detection_resistance": ("ohm", True),
-        "amplifier_resistance": ("ohm", True),
-        "feedback_impedance": ("ohm", False),
-        "feedback_capacitance": ("F", False),
-        "transducer_impedance": ("ohm", False),
-        "transducer_capacitance": ("F", False),
-    },
-    "noise": {
-        "mechanical_temperature": ("K", True),
-        "amplifier_temperature": ("K", True),
-        "loss_temperature": ("K", True),
-        "detection_temperature": ("K", True),
-    },
-    "analysis": {
-        "frequency": ("Hz", True),
-    },
-}
-# Keys whose value must be positive and finite before anything divides by it.
-_POSITIVE = ("carrier_frequency", "frequency", "feedback_impedance", "transducer_impedance")
+# One row per key, in canonical order: key, section, unit, and the
+# InstrumentParams field it sets (None: the analysis frequency, which is
+# RunConfig.omega).  Values in Hz are stored as angular frequencies, rad/s.
+# Each impedance row sets the field of the capacitance row after it;
+# exactly one of the two is given, and dumps writes the capacitance.
+_KEYS = (
+    ("mass", "mechanics", "kg", "M"),
+    ("stiffness", "mechanics", "N/m", "K"),
+    ("damping", "mechanics", "kg/s", "H_m"),
+    ("coupling", "electronics", "C/m", "kappa_t"),
+    ("carrier_frequency", "electronics", "Hz", "omega_t"),
+    ("loss_resistance", "electronics", "ohm", "R_l"),
+    ("detection_resistance", "electronics", "ohm", "R_r"),
+    ("amplifier_resistance", "electronics", "ohm", "R_a"),
+    ("feedback_impedance", "electronics", "ohm", "C_f"),
+    ("feedback_capacitance", "electronics", "F", "C_f"),
+    ("transducer_impedance", "electronics", "ohm", "C_t"),
+    ("transducer_capacitance", "electronics", "F", "C_t"),
+    ("mechanical_temperature", "noise", "K", "T_m"),
+    ("amplifier_temperature", "noise", "K", "T_a"),
+    ("loss_temperature", "noise", "K", "T_l"),
+    ("detection_temperature", "noise", "K", "T_r"),
+    ("frequency", "analysis", "Hz", None),
+)
+# Impedance key -> (the frequency its magnitude is quoted at, scale), with
+# C = 1/(scale omega |Z|): Z_f at the carrier, and Z_t at the analysis
+# frequency, where the detuned element looks like 1/(2 Omega C).
+_IMPEDANCES = {"feedback_impedance": ("carrier_frequency", 1.0),
+               "transducer_impedance": ("frequency", 2.0)}
+_UNITS: dict[str, dict[str, str]] = {}      # section -> key -> unit
+_FIELDS: dict[str | None, list[str]] = {}   # field -> the keys that set it
+for _key, _section, _unit, _field in _KEYS:
+    _UNITS.setdefault(_section, {})[_key] = _unit
+    _FIELDS.setdefault(_field, []).append(_key)
 
 
 class ConfigError(ValueError):
@@ -64,8 +69,9 @@ class RunConfig:
         return self.omega / (2.0 * math.pi)
 
 
-def _parse_text(text: str) -> dict[tuple[str, str], float]:
-    values: dict[tuple[str, str], float] = {}
+def _parse_text(text: str) -> dict[str, float]:
+    """key -> value in stored units (frequencies in rad/s), every key checked."""
+    values: dict[str, float] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -73,7 +79,7 @@ def _parse_text(text: str) -> dict[tuple[str, str], float]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _UNITS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if section is None:
@@ -82,7 +88,8 @@ def _parse_text(text: str) -> dict[tuple[str, str], float]:
             raise ConfigError(f"line {lineno}: expected 'key = value unit'")
         key, _, rest = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA[section]:
+        expected_unit = _UNITS[section].get(key)
+        if expected_unit is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         parts = rest.split()
         if len(parts) != 2:
@@ -90,7 +97,6 @@ def _parse_text(text: str) -> dict[tuple[str, str], float]:
                 f"line {lineno}: key {key!r} needs exactly 'value unit', got {rest.strip()!r}"
             )
         value_text, unit = parts
-        expected_unit = _SCHEMA[section][key][0]
         if unit != expected_unit:
             raise ConfigError(
                 f"line {lineno}: key {key!r} expects unit {expected_unit!r}, got {unit!r}"
@@ -99,31 +105,20 @@ def _parse_text(text: str) -> dict[tuple[str, str], float]:
             value = float(value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: bad number {value_text!r}") from exc
-        if key in _POSITIVE and not 0.0 < value < math.inf:
+        if unit == "Hz":
+            value *= 2.0 * math.pi
+        # Frequencies and impedances are divided by, so they must be positive and finite.
+        if (unit == "Hz" or key in _IMPEDANCES) and not 0.0 < value < math.inf:
             raise ConfigError(f"line {lineno}: key {key!r} must be positive and finite, "
                               f"got {value_text!r}")
-        if (section, key) in values:
+        if key in values:
             raise ConfigError(f"line {lineno}: key {key!r} assigned twice")
-        values[(section, key)] = value
+        values[key] = value
 
-    for sec, keys in _SCHEMA.items():
-        for key, (_, required) in keys.items():
-            if required and (sec, key) not in values:
-                raise ConfigError(f"missing required key {key!r} in section [{sec}]")
+    for key, section, _, field in _KEYS:
+        if key not in values and len(_FIELDS[field]) == 1:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
     return values
-
-
-def _capacitance(values, carrier_omega, impedance_key, capacitance_key, scale):
-    """Resolve an element given as either |Z| at a reference or directly as C."""
-    z = values.get(("electronics", impedance_key))
-    c = values.get(("electronics", capacitance_key))
-    if (z is None) == (c is None):
-        raise ConfigError(
-            f"exactly one of {impedance_key!r} and {capacitance_key!r} must be given"
-        )
-    if c is not None:
-        return c
-    return 1.0 / (scale * carrier_omega * z)
 
 
 def loads(text: str, path: str | None = None) -> RunConfig:
@@ -134,28 +129,20 @@ def loads(text: str, path: str | None = None) -> RunConfig:
     """
     try:
         values = _parse_text(text)
-        omega_t = 2.0 * math.pi * values[("electronics", "carrier_frequency")]
-        omega = 2.0 * math.pi * values[("analysis", "frequency")]
-        c_f = _capacitance(values, omega_t, "feedback_impedance", "feedback_capacitance", 1.0)
-        # The transducer impedance magnitude is quoted at the analysis
-        # frequency, where the detuned element looks like 1/(2 Omega C).
-        c_t = _capacitance(values, omega, "transducer_impedance", "transducer_capacitance", 2.0)
-        params = InstrumentParams(
-            M=values[("mechanics", "mass")],
-            K=values[("mechanics", "stiffness")],
-            H_m=values[("mechanics", "damping")],
-            kappa_t=values[("electronics", "coupling")],
-            omega_t=omega_t,
-            R_l=values[("electronics", "loss_resistance")],
-            R_r=values[("electronics", "detection_resistance")],
-            R_a=values[("electronics", "amplifier_resistance")],
-            C_f=c_f,
-            C_t=c_t,
-            T_m=values[("noise", "mechanical_temperature")],
-            T_a=values[("noise", "amplifier_temperature")],
-            T_l=values[("noise", "loss_temperature")],
-            T_r=values[("noise", "detection_temperature")],
-        )
+        fields = {}
+        for field, keys in _FIELDS.items():
+            given = [key for key in keys if key in values]
+            if len(given) != 1:
+                raise ConfigError(f"exactly one of {' and '.join(map(repr, keys))} must be given")
+            key, = given
+            fields[field] = values[key]
+            if key in _IMPEDANCES:
+                quoted_at, scale = _IMPEDANCES[key]
+                denominator = scale * values[quoted_at] * values[key]
+                # An impedance small enough to underflow here means an infinite C.
+                fields[field] = 1.0 / denominator if denominator else math.inf
+        omega = fields.pop(None)
+        params = InstrumentParams(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path or '<string>'}: {exc}") from exc
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -172,32 +159,16 @@ def dumps(cfg: RunConfig) -> str:
     """Canonical text form of a configuration (capacitances spelled out).
 
     Round trip: loads(dumps(cfg)) reproduces the same parameters to full
-    float precision, though the digest tracks the new text.
+    float precision, though the digest tracks the new text.  Each angular
+    frequency must be 2 pi times a float in Hz, as loads makes it; not
+    every float in rad/s has a Hz value that maps back to it.
     """
-    p = cfg.params
-    lines = [
-        "[mechanics]",
-        f"mass = {p.M!r} kg",
-        f"stiffness = {p.K!r} N/m",
-        f"damping = {p.H_m!r} kg/s",
-        "",
-        "[electronics]",
-        f"coupling = {p.kappa_t!r} C/m",
-        f"carrier_frequency = {p.omega_t / (2.0 * math.pi)!r} Hz",
-        f"loss_resistance = {p.R_l!r} ohm",
-        f"detection_resistance = {p.R_r!r} ohm",
-        f"amplifier_resistance = {p.R_a!r} ohm",
-        f"feedback_capacitance = {p.C_f!r} F",
-        f"transducer_capacitance = {p.C_t!r} F",
-        "",
-        "[noise]",
-        f"mechanical_temperature = {p.T_m!r} K",
-        f"amplifier_temperature = {p.T_a!r} K",
-        f"loss_temperature = {p.T_l!r} K",
-        f"detection_temperature = {p.T_r!r} K",
-        "",
-        "[analysis]",
-        f"frequency = {cfg.omega / (2.0 * math.pi)!r} Hz",
-        "",
-    ]
-    return "\n".join(lines)
+    sections: dict[str, list[str]] = {}
+    for key, section, unit, field in _KEYS:
+        if key in _IMPEDANCES:
+            continue
+        value = cfg.omega if field is None else getattr(cfg.params, field)
+        if unit == "Hz":
+            value /= 2.0 * math.pi
+        sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {value!r} {unit}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .noise import LINE_LABELS, SLOT, effective_temperature
+from .noise import LINE_LABELS, SLOT, check_frequency, effective_temperature
 from .params import InstrumentParams
 
 
@@ -38,10 +38,11 @@ def _abs2(re, im):
 
 
 def _frequencies(omega):
-    """omega as a float array (a numpy float for a float), checked nonzero."""
+    """omega as a float array (a numpy float for a float), checked by check_frequency."""
     w = np.asarray(omega, dtype=float)
-    if not w.all():
-        raise ValueError("frequency must be nonzero")
+    if not (w.all() and np.isfinite(w).all()):
+        for value in w.flat:
+            check_frequency(float(value))   # raises at the first bad point
     return w[()]
 
 

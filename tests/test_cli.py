@@ -230,6 +230,30 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["budget", "--freq-max", "inf", "--points", "5"],
+     "frequency bounds must be positive and finite, got 0.0005 and inf"),
+    (["budget", "--freq-min", "nan", "--freq-max", "1e-3", "--points", "5"],
+     "frequency bounds must be positive and finite, got nan and 0.001"),
+    (["sweep", "--min", "1e-4", "--max", "inf"],
+     "frequency bounds must be positive and finite, got 0.0001 and inf"),
+    (["sweep", "--axis", "R_a", "--min", "-1", "--max", "1e6"],
+     "R_a bounds must be positive and finite, got -1.0 and 1000000.0"),
+    (["sweep", "--axis", "R_a", "--min", "1e6", "--max", "1e4"],
+     "R_a lower bound must be below the upper bound"),
+    (["budget", "--freq-min", "1e-2", "--freq-max", "1e-4", "--points", "5"],
+     "frequency lower bound must be below the upper bound"),
+    (["sweep", "--axis", "R_a", "--min", "1", "--max", "1.7976931348623157e308", "--points", "5"],
+     "R_a grid leaves the float range"),
+], ids=["budget-inf", "budget-nan", "sweep-inf", "sweep-negative-axis", "sweep-decreasing",
+        "budget-decreasing", "sweep-overflow"])
+def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
 def test_help_flag(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -226,3 +226,30 @@ def test_cancelling_product_sum_equals_the_fraction_sum():
     reference = [float(sum(math.prod(Fraction(f[j]) for f in factors) for factors in columns))
                  for j in range(len(at))]
     assert exact[at].tolist() == reference
+
+
+def _network(p, omega):
+    from coldamp.network import build_sensor_network
+    return build_sensor_network(p, None, omega)
+
+
+def _cold_damped(p, omega):
+    from coldamp.servo import cold_damped_velocity
+    return cold_damped_velocity(p, omega)
+
+
+@pytest.mark.parametrize("entry, omega, message", [
+    (estimator_coefficients, math.inf, "frequency must be finite, got inf"),
+    (free_mass_coefficients, math.nan, "frequency must be finite, got nan"),
+    (_cold_damped, math.inf, "frequency must be finite, got inf"),
+    (_network, math.inf, "frequency must be finite, got inf"),
+    (sensor_noise_spectrum, -math.inf, "frequency must be finite, got -inf"),
+    (budget_point, [1e-3, math.nan, 0.0], "frequency must be finite, got nan"),
+    (estimator_coefficients, [1e-3, 0.0, math.inf], "frequency must be nonzero"),
+], ids=["estimator-inf", "free-mass-nan", "cold-damped-inf", "network-inf", "spectrum-minus-inf",
+        "grid-first-bad-point-nan", "grid-first-bad-point-zero"])
+def test_closed_forms_reject_non_finite_frequencies(entry, omega, message, reference_params):
+    """The check_frequency rule over arrays: the first bad point names the error."""
+    with pytest.raises(ValueError) as err:
+        entry(reference_params, omega)
+    assert str(err.value) == message
