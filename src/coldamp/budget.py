@@ -21,7 +21,6 @@ import numpy as np
 
 from .matching import (MatchingError, MatchingResult, numerical_matching, optimal_matching,
                        simplified_budget)
-from .noise import check_frequency
 from .params import InstrumentParams
 from .sensor import (SpectrumBreakdown, _abs2, _columns, _frequencies, mechanical_impedance,
                      sensor_noise_spectrum)
@@ -64,7 +63,7 @@ def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
     """Full noise budget at mechanical frequency omega (rad/s).
 
     omega is a float or an (N,) array, and p may hold (N,) parameter
-    columns (InstrumentParams.grid): a whole grid in one call.  One
+    columns (p.with_(R_a=array)): a whole grid in one call.  One
     warning covers every point whose carrier-to-signal ratio is not
     above SIDEBAND_RATIO_FLOOR.
     """
@@ -85,11 +84,11 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     """Budget over a grid along one axis, as one budget_point call.
 
     axis is "frequency" (grid in rad/s) or the name of a parameter field
-    such as "R_a" (then omega fixes the analysis frequency).  The grid
-    must be nonempty and strictly increasing; the (N,) columns follow
-    it.  Each InstrumentParams rule is an interval, so checking the ends
-    checks every point (inside a frequency grid only a zero can fail).
-    An error names the first failing point.
+    such as "R_a" (then omega fixes the analysis frequency, and the grid
+    is the field's (N,) column, validated point by point by
+    InstrumentParams).  The grid must be nonempty and strictly
+    increasing; the (N,) columns follow it.  An error names the first
+    point that fails on its own, unless every point fails.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -97,22 +96,31 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     if not all(b > a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
     if axis == "frequency":
-        check, q, w = check_frequency, p, np.array(values)
-        ends = [values[0], *(v for v in values if v == 0.0), values[-1]]
+        def at(value):
+            return budget_point(p, value)
     elif axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'frequency' or one of "
                          f"{', '.join(_SWEEP_AXES)}")
     elif omega is None:
         raise ValueError("parameter sweeps need an analysis frequency")
     else:
-        check, q, w = (lambda v: p.with_(**{axis: v})), p.grid(**{axis: np.array(values)}), omega
-        ends = [values[0], values[-1]]
-    for value in ends:
-        try:
-            check(value)
-        except ValueError as exc:
-            raise ValueError(f"sweep failed at {axis} = {value!r}: {exc}") from exc
+        def at(value):
+            return budget_point(p.with_(**{axis: value}), omega)
     try:
-        return budget_point(q, w)
-    except ValueError as exc:  # past the checks: fails at every point, or first (kappa_t = 0)
-        raise ValueError(f"sweep failed at {axis} = {values[0]!r}: {exc}") from exc
+        return at(np.array(values))
+    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            first = next((v for v in values if _fails(at, v)), None)
+            every = first == values[0] and all(_fails(at, v) for v in values[1:])
+        if first is None or every:
+            raise    # no one point's failure: the grid's own error says why
+        raise ValueError(f"sweep failed at {axis} = {first!r}: {exc}") from exc
+
+
+def _fails(at, value: float) -> bool:
+    try:
+        at(value)
+    except ValueError:
+        return True
+    return False

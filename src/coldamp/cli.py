@@ -66,22 +66,25 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _geometric_grid(lo: float, hi: float, n: int, axis: str) -> list[float]:
+    """n geometric points from lo to hi; a frequency axis is read in Hz and given in rad/s."""
     if n < 1:
         raise config.ConfigError("points must be >= 1")
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise config.ConfigError(f"{axis} bounds must be positive and finite, "
                                  f"got {lo!r} and {hi!r}")
-    if n == 1:
-        if lo != hi:
-            raise config.ConfigError("points=1 requires equal bounds")
-        return [lo]
-    if lo >= hi:
+    if n == 1 and lo != hi:
+        raise config.ConfigError("points=1 requires equal bounds")
+    if n > 1 and lo >= hi:
         raise config.ConfigError(f"{axis} lower bound must be below the upper bound")
-    step = (hi / lo) ** (1.0 / (n - 1))
+    scale = 2.0 * math.pi if axis == "frequency" else 1.0
+    step = (hi / lo) ** (1.0 / max(n - 1, 1))
     try:
-        return [lo * step**k for k in range(n)]
+        grid = [scale * (lo * step**k) for k in range(n)]
     except OverflowError:  # step**k rounded past the largest float
-        raise config.ConfigError(f"{axis} grid leaves the float range") from None
+        grid = [math.inf]
+    if grid[-1] == math.inf:
+        raise config.ConfigError(f"{axis} grid leaves the float range")
+    return grid
 
 
 def cmd_budget(args) -> int:
@@ -92,7 +95,7 @@ def cmd_budget(args) -> int:
     else:
         lo = args.freq_min if args.freq_min is not None else cfg.frequency
         hi = args.freq_max if args.freq_max is not None else cfg.frequency
-        omegas = [2.0 * math.pi * f for f in _geometric_grid(lo, hi, args.points, "frequency")]
+        omegas = _geometric_grid(lo, hi, args.points, "frequency")
     points = budget.sweep(cfg.params, "frequency", omegas)
     _write(_csv(points, cfg), args.out)
     head = points[min(range(len(omegas)), key=lambda k: abs(omegas[k] - cfg.omega))]
@@ -109,10 +112,7 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     from . import budget
     grid = _geometric_grid(args.min, args.max, args.points, args.axis)
-    if args.axis == "frequency":
-        points = budget.sweep(cfg.params, "frequency", [2.0 * math.pi * f for f in grid])
-    else:
-        points = budget.sweep(cfg.params, args.axis, grid, omega=cfg.omega)
+    points = budget.sweep(cfg.params, args.axis, grid, omega=cfg.omega)
     _write(_csv(points, cfg), args.out)
     print(f"coldamp sweep ({cfg.digest}): {len(points)} points over {args.axis}",
           file=sys.stderr)

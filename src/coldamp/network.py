@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import NetworkSolveError
-from .noise import LINE_LABELS
+from .noise import LINE_LABELS, check_frequency
 from .params import InstrumentParams
 from .sensor import _frequencies
 
@@ -300,9 +300,9 @@ def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
     gain is the servo loop gain G_s (None for the open-loop sensor).
     One node per electrical quadrature carries the transducer port, the
     loss line and the amplifier input; the charge amplifier's reactive
-    feedback couples the quadratures.  A parameter grid
-    (InstrumentParams.grid) and (N,) arrays of gains or frequencies give
-    a stack of N systems with one leading axis.
+    feedback couples the quadratures.  A parameter grid (fields holding
+    (N,) columns) and (N,) arrays of gains or frequencies give a stack of
+    N systems with one leading axis.
     """
     w = _frequencies(omega)
     values = _sensor_values(p, gain, w)
@@ -358,8 +358,7 @@ def normalized_row(row: np.ndarray) -> np.ndarray:
 
 def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwork:
     """Two lines joined at a node; matched impedances swap the ports."""
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
+    check_frequency(omega)
     c_1 = math.sqrt(2.0 * HBAR * abs(omega) * r_1)
     c_2 = math.sqrt(2.0 * HBAR * abs(omega) * r_2)
     # Unknowns U, I_1, I_2, p1_out, p2_out; incoming p1, p2.
@@ -373,8 +372,7 @@ def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwor
 
 def build_open_line(r: float, omega: float) -> LinearNetwork:
     """A line terminated by an open circuit: total reflection."""
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
+    check_frequency(omega)
     c = math.sqrt(2.0 * HBAR * abs(omega) * r)
     # Unknowns U, I, p_out; incoming p.
     a = np.array([[1.0, -r, 0.0], [0.0, 1.0, 0.0], [-2.0 / c, 0.0, 1.0]], dtype=complex)

@@ -13,9 +13,22 @@ every stored impedance.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+
+from .noise import check_frequency
+
+# Every field must be finite; these may be zero, the others must be strictly positive.
+_MAY_BE_ZERO = frozenset({"K", "kappa_t", "T_m", "T_a", "T_l", "T_r"})
+
+
+def _broken_rule(name: str, value) -> str | None:
+    """The error for value in field name, or None when the value is legal."""
+    if not math.isfinite(value):
+        return f"{name} must be finite, got {value}"
+    if name in _MAY_BE_ZERO:
+        return None if value >= 0.0 else f"{name} must be >= 0, got {value}"
+    return None if value > 0.0 else f"{name} must be strictly positive, got {value}"
 
 
 @dataclass(frozen=True)
@@ -23,7 +36,9 @@ class InstrumentParams:
     """Full parameter set of the accelerometer model.
 
     Each field is a float, or an (N,) array for N parameter sets at once
-    (see grid).
+    (with_(R_a=array)).  Construction checks every point: each field is
+    finite, and strictly positive except K, kappa_t and the temperatures,
+    which may be zero.  An error names the first failing value.
     """
 
     M: float         # proof mass, kg
@@ -42,22 +57,17 @@ class InstrumentParams:
     T_r: float       # detection-line temperature, K
 
     def __post_init__(self):
-        positive = {
-            "M": self.M, "H_m": self.H_m,
-            "omega_t": self.omega_t, "R_l": self.R_l, "R_r": self.R_r,
-            "R_a": self.R_a, "C_f": self.C_f, "C_t": self.C_t,
-        }
-        for name, value in positive.items():
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
-        if self.kappa_t < 0.0 or not math.isfinite(self.kappa_t):
-            raise ValueError(f"kappa_t must be >= 0, got {self.kappa_t}")
-        if self.K < 0.0 or not math.isfinite(self.K):
-            raise ValueError(f"K must be >= 0, got {self.K}")
-        for name in ("T_m", "T_a", "T_l", "T_r"):
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if value < 0.0 or not math.isfinite(value):
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not getattr(value, "ndim", 0):
+                error = _broken_rule(name, value)
+            elif _broken_rule(name, value.min()) or _broken_rule(name, value.max()):
+                # an (N,) column breaks a rule at its extremes if at any point
+                error = next(filter(None, (_broken_rule(name, v) for v in value.tolist())))
+            else:
+                continue
+            if error:
+                raise ValueError(error)
 
     @property
     def z_f(self) -> complex:
@@ -82,22 +92,9 @@ class InstrumentParams:
 
     def delta(self, omega: float) -> float:
         """Reactive-to-dissipative impedance ratio (K/Omega - M Omega)/H_m."""
-        if omega == 0.0:
-            raise ValueError("delta is undefined at zero frequency")
+        check_frequency(omega)
         return (self.K / omega - self.M * omega) / self.H_m
 
     def with_(self, **changes) -> "InstrumentParams":
-        """A copy with the given fields replaced (validation re-runs)."""
+        """A copy with the given fields replaced, floats or (N,) arrays; validation re-runs."""
         return replace(self, **changes)
-
-    def grid(self, **columns) -> "InstrumentParams":
-        """A copy whose named fields hold (N,) arrays, not validated here.
-
-        The closed forms evaluate each array elementwise.  Validate the
-        values first: with_ on each set, or on the two ends of a sorted axis.
-        """
-        if not columns.keys() <= {f.name for f in fields(self)}:
-            raise ValueError(f"unknown parameters {sorted(columns)}")
-        stacked = copy.copy(self)
-        stacked.__dict__.update(columns)
-        return stacked

@@ -12,8 +12,9 @@ spectrum evaluated at the signal frequency Omega and the electrical
 quadrature spectra at the carrier omega_t.
 
 Each closed form evaluates a whole grid (an (N,) omega, or parameters
-from InstrumentParams.grid) in one call, in real arithmetic with Python's
-pow for squares, so a grid point equals the single point bit for bit.
+whose fields hold (N,) columns, as p.with_(R_a=array) gives) in one call,
+in real arithmetic with Python's pow for squares, so a grid point equals
+the single point bit for bit.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .constants import HBAR
-from .noise import SLOT
+from .noise import SLOT, check_frequency
 from .params import InstrumentParams
 from .sensor import (_frequencies, cancelling_product_sum, coefficients,
                      estimator_coefficients, free_mass_coefficients, max_rel_diff,
@@ -30,8 +30,7 @@ def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: flo
     This inverts that relation; the usual cold-damping preset is a purely
     real (dissipative) xi_me.
     """
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
+    check_frequency(omega)
     return -xi_me * omega * math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) / (2.0 * p.kappa_t * p.z_f)
 
 

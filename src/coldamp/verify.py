@@ -65,19 +65,6 @@ class CheckResult:
                 f"(tolerance {self.tolerance:.3e})")
 
 
-def draw_params(base: InstrumentParams, rng: np.random.Generator) -> InstrumentParams:
-    """Random parameter set, each field log-uniform within its _DECADES of the base."""
-    return base.with_(**{name: getattr(base, name) * 10.0 ** rng.uniform(-high, high)
-                         for name, high in _DECADES.items() if name != "omega"})
-
-
-def draw_frequencies(base_omega: float, rng: np.random.Generator,
-                     count: int = 10) -> np.ndarray:
-    """Random analysis frequencies log-uniform around a reference."""
-    high = _DECADES["omega"]
-    return base_omega * 10.0 ** rng.uniform(-high, high, size=count)
-
-
 @contextmanager
 def _quiet():
     """Suppress precondition warnings raised by deliberately extreme draws."""
@@ -89,9 +76,11 @@ def _quiet():
 def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int):
     """Draw parameter sets (the first is p) with count frequencies each.
 
-    The stream of draw_params and draw_frequencies called per draw,
-    drawn as one array.  Returns one grid of the sets, each repeated
-    count times, and its (draws * count,) frequencies.
+    Each draw scales every field of _PARAMS by 10 ** uniform(-d, d), d
+    its _DECADES, and then draws count frequencies the same way around
+    omega, all from one array of the seed's stream.  Returns one grid
+    of the sets, each repeated count times, and its (draws * count,)
+    frequencies.
     """
     rng = np.random.default_rng(seed)
     first = rng.uniform(-_DECADES["omega"], _DECADES["omega"], size=count)
@@ -99,19 +88,16 @@ def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int)
     u = rng.uniform(-high, high, size=(draws - 1, len(high)))
     base = np.array([getattr(p, name) for name in _PARAMS])
     # float_power is the C pow of Python's **; numpy's ** rounds some factors differently.
-    with np.errstate(over="ignore"):      # an overflowed set fails validation below
+    with np.errstate(over="ignore"):      # an overflowed set fails with_'s validation
         sets = np.vstack([base, base * np.float_power(10.0, u[:, :len(_PARAMS)])])
-    # Every InstrumentParams rule bounds one field, so the column ends validate all sets.
-    for ends in (sets.min(axis=0), sets.max(axis=0)):
-        p.with_(**dict(zip(_PARAMS, ends.tolist())))
-    grid = p.grid(**{name: np.repeat(sets[:, k], count) for k, name in enumerate(_PARAMS)})
+    grid = p.with_(**{name: np.repeat(sets[:, k], count) for k, name in enumerate(_PARAMS)})
     return grid, omega * 10.0 ** np.concatenate([first, u[:, len(_PARAMS):].ravel()])
 
 
 def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
     """The grid's points at rows."""
-    return grid.grid(**{f.name: v[rows] for f in fields(grid)
-                        if np.ndim(v := getattr(grid, f.name))})
+    return grid.with_(**{f.name: v[rows] for f in fields(grid)
+                         if np.ndim(v := getattr(grid, f.name))})
 
 
 def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from coldamp.budget import (
 from coldamp.noise import effective_temperature
 from coldamp.sensor import cancelling_product_sum, estimator_coefficients, free_mass_coefficients
 from coldamp.servo import cold_damped_estimator
-from coldamp.verify import draw_frequencies, draw_params
+from draws import draw_frequencies, draw_params
 
 
 def test_headline_force_noise(reference_params, reference_omega):
@@ -292,6 +292,22 @@ def test_sweep_names_the_first_invalid_point(reference_params, reference_omega):
         sweep(reference_params, "kappa_t", [0.0, 1e-7], omega=reference_omega)
     with pytest.raises(ValueError, match="increasing"):
         sweep(reference_params, "R_a", [1e4, math.nan, 1e6], omega=reference_omega)
+    # A failure at every point names none.
+    with pytest.raises(ValueError) as err:
+        sweep(reference_params.with_(kappa_t=0.0), "R_a", [1e4, 1e5], omega=reference_omega)
+    assert str(err.value) == "the force estimator is undefined without electromechanical coupling"
+
+
+@pytest.mark.parametrize("name, column, message", [
+    ("M", [-1.0, 0.27], "M must be strictly positive, got -1.0"),
+    ("K", [-1e3, 0.0], "K must be >= 0, got -1000.0"),
+])
+def test_a_grid_with_an_illegal_point_raises(reference_params, reference_omega,
+                                             name, column, message):
+    """Such grids gave budgets (1.08e-25 and 4.35e-18) when grids went unvalidated."""
+    with pytest.raises(ValueError) as err:
+        budget_point(reference_params.with_(**{name: np.array(column)}), reference_omega)
+    assert str(err.value) == message
 
 
 def test_sideband_warning_once_per_grid(reference_params):

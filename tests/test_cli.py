@@ -128,6 +128,21 @@ def test_zero_coupling_is_a_config_error(command, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["budget"],
+    ["sweep", "--min", "1e-4", "--max", "1e-2"],
+    ["sweep", "--axis", "R_a", "--min", "1e4", "--max", "1e6"],
+], ids=["budget", "sweep", "sweep-axis"])
+def test_zero_coupling_budget_is_one_pinned_line(argv, tmp_path, capsys):
+    """The failure holds at every point, so no point (and no rad/s value) is named."""
+    path = _shipped_with(tmp_path, "coupling = 1.0e-7 C/m", "coupling = 0 C/m")
+    code, out, err = run([*argv, "--config", path], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == ("configuration error: the force estimator is undefined without "
+                   "electromechanical coupling\n")
+
+
 def test_optimize_heavy_mass(tmp_path, capsys):
     """At 1e10 times the shipped mass the optimum ratio is ~1.6e3."""
     path = _shipped_with(tmp_path, "mass = 0.27 kg", "mass = 2.7e9 kg")
@@ -245,8 +260,10 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
      "frequency lower bound must be below the upper bound"),
     (["sweep", "--axis", "R_a", "--min", "1", "--max", "1.7976931348623157e308", "--points", "5"],
      "R_a grid leaves the float range"),
+    (["budget", "--freq-min", "1", "--freq-max", "1e308", "--points", "2"],
+     "frequency grid leaves the float range"),
 ], ids=["budget-inf", "budget-nan", "sweep-inf", "sweep-negative-axis", "sweep-decreasing",
-        "budget-decreasing", "sweep-overflow"])
+        "budget-decreasing", "sweep-overflow", "budget-angular-overflow"])
 def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_CONFIG

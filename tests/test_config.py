@@ -231,7 +231,7 @@ def _edit(old, new):
      "run.cfg: line 3: key 'mass' expects unit 'kg', got 'g'"),
     # Found by the one-line edit property: a ZeroDivisionError before.
     (_edit("transducer_impedance = 1.0e14 ohm", "transducer_impedance = 5e-324 ohm"), None,
-     "<string>: C_t must be strictly positive, got inf"),
+     "<string>: C_t must be finite, got inf"),
     # 2 pi f overflows: loads returned omega = inf before, which dumps could not write back.
     (_edit("transducer_impedance = 1.0e14 ohm", "transducer_capacitance = 1e-10 F")
      .replace("frequency = 5.0e-4 Hz", "frequency = 1e308 Hz"), None,

@@ -23,7 +23,8 @@ from coldamp.network import (
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import estimator_coefficients, free_mass_coefficients, max_rel_diff
 from coldamp.servo import gain_for_effective_impedance
-from coldamp.verify import ORACLE_TOL, draw_params, draw_frequencies
+from coldamp.verify import ORACLE_TOL
+from draws import draw_frequencies, draw_params
 
 OMEGA = 2.0 * math.pi * 1e5
 
@@ -320,8 +321,8 @@ def test_grid_network_equals_stacked_per_set_builds(reference_params, reference_
     rng = np.random.default_rng(11)
     sets = [draw_params(reference_params, rng) for _ in range(6)]
     ws = draw_frequencies(reference_omega, rng, count=len(sets))
-    grid = reference_params.grid(**{f.name: np.array([getattr(q, f.name) for q in sets])
-                                    for f in fields(reference_params)})
+    grid = reference_params.with_(**{f.name: np.array([getattr(q, f.name) for q in sets])
+                                      for f in fields(reference_params)})
     gains = np.array([gain_for_effective_impedance(q, 1e4 * q.H_m, w) for q, w in zip(sets, ws)])
     for gain in (None, gains):
         net = build_sensor_network(grid, gain, ws)

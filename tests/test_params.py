@@ -1,10 +1,17 @@
 """Instrument parameter container: validation and derived impedances."""
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldamp.params import InstrumentParams
+
+FIELDS = [f.name for f in fields(InstrumentParams)]
+MAY_BE_ZERO = {"K", "kappa_t", "T_m", "T_a", "T_l", "T_r"}
 
 
 def test_positivity_validation(reference_params):
@@ -20,6 +27,44 @@ def test_positivity_validation(reference_params):
         reference_params.with_(kappa_t=-1e-7)
     # Zero coupling is a legal (decoupled) configuration.
     assert reference_params.with_(kappa_t=0.0).kappa_t == 0.0
+
+
+def _rule_error(name, bad):
+    if not math.isfinite(bad):
+        return f"{name} must be finite, got {bad}"
+    if name in MAY_BE_ZERO:
+        return f"{name} must be >= 0, got {bad}"
+    return f"{name} must be strictly positive, got {bad}"
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in FIELDS for bad in (0.0, -1.0, math.nan, math.inf, -math.inf)
+    if not (bad == 0.0 and name in MAY_BE_ZERO)])
+def test_a_column_fails_as_its_first_bad_point(reference_params, name, bad):
+    """A float and an (N,) column with the same bad value inside give one message."""
+    good = getattr(reference_params, name)
+    with pytest.raises(ValueError) as point:
+        reference_params.with_(**{name: bad})
+    with pytest.raises(ValueError) as column:
+        reference_params.with_(**{name: np.array([good, bad, good, -2.0])})
+    assert str(point.value) == str(column.value) == _rule_error(name, bad)
+
+
+def _error(p, name, value):
+    try:
+        p.with_(**{name: value})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(FIELDS),
+       column=st.lists(st.one_of(st.floats(), st.floats(min_value=0.0, max_value=1e300)),
+                       min_size=1, max_size=6))
+def test_with_takes_a_column_exactly_when_it_takes_each_point(reference_params, name, column):
+    points = [_error(reference_params, name, v) for v in column]
+    assert _error(reference_params, name, np.array(column)) == next(filter(None, points), None)
 
 
 def test_magnitude_conversions(reference_params, reference_omega):

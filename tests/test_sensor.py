@@ -19,7 +19,7 @@ from coldamp.sensor import (
     mechanical_impedance,
     sensor_noise_spectrum,
 )
-from coldamp.verify import draw_params, draw_frequencies
+from draws import draw_frequencies, draw_params
 
 at = LINE_LABELS.index
 
@@ -238,6 +238,25 @@ def _cold_damped(p, omega):
     return cold_damped_velocity(p, omega)
 
 
+def _delta(p, omega):
+    return p.delta(omega)
+
+
+def _gain(p, omega):
+    from coldamp.servo import gain_for_effective_impedance
+    return gain_for_effective_impedance(p, 1.0, omega)
+
+
+def _open_line(p, omega):
+    from coldamp.network import build_open_line
+    return build_open_line(120.0, omega)
+
+
+def _junction(p, omega):
+    from coldamp.network import build_matched_junction
+    return build_matched_junction(50.0, 50.0, omega)
+
+
 @pytest.mark.parametrize("entry, omega, message", [
     (estimator_coefficients, math.inf, "frequency must be finite, got inf"),
     (free_mass_coefficients, math.nan, "frequency must be finite, got nan"),
@@ -246,8 +265,14 @@ def _cold_damped(p, omega):
     (sensor_noise_spectrum, -math.inf, "frequency must be finite, got -inf"),
     (budget_point, [1e-3, math.nan, 0.0], "frequency must be finite, got nan"),
     (estimator_coefficients, [1e-3, 0.0, math.inf], "frequency must be nonzero"),
+    (_delta, math.inf, "frequency must be finite, got inf"),
+    (_gain, math.inf, "frequency must be finite, got inf"),
+    (_open_line, math.nan, "frequency must be finite, got nan"),
+    (_junction, -math.inf, "frequency must be finite, got -inf"),
+    (_delta, 0.0, "frequency must be nonzero"),
 ], ids=["estimator-inf", "free-mass-nan", "cold-damped-inf", "network-inf", "spectrum-minus-inf",
-        "grid-first-bad-point-nan", "grid-first-bad-point-zero"])
+        "grid-first-bad-point-nan", "grid-first-bad-point-zero", "delta-inf", "gain-inf",
+        "open-line-nan", "junction-minus-inf", "delta-zero"])
 def test_closed_forms_reject_non_finite_frequencies(entry, omega, message, reference_params):
     """The check_frequency rule over arrays: the first bad point names the error."""
     with pytest.raises(ValueError) as err:

@@ -15,7 +15,7 @@ from coldamp.servo import (
     sensing_error_identity,
 )
 from coldamp.network import build_sensor_network, solve
-from coldamp.verify import draw_params, draw_frequencies
+from draws import draw_frequencies, draw_params
 
 at = LINE_LABELS.index
 

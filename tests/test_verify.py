@@ -13,6 +13,7 @@ from coldamp.noise import LINE_LABELS
 from coldamp.sensor import (estimator_coefficients, free_mass_coefficients, max_rel_diff,
                             mechanical_impedance)
 from coldamp.servo import cold_damped_velocity, gain_for_effective_impedance
+from draws import draw_frequencies, draw_params
 
 
 def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega, monkeypatch):
@@ -37,8 +38,8 @@ def test_finite_gain_on_a_closed_loop_draw(reference_params, reference_omega):
     miss by about 0.31 at every gain, while the open loop passes.
     """
     rng = np.random.default_rng(4)
-    q = verify.draw_params(reference_params, rng)
-    w = verify.draw_frequencies(reference_omega, rng, count=1)[0]
+    q = draw_params(reference_params, rng)
+    w = draw_frequencies(reference_omega, rng, count=1)[0]
     assert abs(verify.finite_gain_exponent(q, w) + 1.0) < verify.EXPONENT_TOL
     for ratio in (1e3, 1e7):
         gain = gain_for_effective_impedance(q, ratio * q.H_m, w)
@@ -54,8 +55,8 @@ def test_stacked_finite_gain_equals_the_per_gain_solves(reference_params, refere
     p, w = reference_params, reference_omega
     if draw:
         rng = np.random.default_rng(4)
-        p = verify.draw_params(p, rng)
-        w = verify.draw_frequencies(w, rng, count=1)[0]
+        p = draw_params(p, rng)
+        w = draw_frequencies(w, rng, count=1)[0]
     gains = np.array([gain_for_effective_impedance(p, r * p.H_m, w)
                       for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
     stacked = solve(build_sensor_network(p, gains, w)).transfer_rows["velocity"]
@@ -76,8 +77,8 @@ def test_draws_equal_the_per_draw_stream(reference_params, reference_omega, draw
         rng = np.random.default_rng(seed)
         sets, ws = [], []
         for i in range(draws):
-            sets.append(verify.draw_params(reference_params, rng) if i else reference_params)
-            ws.append(verify.draw_frequencies(reference_omega, rng, count=count))
+            sets.append(draw_params(reference_params, rng) if i else reference_params)
+            ws.append(draw_frequencies(reference_omega, rng, count=count))
         grid, grid_ws = verify._draws(reference_params, reference_omega, seed, draws, count)
         assert np.array_equal(grid_ws, np.concatenate(ws)), seed
         for f in fields(grid):
@@ -88,8 +89,9 @@ def test_draws_equal_the_per_draw_stream(reference_params, reference_omega, draw
 
 def test_draws_validate_every_set(reference_params, reference_omega):
     """A drawn set that overflows a field raises, as InstrumentParams would."""
-    with pytest.raises(ValueError, match="M must be strictly positive, got inf"):
+    with pytest.raises(ValueError) as err:
         verify._draws(reference_params.with_(M=1e307), reference_omega, 0, 20, 3)
+    assert str(err.value) == "M must be finite, got inf"
 
 
 def test_run_checks_rejects_zero_coupling(reference_params, reference_omega):
@@ -186,8 +188,8 @@ def _per_point_oracle(p, omega, draws, frequencies, seed):
     rng = np.random.default_rng(seed)
     worst_lam = worst_mu = worst_comm = worst_split = 0.0
     for i in range(draws):
-        q = verify.draw_params(p, rng) if i else p
-        for w in verify.draw_frequencies(omega, rng, count=frequencies):
+        q = draw_params(p, rng) if i else p
+        for w in draw_frequencies(omega, rng, count=frequencies):
             res = solve(build_sensor_network(q, None, w))
             lam = normalized_row(res.transfer_rows["velocity"])
             mu = normalized_row(res.transfer_rows["detected"])
