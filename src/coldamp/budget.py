@@ -63,21 +63,26 @@ def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
     """Full noise budget at mechanical frequency omega (rad/s).
 
     omega is a float or an (N,) array, and p may hold (N,) parameter
-    columns (p.with_(R_a=array)): a whole grid in one call.  One
-    warning covers every point whose carrier-to-signal ratio is not
-    above SIDEBAND_RATIO_FLOOR.
+    columns (p.with_(R_a=array)): a whole grid in one call.  A column
+    leaving the float range is a ValueError; one warning covers every
+    point whose carrier-to-signal ratio is not above SIDEBAND_RATIO_FLOOR.
     """
     w = _frequencies(omega)
-    ratio = p.omega_t / abs(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b, xi = sensor_noise_spectrum(p, w), mechanical_impedance(p, w)
+        xi_sq, ratio = _abs2(xi.real, xi.imag), p.omega_t / abs(w)
+        point = BudgetPoint(*_columns(w, (b.langevin + b.back_action) / xi_sq, b.sensing / xi_sq,
+                                      b.interference / xi_sq, b.total, np.sqrt(b.total) / p.M,
+                                      xi.imag / p.H_m), breakdown=b)
+    for name, column in {**vars(point), **vars(b)}.items():
+        if name != "breakdown" and not np.isfinite(column).all():
+            value = float(np.extract(~np.isfinite(column), column)[0])
+            raise ValueError(f"the budget leaves the float range: {name} = {value}")
     if np.any(ratio <= SIDEBAND_RATIO_FLOOR):
         warnings.warn(f"carrier-to-signal frequency ratio {np.min(ratio):.3g} is not above "
                       f"{SIDEBAND_RATIO_FLOOR:g}; the sideband-resolved model becomes inaccurate",
                       stacklevel=2)
-    b, xi = sensor_noise_spectrum(p, w), mechanical_impedance(p, w)
-    xi_sq = _abs2(xi.real, xi.imag)
-    return BudgetPoint(*_columns(w, (b.langevin + b.back_action) / xi_sq, b.sensing / xi_sq,
-                                 b.interference / xi_sq, b.total, np.sqrt(b.total) / p.M,
-                                 xi.imag / p.H_m), breakdown=b)
+    return point
 
 
 def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> BudgetPoint:

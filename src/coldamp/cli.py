@@ -90,7 +90,7 @@ def _geometric_grid(lo: float, hi: float, n: int, axis: str) -> list[float]:
 def cmd_budget(args) -> int:
     cfg = _load(args)
     from . import budget
-    if args.freq_min is None and args.freq_max is None:
+    if args.freq_min is None and args.freq_max is None and args.points == 1:
         omegas = [cfg.omega]
     else:
         lo = args.freq_min if args.freq_min is not None else cfg.frequency
@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("budget", help="noise budget at one or more frequencies")
     common(sp)
-    sp.add_argument("--freq-min", type=float, help="lowest frequency, Hz")
-    sp.add_argument("--freq-max", type=float, help="highest frequency, Hz")
+    sp.add_argument("--freq-min", type=float, help="lowest frequency, Hz (default: the config's)")
+    sp.add_argument("--freq-max", type=float, help="highest frequency, Hz (default: the config's)")
     sp.add_argument("--points", type=int, default=1, help="number of grid points")
     sp.add_argument("--out", help="CSV output path (default stdout)")
     sp.set_defaults(func=cmd_budget)

@@ -37,16 +37,24 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
     detuning-enhanced amplifier sensing noise.  Loss and detection lines
     are dropped, so this is a matching-study tool, not the final number.
     """
-    h_m = p.H_m
-    delta = p.delta(omega)
-    k_theta_m = effective_temperature(p.T_m, omega)
-    k_theta_a = effective_temperature(p.T_a, p.omega_t)
+    h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
     ratio = p.R_a / p.r_m
     return (
         2.0 * h_m * k_theta_m
         + 8.0 * h_m * ratio * k_theta_a
-        + 2.0 * h_m * (1.0 + delta**2) * (omega / p.omega_t) ** 2 / ratio * k_theta_a
+        + 2.0 * h_m * detuning * (omega / p.omega_t) ** 2 / ratio * k_theta_a
     )
+
+
+def _reduced_terms(p: InstrumentParams, omega: float) -> tuple[float, float, float, float]:
+    """H_m, 1 + Delta^2 (a ValueError if it overflows), k Theta_m and k Theta_a."""
+    delta = p.delta(omega)
+    try:
+        detuning = 1.0 + delta**2
+    except OverflowError:
+        raise ValueError(f"1 + Delta^2 leaves the float range: Delta = {delta:.6g}") from None
+    return (p.H_m, detuning, effective_temperature(p.T_m, omega),
+            effective_temperature(p.T_a, p.omega_t))
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,10 @@ def optimal_matching(p: InstrumentParams, omega: float) -> MatchingResult:
     noise falls off as its inverse, so the optimum sits where the two
     are equal: ratio_opt = sqrt(1 + Delta^2)/2 * |Omega|/omega_t.
     """
-    h_m = p.H_m
-    delta = p.delta(omega)
-    k_theta_m = effective_temperature(p.T_m, omega)
-    k_theta_a = effective_temperature(p.T_a, p.omega_t)
-    ratio_opt = math.sqrt(1.0 + delta**2) / 2.0 * abs(omega) / p.omega_t
+    h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
+    ratio_opt = math.sqrt(detuning) / 2.0 * abs(omega) / p.omega_t
     langevin = 2.0 * h_m * k_theta_m
-    detection = 8.0 * h_m * math.sqrt(1.0 + delta**2) * abs(omega) / p.omega_t * k_theta_a
+    detection = 8.0 * h_m * math.sqrt(detuning) * abs(omega) / p.omega_t * k_theta_a
     return MatchingResult(
         ratio_opt=ratio_opt,
         sigma_opt=langevin + detection,
@@ -86,14 +91,14 @@ def optimal_matching(p: InstrumentParams, omega: float) -> MatchingResult:
     )
 
 
-def _golden_minimize(f, a, b, tol=1e-12, max_iter=400):
-    """Golden-section search for the minimum of a unimodal function."""
+def _golden_minimize(f, a, b):
+    """Golden-section minimum of a unimodal f on [a, b], to 1e-12 of its scale."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) < tol * (abs(a) + abs(b) + 1.0):
+    for _ in range(400):
+        if abs(b - a) < 1e-12 * (abs(a) + abs(b) + 1.0):
             break
         if fc < fd:
             b, d, fd = d, c, fc

@@ -69,15 +69,13 @@ class LinearNetwork:
 class ScatteringResult:
     """Solved network: passive S rows, transfer rows and solve diagnostics.
 
-    s_matrix has one row per port with an out-field variable
-    (out_ports), over all incoming ports (ports); a solved stack keeps
-    its leading axis on s_matrix and the transfer rows.  signs is the
-    network's.  condition is always nan (not computed); the
+    s_matrix has one row per out port of the network (net.outgoing) over
+    its incoming ports (net.incoming), in their orders; a solved stack
+    keeps its leading axis on s_matrix and the transfer rows.  signs is
+    the network's.  condition is always nan (not computed); the
     benchmark's tracer (bench/tracer.py) reads it on every solve.
     """
 
-    ports: list[str]
-    out_ports: list[str]
     s_matrix: np.ndarray
     transfer_rows: dict[str, np.ndarray]  # observable -> row over incoming + drives
     condition: float
@@ -187,8 +185,6 @@ def solve(net: LinearNetwork) -> ScatteringResult:
         raise _solve_error(net, failed, "non-finite network solution")
 
     return ScatteringResult(
-        ports=list(net.incoming),
-        out_ports=list(net.outgoing),
         s_matrix=x[..., list(net.outgoing.values()), :len(net.incoming)],
         transfer_rows={name: x[..., j, :] for name, j in net.observables.items()},
         condition=math.nan,

@@ -58,6 +58,6 @@ def effective_temperature(temperature: float, omega: float) -> float:
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     zero_point = 0.5 * HBAR * abs(omega)
-    if temperature == 0.0:
+    if K_B * temperature == 0.0:    # T = 0, or so small that k_B T underflows
         return zero_point
     return zero_point * coth(zero_point / (K_B * temperature))

@@ -3,12 +3,12 @@
 Reactive magnitudes quoted for the instrument (|Z_f|, |Z_t|) are stored
 canonically as the underlying capacitances:
 
-    Z_f = 1 / (-i omega_t C_f)            feedback (charge) amplifier
-    Z_t = -1 / (2 i Omega C_t)            detuned transducer mode
+    Z_f = 1 / (-i omega_t C_f) = i zf_mag     feedback (charge) amplifier
+    Z_t = -1 / (2 i Omega C_t) = i x_t        detuned transducer mode
 
 so both impedances can be evaluated at any analysis frequency.  The
 quantum-mechanics sign convention (-i omega t time dependence) is used for
-every stored impedance.
+every stored impedance; both are purely imaginary, carried as zf_mag and x_t.
 """
 
 from __future__ import annotations
@@ -70,12 +70,8 @@ class InstrumentParams:
                 raise ValueError(error)
 
     @property
-    def z_f(self) -> complex:
-        """Feedback impedance Z_f = 1/(-i omega_t C_f), purely imaginary."""
-        return 1.0 / (-1j * self.omega_t * self.C_f)
-
-    @property
     def zf_mag(self) -> float:
+        """|Z_f| = 1/(omega_t C_f), ohm, with Z_f = i |Z_f|."""
         return 1.0 / (self.omega_t * self.C_f)
 
     def x_t(self, omega):

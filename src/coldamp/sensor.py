@@ -145,6 +145,16 @@ def free_mass_coefficients(p: InstrumentParams, omega) -> np.ndarray:
     return coefficients(m=-np.sqrt(2.0 * HBAR * abs(w) * p.H_m), a1=lam_a1, b1=-lam_a1)
 
 
+def re_mu_a1(p: InstrumentParams, w, rounded):
+    """Re mu_a1 at w for both estimator routes; rounded is the calling route's value.
+
+    Re mu_a1 = sqrt(2 hbar R_a omega_t) / (2 kappa_t) times the bracket C_f K
+    - C_f M Omega^2 - 2 kappa_t^2, which is summed exactly where it cancels."""
+    kt, root_a = p.kappa_t, np.sqrt(2.0 * HBAR * p.R_a * p.omega_t)
+    cancels, bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
+    return np.where(cancels, root_a / (2.0 * kt) * bracket, rounded)
+
+
 def estimator_coefficients(p: InstrumentParams, omega) -> np.ndarray:
     """Force-estimator noise coefficients mu of the open-loop sensor, (9,) or (N, 9).
 
@@ -158,14 +168,8 @@ def estimator_coefficients(p: InstrumentParams, omega) -> np.ndarray:
     h, x, kt, wt = p.H_m, mechanical_impedance(p, w).imag, p.kappa_t, p.omega_t
     lam = free_mass_coefficients(p, w)
     # mu_a1 = lambda_a1 + t Xi_m / (2 kappa_t omega_t Z_f) with Z_f = i |Z_f|.
-    # Re mu_a1 is root_a / (2 kappa_t) times the bracket C_f K - C_f M Omega^2
-    # - 2 kappa_t^2; where it cancels, the float sum keeps only its rounding
-    # error, so the bracket is evaluated exactly and the prefactor applied once.
-    root_a = np.sqrt(2.0 * HBAR * p.R_a * wt)
-    t, e = root_a * w, 2.0 * kt * wt * p.zf_mag
-    cancels, bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
-    re_a1 = lam[..., SLOT["a1"]].real + t * x / e
-    mu_a1 = np.where(cancels, root_a / (2.0 * kt) * bracket, re_a1) + 1j * (-(t * h) / e)
+    t, e = np.sqrt(2.0 * HBAR * p.R_a * wt) * w, 2.0 * kt * wt * p.zf_mag
+    mu_a1 = re_mu_a1(p, w, lam[..., SLOT["a1"]].real + t * x / e) + 1j * (-(t * h) / e)
     # -i Omega sqrt(hbar R_a / 2 omega_t) Xi_m / kappa_t = s_re + i s_im times
     # 1/R_a -+ 1/R_l -+ 1/Z_t for a2 and b2, where 1/Z_t = -i y.
     root = w * np.sqrt(HBAR * p.R_a / (2.0 * wt))

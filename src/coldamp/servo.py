@@ -17,21 +17,21 @@ import numpy as np
 from .constants import HBAR
 from .noise import SLOT, check_frequency
 from .params import InstrumentParams
-from .sensor import (_frequencies, cancelling_product_sum, coefficients,
-                     estimator_coefficients, free_mass_coefficients, max_rel_diff,
-                     mechanical_impedance)
+from .sensor import (_frequencies, coefficients, estimator_coefficients,
+                     free_mass_coefficients, max_rel_diff, mechanical_impedance, re_mu_a1)
 
 
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
     """Loop gain producing a prescribed effective impedance at Omega.
 
     The servo synthesizes xi_me = H_me + i K_me / Omega (kg/s), linear in
-    the gain: xi_me = -sqrt(2 omega_t / hbar R_r) 2 kappa_t Z_f G_s / Omega.
-    This inverts that relation; the usual cold-damping preset is a purely
-    real (dissipative) xi_me.
+    the gain: xi_me = -sqrt(2 omega_t / hbar R_r) 2 kappa_t Z_f G_s / Omega,
+    with Z_f = i |Z_f|.  This inverts that relation; the usual
+    cold-damping preset is a purely real (dissipative) xi_me.
     """
     check_frequency(omega)
-    return -xi_me * omega * math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) / (2.0 * p.kappa_t * p.z_f)
+    root = math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t))
+    return -xi_me * omega * root / (2j * p.kappa_t * p.zf_mag)
 
 
 def cold_damped_velocity(p: InstrumentParams, omega) -> np.ndarray:
@@ -72,7 +72,8 @@ def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     A (9,) table, or (N, 9) over a grid.  Computed from the force
     decomposition F_hat = Xi_m (V_fr - V_cd), which uses only the
     free-mass table and the cold-damped velocity: an independent route
-    from the open-loop estimator closed forms.
+    from the open-loop estimator closed forms, except that Re mu_a1 is
+    shared (sensor.re_mu_a1) where its bracket cancels.
     """
     w = _frequencies(omega)
     v = cold_damped_velocity(p, w)
@@ -81,13 +82,8 @@ def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     # mu = lambda - Xi_m V_cd, in real arithmetic
     mu = (lam.real - (xi.real * v.real - xi.imag * v.imag)) \
         + 1j * (lam.imag - (xi.real * v.imag + xi.imag * v.real))
-    # lambda_a1 = -2 kappa_t^2 sqrt(hbar R_a omega_t / 2) / kappa_t; Re(-Xi_m V_cd,a1) is
-    # C_f K - C_f M Omega^2 times that factor.  Where the two cancel, the difference
-    # keeps only its rounding error: evaluate the bracket exactly, apply the factor once.
-    kt = p.kappa_t
-    cancels, bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
     a1 = mu[..., SLOT["a1"]]
-    a1.real = np.where(cancels, np.sqrt(HBAR * p.R_a * p.omega_t / 2.0) / kt * bracket, a1.real)
+    a1.real = re_mu_a1(p, w, a1.real)
     mu[..., SLOT["b1"]] = -a1
     return mu
 

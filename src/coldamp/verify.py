@@ -43,6 +43,7 @@ EXPONENT_TOL = 0.05
 _DECADES = {**dict.fromkeys(("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C_f", "C_t"), 2.0),
             "T_m": 1.0, "T_a": 1.0, "omega": 1.5}
 _PARAMS = tuple(_DECADES)[:-1]
+FREQUENCIES = 10     # analysis frequencies drawn per parameter set for the oracle
 # Points per stacked oracle solve: memory stays flat at any draw count.
 _BLOCK = 64
 
@@ -118,15 +119,14 @@ def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -
 
 
 def oracle_agreement(p: InstrumentParams, omega: float,
-                     draws: int, frequencies: int,
-                     seed: int) -> tuple[float, float, float, float]:
+                     draws: int, seed: int) -> tuple[float, float, float, float]:
     """Worst deviations (lambda, mu, passive-row commutator, velocity split).
 
-    Every point compares directly against ORACLE_TOL.  The drawn grid is
-    solved as stacks of up to _BLOCK points; the closed forms and the
-    velocity split evaluate the whole grid at once, from the same solves.
+    Every point (FREQUENCIES per draw) compares directly against ORACLE_TOL.
+    The grid is solved as stacks of up to _BLOCK points; the closed forms
+    and the velocity split evaluate it at once, from the same solves.
     """
-    grid, ws = _draws(p, omega, seed, draws, frequencies)
+    grid, ws = _draws(p, omega, seed, draws, FREQUENCIES)
     lam, mu = (np.empty((len(ws), len(LINE_LABELS)), dtype=complex) for _ in range(2))
     worst_comm = 0.0
     for start in range(0, len(ws), _BLOCK):
@@ -156,26 +156,24 @@ def loop_estimator_equality(p: InstrumentParams, omega: float,
         return sensor.max_rel_diff(estimator_mu(grid, ws), closed_loop_mu(grid, ws))
 
 
-def sensing_identity_sweep(p: InstrumentParams, omega: float,
-                           points: int = 31) -> float:
-    """Max V_cd = -V_se residual over a three-decade frequency sweep."""
-    return servo.sensing_error_identity(p, omega * np.logspace(-1.5, 1.5, points))
+def sensing_identity_sweep(p: InstrumentParams, omega: float) -> float:
+    """Max V_cd = -V_se residual over 31 points of a three-decade frequency sweep."""
+    return servo.sensing_error_identity(p, omega * np.logspace(-1.5, 1.5, 31))
 
 
-def finite_gain_exponent(p: InstrumentParams, omega: float,
-                         ratios=(1e3, 1e4, 1e5, 1e6, 1e7)) -> float:
+def finite_gain_exponent(p: InstrumentParams, omega: float) -> float:
     """Fitted power of 1/|G_s| in the convergence to the infinite-gain table.
 
-    Loop gains are chosen to synthesize effective dampings H_me/H_m at
-    the given ratios; the log-log slope of deviation vs |G_s| should be
-    -1 for a first-order limit.
+    Loop gains are chosen to synthesize effective dampings H_me/H_m of
+    1e3 to 1e7; the log-log slope of deviation vs |G_s| should be -1 for
+    a first-order limit.
     """
-    gains = np.array([servo.gain_for_effective_impedance(p, r * p.H_m, omega) for r in ratios])
+    gains = np.array([servo.gain_for_effective_impedance(p, r * p.H_m, omega)
+                      for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
     target = servo.cold_damped_velocity(p, omega)   # the infinite-gain velocity table
     rows = network.solve(network.build_sensor_network(p, gains, omega)).transfer_rows["velocity"]
     devs = np.abs(rows[:, :len(target)] - target).max(axis=1) / np.abs(target).max()
-    slope = np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0])
 
 
 def decomposition_consistency(p: InstrumentParams, omega: float,
@@ -189,17 +187,14 @@ def decomposition_consistency(p: InstrumentParams, omega: float,
 
 
 def run_checks(p: InstrumentParams, omega: float, *,
-               draws: int = 100, frequencies: int = 10,
-               seed: int = 0) -> list[CheckResult]:
+               draws: int = 100, seed: int = 0) -> list[CheckResult]:
     """Run the full verification suite; returns one result per check."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    if frequencies < 1:
-        raise ValueError("frequencies must be >= 1")
     if p.kappa_t == 0.0:
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
-    lam, mu, comm, split = oracle_agreement(p, omega, draws, frequencies, seed)
+    lam, mu, comm, split = oracle_agreement(p, omega, draws, seed)
     return [
         CheckResult("oracle velocity coefficients", lam, ORACLE_TOL),
         CheckResult("oracle estimator coefficients", mu, ORACLE_TOL),

@@ -47,8 +47,7 @@ def test_acceptance_2_acceleration_sensitivity(reference_params, reference_omega
 
 def test_acceptance_3_oracle_equivalence(reference_params, reference_omega):
     start = time.perf_counter()
-    lam, mu, _, _ = oracle_agreement(reference_params, reference_omega,
-                                     draws=1000, frequencies=10, seed=0)
+    lam, mu, _, _ = oracle_agreement(reference_params, reference_omega, draws=1000, seed=0)
     elapsed = time.perf_counter() - start
     worst = max(lam, mu)
     ok = worst < 1e-10 and elapsed < 30.0

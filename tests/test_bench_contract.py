@@ -37,8 +37,7 @@ def test_solve_diagnostics_the_tracer_reads(tracer, reference_params, reference_
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        verify.oracle_agreement(reference_params, reference_omega, draws=1,
-                                frequencies=2, seed=0)
+        verify.oracle_agreement(reference_params, reference_omega, draws=1, seed=0)
     finally:
         recorder.uninstall()
     assert recorder.solves == 1           # one stacked solve per block of up to 64 points

@@ -310,6 +310,16 @@ def test_a_grid_with_an_illegal_point_raises(reference_params, reference_omega,
     assert str(err.value) == message
 
 
+def test_a_budget_outside_the_float_range_raises(reference_params, reference_omega):
+    """Finite K = 1e308 overflows K / Omega: a ValueError naming the column, not a
+    nan row; a sweep names its first such point."""
+    with pytest.raises(ValueError) as err:
+        budget_point(reference_params.with_(K=1e308), reference_omega)
+    assert str(err.value) == "the budget leaves the float range: sigma_vse = nan"
+    with pytest.raises(ValueError, match=r"^sweep failed at K = 1e\+154: the budget leaves"):
+        sweep(reference_params, "K", [1.0, 1e154, 1e308], omega=reference_omega)
+
+
 def test_sideband_warning_once_per_grid(reference_params):
     """A grid crossing the 1e3 carrier-to-signal ratio warns once, not per point."""
     wt = reference_params.omega_t

@@ -262,10 +262,40 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
      "R_a grid leaves the float range"),
     (["budget", "--freq-min", "1", "--freq-max", "1e308", "--points", "2"],
      "frequency grid leaves the float range"),
+    (["budget", "--points", "50"], "frequency lower bound must be below the upper bound"),
+    (["budget", "--points", "0"], "points must be >= 1"),
+    # Finite grids whose budgets overflow (these gave a nan/inf CSV with exit 0).
+    (["sweep", "--axis", "K", "--min", "1e300", "--max", "1e308", "--points", "2"],
+     "the budget leaves the float range: sigma_vse = nan"),
+    (["budget", "--freq-min", "1e300", "--freq-max", "1e301", "--points", "2"],
+     "the budget leaves the float range: sigma_vse = nan"),
+    (["budget", "--freq-min", "1e-200", "--freq-max", "1e-190", "--points", "2"],
+     "the budget leaves the float range: sigma_vse = nan"),
+    (["sweep", "--axis", "R_a", "--min", "1e-320", "--max", "1e-318", "--points", "2"],
+     "the budget leaves the float range: sigma_vse = nan"),
+    (["sweep", "--axis", "K", "--min", "1", "--max", "1e308", "--points", "3"],
+     "sweep failed at K = 1e+154: the budget leaves the float range: sigma_vse = nan"),
 ], ids=["budget-inf", "budget-nan", "sweep-inf", "sweep-negative-axis", "sweep-decreasing",
-        "budget-decreasing", "sweep-overflow", "budget-angular-overflow"])
+        "budget-decreasing", "sweep-overflow", "budget-angular-overflow", "budget-points-50",
+        "budget-points-0", "sweep-K-overflow", "budget-high-frequency", "budget-low-frequency",
+        "sweep-R_a-subnormal", "sweep-K-partial"])
 def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
     code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mass = 0.27 kg", "mass = 1e300 kg",
+     "1 + Delta^2 leaves the float range: Delta = -2.41661e+302"),
+    ("damping = 1.3e-5 kg/s", "damping = 1e-300 kg/s",
+     "1 + Delta^2 leaves the float range: Delta = 4.2501e+296"),
+], ids=["mass-1e300", "damping-1e-300"])
+def test_optimize_outside_the_float_range_is_one_config_error(old, new, message, tmp_path,
+                                                              capsys):
+    """Delta^2 overflowed in the matching closed form and ended in a traceback."""
+    code, out, err = run(["optimize", "--config", _shipped_with(tmp_path, old, new)], capsys)
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err == f"configuration error: {message}\n"

@@ -28,6 +28,12 @@ def test_zero_temperature_is_exact_zero_point():
         assert effective_temperature(0.0, omega) == 0.5 * HBAR * abs(omega)
 
 
+def test_temperature_whose_k_b_t_underflows_is_the_zero_point():
+    """k_B T = 0 in floats at 5e-324 K: coth's argument is infinite, not a zero division."""
+    for omega in (1e-3, OMEGA_T):
+        assert effective_temperature(5e-324, omega) == 0.5 * HBAR * omega
+
+
 def test_half_quantum_ratio():
     # hbar w = 2 kB T makes the coth argument exactly 1.
     omega = 1e5

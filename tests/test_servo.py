@@ -1,13 +1,16 @@
 """Cold-damping servo closed forms and loop identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from coldamp.constants import HBAR
 from coldamp.noise import LINE_LABELS
-from coldamp.sensor import estimator_coefficients, max_rel_diff, mechanical_impedance
+import coldamp.verify as verify
+from coldamp.sensor import (cancelling_product_sum, estimator_coefficients, max_rel_diff,
+                            mechanical_impedance)
 from coldamp.servo import (
     cold_damped_estimator,
     cold_damped_velocity,
@@ -29,7 +32,8 @@ def test_gain_inversion_round_trip(reference_params, reference_omega):
     gain = gain_for_effective_impedance(p, target, w)
     doubled = gain_for_effective_impedance(p, 2.0 * target, w)
     assert doubled == pytest.approx(2.0 * gain, rel=1e-14, abs=0.0)
-    eff = -math.sqrt(2.0 * p.omega_t / (HBAR * p.R_r)) * 2.0 * p.kappa_t * p.z_f / w * gain
+    z_f = 1j * p.zf_mag
+    eff = -math.sqrt(2.0 * p.omega_t / (HBAR * p.R_r)) * 2.0 * p.kappa_t * z_f / w * gain
     assert eff == pytest.approx(target, rel=1e-12, abs=0.0)
     assert eff.real == pytest.approx(target, rel=1e-12, abs=0.0)
     assert abs(eff.imag * reference_omega) < 1e-12 * abs(target) * reference_omega
@@ -42,7 +46,7 @@ def test_velocity_table_structure(reference_params, reference_omega):
     assert table[at("l1")] == 0.0
     assert table[at("r2")] == 0.0
     # The detection line enters with normalized coefficient -1.
-    r1 = math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * w / (2.0 * p.kappa_t * p.z_f)
+    r1 = math.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * w / (2.0 * p.kappa_t * 1j * p.zf_mag)
     assert table[at("r1")] == pytest.approx(r1, rel=1e-15, abs=0.0)
     assert table[at("a1")] == -table[at("b1")]
     assert table[at("a1")] / table[at("r1")] == pytest.approx(
@@ -73,6 +77,23 @@ def test_estimator_equality_over_draws(reference_params, reference_omega):
             for w in draw_frequencies(reference_omega, rng, count=2):
                 mu = estimator_coefficients(q, w)
                 assert max_rel_diff(mu, cold_damped_estimator(q, w)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [183 + 1, 1996521376 + 1, 700416345 + 1,
+                                  173518645, 519218416, 1987374907])
+def test_both_routes_share_re_mu_a1_where_the_bracket_cancels(reference_params,
+                                                              reference_omega, seed):
+    """On the hard seeds' grids (the loop gate's, then the oracle's), the open- and
+    closed-loop Re mu_a1 are one value bit for bit wherever the bracket cancels."""
+    q, ws = verify._draws(reference_params, reference_omega, seed, 20, verify.FREQUENCIES)
+    cancels = cancelling_product_sum((q.C_f, q.K), (-q.C_f, q.M, ws, ws),
+                                     (-2.0, q.kappa_t, q.kappa_t))[0]
+    assert cancels.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # the loop's weak-loading precondition
+        open_a1 = estimator_coefficients(q, ws)[cancels, at("a1")]
+        closed_a1 = cold_damped_estimator(q, ws)[cancels, at("a1")]
+    assert open_a1.real.tolist() == closed_a1.real.tolist()
 
 
 def test_sensing_identity_three_decades(reference_params, reference_omega):
