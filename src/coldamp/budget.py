@@ -8,8 +8,7 @@ over the estimator coefficients, and rewritten through velocity spectra
 where sigma_vfr is the free-running velocity noise, sigma_vse the
 sensing-error noise and sigma_cross their signed interference.  All force
 spectra are double-sided symmetrized densities in N^2/Hz; acceleration
-sensitivity is sqrt(Sigma_FF)/M.  The names of the numpy-free matching
-module are re-exported here.
+sensitivity is sqrt(Sigma_FF)/M.  Matching is in the matching module.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .matching import (MatchingError, MatchingResult, numerical_matching, optimal_matching,
-                       simplified_budget)
+from .matching import numerical_matching  # bench/tracer.py traces it under this name
 from .params import InstrumentParams
 from .sensor import (SpectrumBreakdown, _abs2, _columns, _frequencies, mechanical_impedance,
                      sensor_noise_spectrum)

@@ -124,10 +124,12 @@ def cmd_optimize(args) -> int:
     from . import matching
     m = matching.optimal_matching(cfg.params, cfg.omega)
     ratio_num, sigma_num = matching.numerical_matching(cfg.params, cfg.omega)
-    residual = max(
-        abs(ratio_num - m.ratio_opt) / m.ratio_opt,
-        abs(sigma_num - m.sigma_opt) / m.sigma_opt,
-    )
+    residuals = (abs(ratio_num - m.ratio_opt) / m.ratio_opt,
+                 abs(sigma_num - m.sigma_opt) / m.sigma_opt)
+    if not all(map(math.isfinite, residuals)):    # max() would drop a nan
+        raise ValueError(f"the numerical matching leaves the float range: ratio = {ratio_num}, "
+                         f"value = {sigma_num}")
+    residual = max(residuals)
     print(f"optimal R_a/R_m ratio : {_fmt(m.ratio_opt)}")
     print(f"minimum force noise   : {_fmt(m.sigma_opt)} N^2/Hz")
     print(f"  thermal part        : {_fmt(m.langevin_part)} N^2/Hz")

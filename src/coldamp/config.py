@@ -62,7 +62,6 @@ class RunConfig:
     params: InstrumentParams
     omega: float            # analysis frequency, rad/s
     digest: str             # short content hash of the source text
-    path: str | None = None
 
     @property
     def frequency(self) -> float:
@@ -146,7 +145,7 @@ def loads(text: str, path: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{path or '<string>'}: {exc}") from exc
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return RunConfig(params=params, omega=omega, digest=digest, path=path)
+    return RunConfig(params=params, omega=omega, digest=digest)
 
 
 def load(path: str) -> RunConfig:

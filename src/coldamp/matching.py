@@ -37,17 +37,28 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
     detuning-enhanced amplifier sensing noise.  Loss and detection lines
     are dropped, so this is a matching-study tool, not the final number.
     """
+    return _reduced_budget(p, omega, p.R_a / p.r_m)
+
+
+def _reduced_budget(p: InstrumentParams, omega: float, ratio: float) -> float:
+    """simplified_budget at the matching ratio R_a/R_m given; p.R_a is not used."""
     h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
-    ratio = p.R_a / p.r_m
+    try:
+        sideband = (omega / p.omega_t) ** 2
+    except OverflowError:
+        raise ValueError(f"(Omega/omega_t)^2 leaves the float range: "
+                         f"Omega/omega_t = {omega / p.omega_t:.6g}") from None
     return (
         2.0 * h_m * k_theta_m
         + 8.0 * h_m * ratio * k_theta_a
-        + 2.0 * h_m * detuning * (omega / p.omega_t) ** 2 / ratio * k_theta_a
+        + 2.0 * h_m * detuning * sideband / ratio * k_theta_a
     )
 
 
 def _reduced_terms(p: InstrumentParams, omega: float) -> tuple[float, float, float, float]:
     """H_m, 1 + Delta^2 (a ValueError if it overflows), k Theta_m and k Theta_a."""
+    if p.kappa_t == 0.0:
+        raise ValueError("impedance matching needs electromechanical coupling; kappa_t is 0")
     delta = p.delta(omega)
     try:
         detuning = 1.0 + delta**2
@@ -77,18 +88,23 @@ def optimal_matching(p: InstrumentParams, omega: float) -> MatchingResult:
 
     The back action grows linearly with the ratio while the sensing
     noise falls off as its inverse, so the optimum sits where the two
-    are equal: ratio_opt = sqrt(1 + Delta^2)/2 * |Omega|/omega_t.
+    are equal: ratio_opt = sqrt(1 + Delta^2)/2 * |Omega|/omega_t.  Each
+    field must come out positive and finite, or it is a ValueError.
     """
     h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
     ratio_opt = math.sqrt(detuning) / 2.0 * abs(omega) / p.omega_t
     langevin = 2.0 * h_m * k_theta_m
     detection = 8.0 * h_m * math.sqrt(detuning) * abs(omega) / p.omega_t * k_theta_a
-    return MatchingResult(
+    result = MatchingResult(
         ratio_opt=ratio_opt,
         sigma_opt=langevin + detection,
         langevin_part=langevin,
         detection_part=detection,
     )
+    for name, value in vars(result).items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"the matching optimum leaves the float range: {name} = {value}")
+    return result
 
 
 def _golden_minimize(f, a, b):
@@ -122,16 +138,19 @@ def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]
     budget, which would flatten the minimum below floating-point
     resolution; the search therefore runs at T_m = 0, where that term
     collapses to a negligible zero-point constant, and the reported value
-    is evaluated at the found ratio with the true temperature.
+    is evaluated at the found ratio with the true temperature.  It works
+    on the ratio alone: R_m = H_m/kappa_t^2 may leave the float range.
     """
-    r_m = p.r_m
     cold = p.with_(T_m=0.0)
 
     def objective(log_ratio: float) -> float:
-        return simplified_budget(cold.with_(R_a=r_m * 10.0**log_ratio), omega)
+        return _reduced_budget(cold, omega, 10.0**log_ratio)
 
     centre = math.log10(optimal_matching(p, omega).ratio_opt)
     lo, hi = centre - MATCHING_DECADES, centre + MATCHING_DECADES
+    if not -307.0 < lo < hi < 308.0:     # 10**log_ratio would be subnormal or overflow
+        raise ValueError(f"the matching search leaves the float range: "
+                         f"log10(R_a/R_m) in [{lo:.3f}, {hi:.3f}]")
     best = _golden_minimize(objective, lo, hi)
     if min(best - lo, hi - best) < 1e-6:
         raise MatchingError(
@@ -139,4 +158,4 @@ def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]
             f"log10(R_a/R_m) in [{lo:.3f}, {hi:.3f}] at omega = {omega:g} rad/s",
             omega=omega,
         )
-    return 10.0**best, simplified_budget(p.with_(R_a=r_m * 10.0**best), omega)
+    return 10.0**best, _reduced_budget(p, omega, 10.0**best)

@@ -39,21 +39,20 @@ class LinearNetwork:
     columns of b are the incoming fields, in the order of incoming, then
     any external drives.  outgoing maps each port with an out-field
     unknown to that unknown's column of a; observables name further
-    unknowns whose transfer rows solve returns.  A stack of one layout
-    (one system per frequency, gain or parameter set) carries a leading
-    axis on a, b and omega, the frequency of each point.  signs,
-    derived here from the layout, holds the conjugation signs of the
-    incoming ports and the diagonal eta of the out ports.
+    unknowns whose transfer rows solve returns.  conjugated names the
+    incoming ports that enter conjugated (the sensor's b1, b2); no out
+    field is conjugated.  A stack of one layout (one system per
+    frequency, gain or parameter set) carries a leading axis on a, b and
+    omega, the frequency of each point.
     """
 
     a: np.ndarray
     b: np.ndarray
     incoming: list[str]
     outgoing: dict[str, int]              # port label -> out-field unknown
-    conjugated: dict[str, bool]
     omega: float | np.ndarray
     observables: dict[str, int] = field(default_factory=dict)
-    signs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    conjugated: frozenset[str] = frozenset()
 
     def __post_init__(self):
         a, b = self.a.shape, self.b.shape
@@ -61,8 +60,6 @@ class LinearNetwork:
             raise ValueError(
                 f"system must be square: a is {self.a.shape}, b is {self.b.shape}"
             )
-        cols = np.array([-1.0 if self.conjugated.get(p, False) else 1.0 for p in self.incoming])
-        self.signs = cols, np.diag(cols[[self.incoming.index(port) for port in self.outgoing]])
 
 
 @dataclass
@@ -71,15 +68,13 @@ class ScatteringResult:
 
     s_matrix has one row per out port of the network (net.outgoing) over
     its incoming ports (net.incoming), in their orders; a solved stack
-    keeps its leading axis on s_matrix and the transfer rows.  signs is
-    the network's.  condition is always nan (not computed); the
-    benchmark's tracer (bench/tracer.py) reads it on every solve.
+    keeps its leading axis on s_matrix and the transfer rows.  condition
+    is always nan (not computed); bench/tracer.py reads it on each solve.
     """
 
     s_matrix: np.ndarray
     transfer_rows: dict[str, np.ndarray]  # observable -> row over incoming + drives
     condition: float
-    signs: tuple[np.ndarray, np.ndarray]
 
 
 class _Order(NamedTuple):
@@ -188,26 +183,26 @@ def solve(net: LinearNetwork) -> ScatteringResult:
         s_matrix=x[..., list(net.outgoing.values()), :len(net.incoming)],
         transfer_rows={name: x[..., j, :] for name, j in net.observables.items()},
         condition=math.nan,
-        signs=net.signs,
     )
 
 
-def check_commutators(res: ScatteringResult) -> float:
-    """Max |S eta S^dag - eta| entry relative to the rows it involves.
+def check_commutators(net: LinearNetwork, res: ScatteringResult) -> float:
+    """Max |S diag(signs) S^dag - 1| entry relative to the rows it involves.
 
-    eta holds the conjugation signs of the ports.  Raw S entries grow
-    without bound on extreme parameter draws, so entry (i, j) is divided
-    by the norms of rows i and j, each floored at 1 (unitary networks
-    keep the absolute figure).  Over a stack, the worst point counts.
+    signs is -1 on the ports in net.conjugated, +1 elsewhere.  Raw S
+    entries grow without bound on extreme parameter draws, so entry
+    (i, j) is divided by the norms of rows i and j, each floored at 1
+    (unitary networks keep the absolute figure).  Over a stack, the
+    worst point counts.
 
     Only passive lines have S rows: the ideal amplifier pins its input
     with no back-reaction and is exact for symmetrized spectra only
     (Caves, PRD 26, 1817 (1982)), so its out fields, and that of the
     line it drives, are not commutator-preserving observables.
     """
-    cols, eta = res.signs
+    signs = np.array([-1.0 if port in net.conjugated else 1.0 for port in net.incoming])
     s = res.s_matrix
-    d = (s * cols) @ np.swapaxes(s.conj(), -1, -2) - eta
+    d = (s * signs) @ np.swapaxes(s.conj(), -1, -2) - np.eye(s.shape[-2])
     norms = np.maximum(1.0, np.linalg.norm(s, axis=-1))
     return float((np.abs(d) / (norms[..., :, None] * norms[..., None, :])).max())
 
@@ -276,7 +271,6 @@ _SENSOR_B = _template(1, (*LINE_LABELS, "F_ext"))
 _SENSOR_OUTGOING = {port: _SENSOR_UNKNOWNS.index(f"{port}_out") for port in ("m", "l1", "l2")}
 _SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
                        "detected": _SENSOR_UNKNOWNS.index("r1_out")}
-_SENSOR_CONJUGATED = {label: label.startswith("b") for label in LINE_LABELS}
 
 
 def _fill(template, values: dict, shape: tuple) -> np.ndarray:
@@ -305,9 +299,8 @@ def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
     shape = np.broadcast(*values.values()).shape
     return LinearNetwork(a=_fill(_SENSOR_A, values, shape), b=_fill(_SENSOR_B, values, shape),
                          incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
-                         conjugated=_SENSOR_CONJUGATED,
                          omega=np.broadcast_to(w, shape)[()],
-                         observables=_SENSOR_OBSERVABLES)
+                         observables=_SENSOR_OBSERVABLES, conjugated=frozenset({"b1", "b2"}))
 
 
 def _sensor_values(p: InstrumentParams, gain: complex | np.ndarray | None, w) -> dict:
@@ -363,7 +356,7 @@ def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwor
                   [-2.0 / c_2, 0.0, 0.0, 0.0, 1.0]], dtype=complex)
     b = np.array([[c_1, 0.0], [0.0, c_2], [0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], dtype=complex)
     return LinearNetwork(a=a, b=b, incoming=["p1", "p2"], outgoing={"p1": 3, "p2": 4},
-                         conjugated={"p1": False, "p2": False}, omega=omega)
+                         omega=omega)
 
 
 def build_open_line(r: float, omega: float) -> LinearNetwork:
@@ -373,5 +366,4 @@ def build_open_line(r: float, omega: float) -> LinearNetwork:
     # Unknowns U, I, p_out; incoming p.
     a = np.array([[1.0, -r, 0.0], [0.0, 1.0, 0.0], [-2.0 / c, 0.0, 1.0]], dtype=complex)
     b = np.array([[c], [0.0], [-1.0]], dtype=complex)
-    return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 2},
-                         conjugated={"p": False}, omega=omega)
+    return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 2}, omega=omega)

@@ -57,7 +57,10 @@ def effective_temperature(temperature: float, omega: float) -> float:
     check_frequency(omega)
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    zero_point = 0.5 * HBAR * abs(omega)
-    if K_B * temperature == 0.0:    # T = 0, or so small that k_B T underflows
+    zero_point, thermal = 0.5 * HBAR * abs(omega), K_B * temperature
+    if thermal == 0.0:    # T = 0, or so small that k_B T underflows
         return zero_point
-    return zero_point * coth(zero_point / (K_B * temperature))
+    x = zero_point / thermal
+    if x < 1e-300:        # coth(x) = 1/x to rounding, and 1/x may overflow
+        return thermal
+    return zero_point * coth(x)

@@ -84,7 +84,11 @@ class InstrumentParams:
         if self.kappa_t == 0.0:
             raise ValueError("R_m = H_m/kappa_t^2 is undefined without electromechanical "
                              "coupling; kappa_t is 0")
-        return self.H_m / self.kappa_t**2
+        try:
+            return self.H_m / self.kappa_t**2
+        except (ZeroDivisionError, OverflowError):    # kappa_t^2 under- or overflows
+            raise ValueError(f"R_m = H_m/kappa_t^2 leaves the float range: "
+                             f"kappa_t = {self.kappa_t}") from None
 
     def delta(self, omega: float) -> float:
         """Reactive-to-dissipative impedance ratio (K/Omega - M Omega)/H_m."""

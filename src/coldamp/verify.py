@@ -131,21 +131,22 @@ def oracle_agreement(p: InstrumentParams, omega: float,
     worst_comm = 0.0
     for start in range(0, len(ws), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        res = network.solve(network.build_sensor_network(_points(grid, rows), None, ws[rows]))
+        net = network.build_sensor_network(_points(grid, rows), None, ws[rows])
+        res = network.solve(net)
         lam[rows] = network.normalized_row(res.transfer_rows["velocity"])
         mu[rows] = network.normalized_row(res.transfer_rows["detected"])
-        worst_comm = max(worst_comm, network.check_commutators(res))
+        worst_comm = max(worst_comm, network.check_commutators(net, res))
     return (sensor.max_rel_diff(free_lambda(grid, ws), lam),
             sensor.max_rel_diff(estimator_mu(grid, ws), mu),
             worst_comm, _split_deviation(grid, ws, lam, mu))
 
 
 def toy_commutators(omega: float) -> float:
-    """Commutator deviation over the toy networks (passive, eta = 1)."""
+    """Commutator deviation over the toy networks (passive, none conjugated)."""
     nets = (network.build_matched_junction(50.0, 50.0, omega),
             network.build_matched_junction(50.0, 800.0, omega),
             network.build_open_line(120.0, omega))
-    return max(network.check_commutators(network.solve(net)) for net in nets)
+    return max(network.check_commutators(net, network.solve(net)) for net in nets)
 
 
 def loop_estimator_equality(p: InstrumentParams, omega: float,
@@ -191,6 +192,8 @@ def run_checks(p: InstrumentParams, omega: float, *,
     """Run the full verification suite; returns one result per check."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if p.kappa_t == 0.0:
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 

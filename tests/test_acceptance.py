@@ -8,8 +8,9 @@ import time
 
 import numpy as np
 
-from coldamp.budget import budget_point, numerical_matching, optimal_matching
+from coldamp.budget import budget_point
 from coldamp.constants import HBAR, K_B
+from coldamp.matching import numerical_matching, optimal_matching
 from coldamp.noise import effective_temperature
 from coldamp.network import build_sensor_network, check_commutators, solve
 from coldamp.verify import (
@@ -74,8 +75,8 @@ def test_acceptance_5_sensing_error_identity(reference_params, reference_omega):
 
 
 def test_acceptance_6_commutator_preservation(reference_params, reference_omega):
-    full = check_commutators(solve(build_sensor_network(reference_params, None,
-                                                        reference_omega)))
+    net = build_sensor_network(reference_params, None, reference_omega)
+    full = check_commutators(net, solve(net))
     toys = toy_commutators(reference_omega)
     worst = max(full, toys)
     ok = worst < 1e-10

@@ -7,14 +7,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from coldamp.budget import (
+from coldamp.budget import budget_point, sweep
+from coldamp.matching import (
     MatchingError,
     MatchingResult,
-    budget_point,
     numerical_matching,
     optimal_matching,
     simplified_budget,
-    sweep,
 )
 from coldamp.noise import effective_temperature
 from coldamp.sensor import cancelling_product_sum, estimator_coefficients, free_mass_coefficients
@@ -129,7 +128,7 @@ def test_numerical_matching_edge_raises(reference_params, reference_omega, monke
     """A minimum on the bracket edge is a numerical failure, not a result."""
     import coldamp.matching as matching
 
-    monkeypatch.setattr(matching, "simplified_budget", lambda p, omega: p.R_a)
+    monkeypatch.setattr(matching, "_reduced_budget", lambda p, omega, ratio: ratio)
     with pytest.raises(MatchingError, match="edge"):
         numerical_matching(reference_params, reference_omega)
 
@@ -222,6 +221,16 @@ def test_matching_without_coupling_is_a_value_error(reference_params, reference_
         simplified_budget(q, reference_omega)
     with pytest.raises(ValueError, match="kappa_t is 0"):
         numerical_matching(q, reference_omega)
+
+
+def test_matching_search_past_the_largest_float_is_a_value_error(reference_params):
+    """An optimum ratio near 1e303 puts the search's upper end past 1e308,
+    where 10**log_ratio overflows: one ValueError naming the bracket."""
+    q = reference_params.with_(omega_t=2.0 * math.pi * 8e-5)
+    with pytest.raises(ValueError) as err:
+        numerical_matching(q, 2.0 * math.pi * 8e148)
+    assert str(err.value) == ("the matching search leaves the float range: "
+                              "log10(R_a/R_m) in [300.718, 312.718]")
 
 
 def _verify_draw(p, omega, seed, index, count=10):

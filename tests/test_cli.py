@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -291,14 +292,80 @@ def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
      "1 + Delta^2 leaves the float range: Delta = -2.41661e+302"),
     ("damping = 1.3e-5 kg/s", "damping = 1e-300 kg/s",
      "1 + Delta^2 leaves the float range: Delta = 4.2501e+296"),
-], ids=["mass-1e300", "damping-1e-300"])
+    ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1e-200 Hz",
+     "(Omega/omega_t)^2 leaves the float range: Omega/omega_t = 5e+196"),
+    ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1e-300 Hz",
+     "(Omega/omega_t)^2 leaves the float range: Omega/omega_t = 5e+296"),
+    ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1e300 Hz",
+     "the matching search leaves the float range: log10(R_a/R_m) in [-308.087, -296.087]"),
+    ("mass = 0.27 kg", "mass = 1.7e308 kg",
+     "the matching optimum leaves the float range: ratio_opt = inf"),
+    ("damping = 1.3e-5 kg/s", "damping = 1.7e308 kg/s",
+     "the matching optimum leaves the float range: sigma_opt = inf"),
+], ids=["mass-1e300", "damping-1e-300", "carrier-1e-200", "carrier-1e-300", "carrier-1e300",
+        "mass-1.7e308", "damping-1.7e308"])
 def test_optimize_outside_the_float_range_is_one_config_error(old, new, message, tmp_path,
                                                               capsys):
-    """Delta^2 overflowed in the matching closed form and ended in a traceback."""
+    """A matching the floats cannot hold is one pinned line, not a traceback."""
     code, out, err = run(["optimize", "--config", _shipped_with(tmp_path, old, new)], capsys)
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err == f"configuration error: {message}\n"
+
+
+def test_negative_seed_is_a_config_error(capsys):
+    code, out, err = run(["verify", "--seed", "-1"], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == "configuration error: seed must be >= 0, got -1\n"
+
+
+# One-key edits of the shipped config: every key at each of these values.
+_PROBE_KEYS = re.findall(r"^(\w+) = (\S+ \S+)$", cli._default_config_text(), re.MULTILINE)
+_PROBE_VALUES = ("5e-324", "1e-300", "1e-200", "1e-10", "1e10", "1e200", "1e300", "1.7e308")
+
+
+@pytest.mark.filterwarnings("ignore:carrier-to-signal frequency ratio")
+@pytest.mark.parametrize("command", ["optimize", "budget"])
+@pytest.mark.parametrize("value", _PROBE_VALUES)
+@pytest.mark.parametrize("key, old", _PROBE_KEYS, ids=[key for key, _ in _PROBE_KEYS])
+def test_one_key_edits_end_in_a_result_or_one_typed_line(key, old, value, command, tmp_path,
+                                                          capsys):
+    """No traceback, no inf or nan with exit 0, and one line for any failure."""
+    new = f"{key} = {value} {old.split()[1]}"
+    code, out, err = run([command, "--config", _shipped_with(tmp_path, f"{key} = {old}", new)],
+                         capsys)
+    if code == cli.EXIT_OK:
+        assert not re.search(r"\b(inf|nan)\b", out + err)
+        return
+    prefix = {cli.EXIT_CONFIG: "configuration error: ",
+              cli.EXIT_NUMERICAL: "numerical failure: "}[code]
+    assert out == ""
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["1e-200", "1e200", "1.7e308"])
+def test_optimize_does_not_depend_on_the_coupling(value, tmp_path, capsys):
+    """kappa_t only converts between R_a and R_a/R_m, which optimize reports."""
+    shipped = run(["optimize"], capsys)
+    path = _shipped_with(tmp_path, "coupling = 1.0e-7 C/m", f"coupling = {value} C/m")
+    assert run(["optimize", "--config", path], capsys) == shipped
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("mechanical_temperature = 300.0 K", "mechanical_temperature = 1e300 K",
+     "  thermal part        : 3.58968740000e+272 N^2/Hz"),
+    ("mechanical_temperature = 300.0 K", "mechanical_temperature = 1.7e308 K",
+     "  thermal part        : 6.10246858000e+280 N^2/Hz"),
+    ("amplifier_temperature = 1.5 K", "amplifier_temperature = 1.7e308 K",
+     "  detection part      : 3.99203122451e+274 N^2/Hz"),
+], ids=["T_m-1e300", "T_m-1.7e308", "T_a-1.7e308"])
+def test_optimize_at_extreme_temperatures_is_classical(old, new, line, tmp_path, capsys):
+    """k Theta = k_B T there: the thermal part is 2 H_m k_B T_m, and the
+    detection part scales with k_B T_a (these read inf, or exit 3)."""
+    code, out, _ = run(["optimize", "--config", _shipped_with(tmp_path, old, new)], capsys)
+    assert code == cli.EXIT_OK
+    assert line in out.splitlines()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])

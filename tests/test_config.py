@@ -152,7 +152,7 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(GOOD)
     cfg = load(str(path))
-    assert cfg.path == str(path)
+    assert cfg == loads(GOOD)
     assert cfg.params.M == 0.27
 
 

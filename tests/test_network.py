@@ -1,7 +1,7 @@
 """Network oracle: toy networks, solve diagnostics, oracle equivalence."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,23 +36,26 @@ def oracle_rows(p, omega, gain=None):
 
 
 def test_matched_junction_swaps_ports():
-    res = solve(build_matched_junction(50.0, 50.0, OMEGA))
+    net = build_matched_junction(50.0, 50.0, OMEGA)
+    res = solve(net)
     assert np.allclose(res.s_matrix, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
-    assert check_commutators(res) < 1e-14
+    assert check_commutators(net, res) < 1e-14
 
 
 def test_unmatched_junction_is_unitary():
-    res = solve(build_matched_junction(50.0, 800.0, OMEGA))
-    assert check_commutators(res) < 1e-12
+    net = build_matched_junction(50.0, 800.0, OMEGA)
+    res = solve(net)
+    assert check_commutators(net, res) < 1e-12
     # Reflection coefficient of a resistive mismatch.
     expected = (800.0 - 50.0) / (800.0 + 50.0)
     assert res.s_matrix[0, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_open_line_reflects_everything():
-    res = solve(build_open_line(120.0, OMEGA))
+    net = build_open_line(120.0, OMEGA)
+    res = solve(net)
     assert res.s_matrix[0, 0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
-    assert check_commutators(res) < 1e-14
+    assert check_commutators(net, res) < 1e-14
 
 
 def test_solver_residual_and_flag(reference_params, reference_omega):
@@ -72,7 +75,6 @@ def test_singular_network_error_carries_diagnostics():
         b=np.array([[1.0], [2.0]], dtype=complex),
         incoming=["p"],
         outgoing={"p": 0},
-        conjugated={"p": False},
         omega=123.0,
     )
     with pytest.raises(NetworkSolveError) as err:
@@ -84,7 +86,7 @@ def test_singular_network_error_carries_diagnostics():
 def test_non_finite_solution_is_a_solve_error():
     net = LinearNetwork(
         a=np.array([[1.0]], dtype=complex), b=np.array([[math.inf]], dtype=complex),
-        incoming=["p"], outgoing={"p": 0}, conjugated={"p": False}, omega=5.0,
+        incoming=["p"], outgoing={"p": 0}, omega=5.0,
     )
     with pytest.raises(NetworkSolveError, match="non-finite") as err:
         solve(net)
@@ -94,7 +96,7 @@ def test_non_finite_solution_is_a_solve_error():
 def _stack(a, b):
     """A 3-point stack of 2x2 networks at omega = 1, 2, 3 rad/s."""
     return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 0},
-                         conjugated={"p": False}, omega=np.array([1.0, 2.0, 3.0]))
+                         omega=np.array([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -180,10 +182,7 @@ def test_square_system_enforced():
         (np.zeros((2, 2)), np.zeros((1, 1))),   # b rows do not match a
     ]:
         with pytest.raises(ValueError, match="square"):
-            LinearNetwork(
-                a=a, b=b, incoming=["p"], outgoing={"p": 0},
-                conjugated={"p": False}, omega=1.0,
-            )
+            LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 0}, omega=1.0)
 
 
 def test_rejects_zero_frequency(reference_params):
@@ -236,8 +235,21 @@ def test_decoupled_transducer_blocks(reference_params, reference_omega):
 
 
 def test_full_sensor_commutators(reference_params, reference_omega):
-    res = solve(build_sensor_network(reference_params, None, reference_omega))
-    assert check_commutators(res) < 1e-10
+    net = build_sensor_network(reference_params, None, reference_omega)
+    assert net.conjugated == {"b1", "b2"}
+    assert check_commutators(net, solve(net)) < 1e-10
+
+
+def test_sensor_commutators_need_the_conjugated_lines(reference_params, reference_omega):
+    """Negative control: taking b1, b2 as plain inputs fails the check.
+
+    The b columns of S reach |S| ~ 9.3 at the reference design, so the
+    figure rises from rounding level to about 0.99.
+    """
+    net = build_sensor_network(reference_params, None, reference_omega)
+    res = solve(net)
+    plain = replace(net, conjugated=frozenset())
+    assert check_commutators(plain, res) == pytest.approx(0.99, abs=0.01)
 
 
 def test_passive_row_commutators_catch_a_1e9_error(reference_params, reference_omega):
@@ -245,7 +257,7 @@ def test_passive_row_commutators_catch_a_1e9_error(reference_params, reference_o
     net = build_sensor_network(reference_params, None, reference_omega)
     (row,) = np.flatnonzero(net.a[:, net.outgoing["l1"]])   # the l1_out relation
     net.b[row, net.incoming.index("l1")] *= 1.0 + 1e-9
-    assert check_commutators(solve(net)) >= ORACLE_TOL
+    assert check_commutators(net, solve(net)) >= ORACLE_TOL
 
 
 def test_refinement_step_is_needed(reference_params, reference_omega):

@@ -34,6 +34,17 @@ def test_temperature_whose_k_b_t_underflows_is_the_zero_point():
         assert effective_temperature(5e-324, omega) == 0.5 * HBAR * omega
 
 
+@pytest.mark.parametrize("temp, omega", [
+    (1e300, 1e-3),        # 1/x overflows in coth's Laurent branch
+    (1.7e308, OMEGA_T),
+    (1.5, 2.0 * math.pi * 1e-300),   # hbar |w| / 2 underflows to 0
+    (300.0, 5e-324),
+])
+def test_classical_limit_past_the_float_range_of_x(temp, omega):
+    """Where x = hbar|w|/2k_BT leaves the float range, kTheta is k_B T to rounding."""
+    assert effective_temperature(temp, omega) == K_B * temp
+
+
 def test_half_quantum_ratio():
     # hbar w = 2 kB T makes the coth argument exactly 1.
     omega = 1e5

@@ -99,6 +99,14 @@ def test_detuning_and_mechanical_resistance(reference_params, reference_omega):
     assert p.delta(resonance) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kappa_t", [1e-200, 1e200])
+def test_mechanical_resistance_outside_the_float_range(reference_params, kappa_t):
+    """kappa_t^2 under- or overflows: a ValueError, not ZeroDivisionError or OverflowError."""
+    with pytest.raises(ValueError) as err:
+        reference_params.with_(kappa_t=kappa_t).r_m
+    assert str(err.value) == f"R_m = H_m/kappa_t^2 leaves the float range: kappa_t = {kappa_t}"
+
+
 def test_hashable(reference_params):
     same = reference_params.with_(M=reference_params.M)
     assert same == reference_params and same is not reference_params

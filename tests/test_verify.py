@@ -42,9 +42,10 @@ def test_finite_gain_on_a_closed_loop_draw(reference_params, reference_omega):
     assert abs(verify.finite_gain_exponent(q, w) + 1.0) < verify.EXPONENT_TOL
     for ratio in (1e3, 1e7):
         gain = gain_for_effective_impedance(q, ratio * q.H_m, w)
-        closed = check_commutators(solve(build_sensor_network(q, gain, w)))
-        assert closed == pytest.approx(0.31, abs=0.01)
-    assert check_commutators(solve(build_sensor_network(q, None, w))) < verify.ORACLE_TOL
+        net = build_sensor_network(q, gain, w)
+        assert check_commutators(net, solve(net)) == pytest.approx(0.31, abs=0.01)
+    net = build_sensor_network(q, None, w)
+    assert check_commutators(net, solve(net)) < verify.ORACLE_TOL
 
 
 @pytest.mark.parametrize("draw", [False, True])
@@ -185,12 +186,13 @@ def _per_point_oracle(p, omega, draws, seed):
     for i in range(draws):
         q = draw_params(p, rng) if i else p
         for w in draw_frequencies(omega, rng, count=verify.FREQUENCIES):
-            res = solve(build_sensor_network(q, None, w))
+            net = build_sensor_network(q, None, w)
+            res = solve(net)
             lam = normalized_row(res.transfer_rows["velocity"])
             mu = normalized_row(res.transfer_rows["detected"])
             worst_lam = max(worst_lam, max_rel_diff(free_mass_coefficients(q, w), lam))
             worst_mu = max(worst_mu, max_rel_diff(estimator_coefficients(q, w), mu))
-            worst_comm = max(worst_comm, check_commutators(res))
+            worst_comm = max(worst_comm, check_commutators(net, res))
             worst_split = max(worst_split, verify._split_deviation(q, w, lam, mu))
     return worst_lam, worst_mu, worst_comm, worst_split
 
