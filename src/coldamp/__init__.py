@@ -16,13 +16,13 @@ __version__ = "0.1.0"
 
 # Public name -> defining submodule.
 _EXPORTS = {
-    "BudgetPoint": "budget", "budget_point": "budget", "sweep": "budget",
+    "budget_point": "budget", "sweep": "budget",
     "MatchingResult": "matching", "numerical_matching": "matching",
     "optimal_matching": "matching", "simplified_budget": "matching",
     "ConfigError": "config", "RunConfig": "config", "load": "config", "loads": "config",
     "LINE_LABELS": "noise", "effective_temperature": "noise",
     "InstrumentParams": "params",
-    "SpectrumBreakdown": "sensor", "estimator_coefficients": "sensor",
+    "BudgetPoint": "sensor", "estimator_coefficients": "sensor",
     "free_mass_coefficients": "sensor", "mechanical_impedance": "sensor",
     "sensor_noise_spectrum": "sensor",
     "cold_damped_estimator": "servo", "cold_damped_velocity": "servo",

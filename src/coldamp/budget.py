@@ -1,7 +1,10 @@
 """Force-noise budget and parameter sweeps.
 
-The budget is expressed two equivalent ways: as the direct quadratic sum
-over the estimator coefficients, and rewritten through velocity spectra
+budget_point is sensor.sensor_noise_spectrum with its checks: every
+column of the BudgetPoint stays in the float range, and a carrier too
+close to the signal frequency warns.  The record holds the direct
+quadratic sum over the estimator coefficients, its named components,
+and the velocity spectra of
 
     Sigma_FF = H_m^2 (1 + Delta^2) (sigma_vfr + sigma_vse + sigma_cross)
 
@@ -14,47 +17,16 @@ sensitivity is sqrt(Sigma_FF)/M.  Matching is in the matching module.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .matching import numerical_matching  # bench/tracer.py traces it under this name
 from .params import InstrumentParams
-from .sensor import (SpectrumBreakdown, _abs2, _columns, _frequencies, mechanical_impedance,
-                     sensor_noise_spectrum)
+from .sensor import BudgetPoint, _frequencies, sensor_noise_spectrum
 
 SIDEBAND_RATIO_FLOOR = 1e3
 _SWEEP_AXES = tuple(f.name for f in fields(InstrumentParams))
-
-
-@dataclass(frozen=True)
-class BudgetPoint:
-    """Noise budget of the sensor at one frequency, or over a grid.
-
-    sigma_vfr, sigma_vse and sigma_cross are velocity spectral densities
-    in (m/s)^2/Hz; sigma_cross is signed.  sigma_ff is their force-domain
-    total plus nothing else: the identity
-    sigma_ff = H_m^2 (1+delta^2) (sigma_vfr + sigma_vse + sigma_cross)
-    holds to rounding.  Fields are floats, or (N,) columns over a grid;
-    len() and indexing then give single-point budgets.
-    """
-
-    omega: float
-    sigma_vfr: float
-    sigma_vse: float
-    sigma_cross: float
-    sigma_ff: float
-    accel_sensitivity: float
-    delta: float
-    breakdown: SpectrumBreakdown
-
-    def __len__(self) -> int:
-        return len(self.omega)
-
-    def __getitem__(self, k: int) -> BudgetPoint:
-        b = self.breakdown
-        return BudgetPoint(*(float(getattr(self, f.name)[k]) for f in fields(self)[:-1]),
-                           SpectrumBreakdown(*(float(getattr(b, f.name)[k]) for f in fields(b))))
 
 
 def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
@@ -62,18 +34,15 @@ def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
 
     omega is a float or an (N,) array, and p may hold (N,) parameter
     columns (p.with_(R_a=array)): a whole grid in one call.  A column
-    leaving the float range is a ValueError; one warning covers every
-    point whose carrier-to-signal ratio is not above SIDEBAND_RATIO_FLOOR.
+    leaving the float range is a ValueError naming the first such field;
+    one warning covers every point whose carrier-to-signal ratio is not
+    above SIDEBAND_RATIO_FLOOR.
     """
     w = _frequencies(omega)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b, xi = sensor_noise_spectrum(p, w), mechanical_impedance(p, w)
-        xi_sq, ratio = _abs2(xi.real, xi.imag), p.omega_t / abs(w)
-        point = BudgetPoint(*_columns(w, (b.langevin + b.back_action) / xi_sq, b.sensing / xi_sq,
-                                      b.interference / xi_sq, b.total, np.sqrt(b.total) / p.M,
-                                      xi.imag / p.H_m), breakdown=b)
-    for name, column in {**vars(point), **vars(b)}.items():
-        if name != "breakdown" and not np.isfinite(column).all():
+        point, ratio = sensor_noise_spectrum(p, w), p.omega_t / abs(w)
+    for name, column in vars(point).items():
+        if not np.isfinite(column).all():
             value = float(np.extract(~np.isfinite(column), column)[0])
             raise ValueError(f"the budget leaves the float range: {name} = {value}")
     if np.any(ratio <= SIDEBAND_RATIO_FLOOR):

@@ -27,11 +27,6 @@ EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERICAL = 3
 
-_CSV_COLUMNS = ("frequency_hz", "delta", "sigma_vfr", "sigma_vse", "sigma_cross", "sigma_ff",
-                "langevin", "back_action", "sensing", "interference", "accel_sensitivity",
-                "config_digest", "tool_version")
-
-
 _NUMBER = "%.11e"  # 12 significant digits
 _fmt = _NUMBER.__mod__
 
@@ -47,13 +42,12 @@ def _load(args) -> config.RunConfig:
 
 
 def _csv(table, cfg) -> str:
-    """CSV of a grid budget (a BudgetPoint of (N,) columns), one row per point."""
-    b = table.breakdown
-    columns = (table.omega / (2.0 * math.pi), table.delta, table.sigma_vfr, table.sigma_vse,
-               table.sigma_cross, table.sigma_ff, b.langevin, b.back_action, b.sensing,
-               b.interference, table.accel_sensitivity)
+    """CSV of a grid budget, one row per point: its BudgetPoint fields in order, omega in Hz."""
+    columns = {"frequency_hz": table.omega / (2.0 * math.pi), **vars(table)}
+    del columns["omega"]
     row = ",".join([_NUMBER] * len(columns) + [cfg.digest, __version__])
-    lines = [",".join(_CSV_COLUMNS), *map(row.__mod__, zip(*(c.tolist() for c in columns)))]
+    header = ",".join([*columns, "config_digest", "tool_version"])
+    lines = [header, *map(row.__mod__, zip(*(c.tolist() for c in columns.values())))]
     return "\n".join(lines) + "\n"
 
 
@@ -216,7 +210,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (config.ConfigError, FileNotFoundError, ValueError) as exc:
+    except (config.ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NetworkSolveError as exc:

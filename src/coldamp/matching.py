@@ -41,17 +41,16 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
 
 
 def _reduced_budget(p: InstrumentParams, omega: float, ratio: float) -> float:
-    """simplified_budget at the matching ratio R_a/R_m given; p.R_a is not used."""
+    """simplified_budget at the matching ratio R_a/R_m given; p.R_a is not used.
+
+    (Omega/omega_t)^2 / ratio is s / ratio * s, s = Omega/omega_t: near the
+    optimum s / ratio is of order one, where s^2 alone may leave the float range."""
     h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
-    try:
-        sideband = (omega / p.omega_t) ** 2
-    except OverflowError:
-        raise ValueError(f"(Omega/omega_t)^2 leaves the float range: "
-                         f"Omega/omega_t = {omega / p.omega_t:.6g}") from None
+    s = omega / p.omega_t
     return (
         2.0 * h_m * k_theta_m
         + 8.0 * h_m * ratio * k_theta_a
-        + 2.0 * h_m * detuning * sideband / ratio * k_theta_a
+        + 2.0 * h_m * detuning * (s / ratio * s) * k_theta_a
     )
 
 

@@ -9,7 +9,8 @@ combinations of the incoming noise fields,
 over the nine lines m, a1, a2, b1, b2, r1, r2, l1, l2.  The added force
 noise spectrum is Sigma_FF = sum_a |mu_a|^2 sigma_a with the mechanical
 spectrum evaluated at the signal frequency Omega and the electrical
-quadrature spectra at the carrier omega_t.
+quadrature spectra at the carrier omega_t.  sensor_noise_spectrum gives
+it with its components and velocity form as one BudgetPoint, the CSV row.
 
 Each closed form evaluates a whole grid (an (N,) omega, or parameters
 whose fields hold (N,) columns, as p.with_(R_a=array) gives) in one call,
@@ -115,18 +116,36 @@ def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> f
 
 
 @dataclass(frozen=True)
-class SpectrumBreakdown:
-    """Total added force noise and its named components, N^2/Hz.
+class BudgetPoint:
+    """Noise budget of the sensor at one frequency, or over a grid; one CSV row.
 
-    interference is signed, the others non-negative; the total equals
-    their sum to machine precision.  Floats, or (N,) arrays over a grid.
+    delta = X_m/H_m is the detuning.  sigma_vfr, sigma_vse and
+    sigma_cross are velocity spectral densities in (m/s)^2/Hz, sigma_ff
+    the force noise and langevin, back_action, sensing and interference
+    its components in N^2/Hz; sigma_cross and interference are signed.
+    sigma_ff equals the components' sum and
+    H_m^2 (1+delta^2) (sigma_vfr + sigma_vse + sigma_cross) to rounding.
+    accel_sensitivity = sqrt(sigma_ff)/M.  Fields are floats, or (N,)
+    columns over a grid; len() and indexing then give single points.
     """
 
-    total: float
+    omega: float
+    delta: float
+    sigma_vfr: float
+    sigma_vse: float
+    sigma_cross: float
+    sigma_ff: float
     langevin: float
     back_action: float
     sensing: float
     interference: float
+    accel_sensitivity: float
+
+    def __len__(self) -> int:
+        return len(self.omega)
+
+    def __getitem__(self, k: int) -> BudgetPoint:
+        return BudgetPoint(*(float(column[k]) for column in vars(self).values()))
 
 
 def mechanical_impedance(p: InstrumentParams, omega):
@@ -214,13 +233,14 @@ def line_spectra(p: InstrumentParams, omega) -> tuple:
     return np.stack(spectra, axis=-1), (k_m, k_a, k_l, k_r)
 
 
-def sensor_noise_spectrum(p: InstrumentParams, omega) -> SpectrumBreakdown:
-    """Added force noise spectrum of the open-loop sensor, decomposed, at omega or a grid.
+def sensor_noise_spectrum(p: InstrumentParams, omega) -> BudgetPoint:
+    """Added force noise budget of the open-loop sensor at omega or a grid, unchecked.
 
-    The total is the direct quadratic sum over the mu coefficients with
+    sigma_ff is the direct quadratic sum over the mu coefficients with
     the line_spectra weights; the named components are the closed forms
     for the mechanical Langevin noise, the amplifier back action, the
-    sensing error and their signed interference.
+    sensing error and their signed interference.  The velocity columns
+    are those components over |Xi_m|^2.
     """
     w = _frequencies(omega)
     spectra, (k_theta_m, k_theta_a, k_theta_l, k_theta_r) = line_spectra(p, w)
@@ -232,7 +252,8 @@ def sensor_noise_spectrum(p: InstrumentParams, omega) -> SpectrumBreakdown:
 
     langevin = 2.0 * h_m * k_theta_m
     back_action = 8.0 * p.R_a * kt2 * k_theta_a
-    ratio = _abs2(h_m, x) * _sq(w) / (_sq(p.omega_t) * kt2)
+    xi_sq = _abs2(h_m, x)
+    ratio = xi_sq * _sq(w) / (_sq(p.omega_t) * kt2)
     sensing = ratio * (
         k_theta_l / p.R_l
         + p.R_r * k_theta_r / (4.0 * _sq(zf_mag))
@@ -240,4 +261,6 @@ def sensor_noise_spectrum(p: InstrumentParams, omega) -> SpectrumBreakdown:
     )
     delta = x / h_m
     interference = -8.0 * (p.R_a / zf_mag) * (w / p.omega_t) * delta * h_m * k_theta_a
-    return SpectrumBreakdown(*_columns(total, langevin, back_action, sensing, interference))
+    return BudgetPoint(*_columns(
+        w, delta, (langevin + back_action) / xi_sq, sensing / xi_sq, interference / xi_sq, total,
+        langevin, back_action, sensing, interference, np.sqrt(total) / p.M))

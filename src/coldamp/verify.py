@@ -182,7 +182,7 @@ def decomposition_consistency(p: InstrumentParams, omega: float,
     """Component sum vs direct quadratic total of the force spectrum."""
     grid, ws = _draws(p, omega, seed, draws, 3)
     b = sensor.sensor_noise_spectrum(grid, ws)
-    columns = (b.total, b.langevin, b.back_action, b.sensing, b.interference)
+    columns = (b.sigma_ff, b.langevin, b.back_action, b.sensing, b.interference)
     return max(abs(math.fsum(parts) - total) / total
                for total, *parts in zip(*(c.tolist() for c in columns)))
 

@@ -34,9 +34,9 @@ def test_budget_terms_sum(reference_params, reference_omega):
     xi2 = point.sigma_ff / total_v
     # sigma_ff is exactly the velocity budget mapped through the mechanics.
     assert point.sigma_ff == pytest.approx(xi2 * total_v, rel=1e-12, abs=0.0)
-    b = point.breakdown
     assert point.sigma_ff == pytest.approx(
-        b.langevin + b.back_action + b.sensing + b.interference, rel=1e-12, abs=0.0)
+        point.langevin + point.back_action + point.sensing + point.interference,
+        rel=1e-12, abs=0.0)
 
 
 def test_budget_rejects_zero_frequency(reference_params):
@@ -273,9 +273,9 @@ def test_sweeps_equal_single_point_budgets_bit_for_bit(reference_params, referen
     for grid, points in cases:
         assert len(grid) == len(points)
         for k, point in enumerate(points):
-            values = (*astuple(point)[:-1], *astuple(point.breakdown))
+            values = astuple(point)
             assert all(type(v) is float for v in values)
-            assert (*astuple(grid[k])[:-1], *astuple(grid[k].breakdown)) == values
+            assert astuple(grid[k]) == values
 
 
 @pytest.mark.parametrize("seed, index", GRID_DRAWS)
@@ -324,7 +324,7 @@ def test_a_budget_outside_the_float_range_raises(reference_params, reference_ome
     nan row; a sweep names its first such point."""
     with pytest.raises(ValueError) as err:
         budget_point(reference_params.with_(K=1e308), reference_omega)
-    assert str(err.value) == "the budget leaves the float range: sigma_vse = nan"
+    assert str(err.value) == "the budget leaves the float range: delta = inf"
     with pytest.raises(ValueError, match=r"^sweep failed at K = 1e\+154: the budget leaves"):
         sweep(reference_params, "K", [1.0, 1e154, 1e308], omega=reference_omega)
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV contract, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 import coldamp.verify as verify
 from coldamp import cli
 from coldamp.noise import LINE_LABELS
-from coldamp.sensor import estimator_coefficients
+from coldamp.sensor import BudgetPoint, estimator_coefficients
 
 # SHA-256 of the CLI output on the shipped config, kept with the benchmark.
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
@@ -26,10 +27,11 @@ def test_budget_default_point(capsys):
     code, out, err = run(["budget"], capsys)
     assert code == cli.EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0].split(",")[0] == "frequency_hz"
+    names = [f.name for f in dataclasses.fields(BudgetPoint)]
+    assert lines[0].split(",") == ["frequency_hz", *names[1:], "config_digest", "tool_version"]
     assert len(lines) == 2
     fields = lines[1].split(",")
-    assert len(fields) == len(cli._CSV_COLUMNS)
+    assert len(fields) == len(names) + 2
     assert float(fields[0]) == pytest.approx(5.0e-4, rel=1e-11, abs=0.0)
     assert float(fields[5]) == pytest.approx(1.1e-25, rel=0.03, abs=0.0)
     assert "force noise" in err
@@ -267,7 +269,7 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
     (["budget", "--points", "0"], "points must be >= 1"),
     # Finite grids whose budgets overflow (these gave a nan/inf CSV with exit 0).
     (["sweep", "--axis", "K", "--min", "1e300", "--max", "1e308", "--points", "2"],
-     "the budget leaves the float range: sigma_vse = nan"),
+     "the budget leaves the float range: delta = inf"),
     (["budget", "--freq-min", "1e300", "--freq-max", "1e301", "--points", "2"],
      "the budget leaves the float range: sigma_vse = nan"),
     (["budget", "--freq-min", "1e-200", "--freq-max", "1e-190", "--points", "2"],
@@ -275,7 +277,7 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
     (["sweep", "--axis", "R_a", "--min", "1e-320", "--max", "1e-318", "--points", "2"],
      "the budget leaves the float range: sigma_vse = nan"),
     (["sweep", "--axis", "K", "--min", "1", "--max", "1e308", "--points", "3"],
-     "sweep failed at K = 1e+154: the budget leaves the float range: sigma_vse = nan"),
+     "sweep failed at K = 1e+154: the budget leaves the float range: delta = inf"),
 ], ids=["budget-inf", "budget-nan", "sweep-inf", "sweep-negative-axis", "sweep-decreasing",
         "budget-decreasing", "sweep-overflow", "budget-angular-overflow", "budget-points-50",
         "budget-points-0", "sweep-K-overflow", "budget-high-frequency", "budget-low-frequency",
@@ -292,18 +294,13 @@ def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
      "1 + Delta^2 leaves the float range: Delta = -2.41661e+302"),
     ("damping = 1.3e-5 kg/s", "damping = 1e-300 kg/s",
      "1 + Delta^2 leaves the float range: Delta = 4.2501e+296"),
-    ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1e-200 Hz",
-     "(Omega/omega_t)^2 leaves the float range: Omega/omega_t = 5e+196"),
-    ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1e-300 Hz",
-     "(Omega/omega_t)^2 leaves the float range: Omega/omega_t = 5e+296"),
     ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1e300 Hz",
      "the matching search leaves the float range: log10(R_a/R_m) in [-308.087, -296.087]"),
     ("mass = 0.27 kg", "mass = 1.7e308 kg",
      "the matching optimum leaves the float range: ratio_opt = inf"),
     ("damping = 1.3e-5 kg/s", "damping = 1.7e308 kg/s",
      "the matching optimum leaves the float range: sigma_opt = inf"),
-], ids=["mass-1e300", "damping-1e-300", "carrier-1e-200", "carrier-1e-300", "carrier-1e300",
-        "mass-1.7e308", "damping-1.7e308"])
+], ids=["mass-1e300", "damping-1e-300", "carrier-1e300", "mass-1.7e308", "damping-1.7e308"])
 def test_optimize_outside_the_float_range_is_one_config_error(old, new, message, tmp_path,
                                                               capsys):
     """A matching the floats cannot hold is one pinned line, not a traceback."""
@@ -366,6 +363,30 @@ def test_optimize_at_extreme_temperatures_is_classical(old, new, line, tmp_path,
     code, out, _ = run(["optimize", "--config", _shipped_with(tmp_path, old, new)], capsys)
     assert code == cli.EXIT_OK
     assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e-200", "1e200"],
+                         ids=["carrier-1e-300", "carrier-1e-200", "carrier-1e200"])
+def test_optimize_at_extreme_carriers_agrees_with_its_cross_check(value, tmp_path, capsys):
+    """(Omega/omega_t)^2 alone leaves the float range at these carriers, where
+    optimize exited 1 (1e-300 and 1e-200 Hz) or 3 (1e200 Hz, an edge minimum)."""
+    path = _shipped_with(tmp_path, "carrier_frequency = 1.0e5 Hz",
+                         f"carrier_frequency = {value} Hz")
+    code, out, _ = run(["optimize", "--config", path], capsys)
+    assert code == cli.EXIT_OK
+    residual = re.search(r"^numerical cross-check : (\S+) relative$", out, re.MULTILINE)
+    assert float(residual.group(1)) < 1e-6
+
+
+@pytest.mark.parametrize("command", ["budget", "dump-config"])
+@pytest.mark.parametrize("option", ["--config", "--out"])
+def test_a_directory_path_is_one_config_error(command, option, tmp_path, capsys):
+    """An unreadable config or an unwritable --out ended in an OSError traceback."""
+    code, out, err = run([command, option, str(tmp_path)], capsys)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert str(tmp_path) in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])

@@ -92,10 +92,10 @@ def test_sensing_terms_scale_with_xi_over_kappa(reference_params, reference_omeg
 
 def test_spectrum_headline_and_decomposition(reference_params, reference_omega):
     b = sensor_noise_spectrum(reference_params, reference_omega)
-    assert b.total == pytest.approx(1.077e-25, rel=3e-3, abs=0.0)
-    assert b.langevin / b.total > 0.99
+    assert b.sigma_ff == pytest.approx(1.077e-25, rel=3e-3, abs=0.0)
+    assert b.langevin / b.sigma_ff > 0.99
     parts = b.langevin + b.back_action + b.sensing + b.interference
-    assert parts == pytest.approx(b.total, rel=1e-12, abs=0.0)
+    assert parts == pytest.approx(b.sigma_ff, rel=1e-12, abs=0.0)
 
 
 def test_back_action_and_sensing_scaling(reference_params, reference_omega):
@@ -109,7 +109,7 @@ def test_back_action_and_sensing_scaling(reference_params, reference_omega):
 def test_vacuum_floor(reference_params, reference_omega):
     cold = reference_params.with_(T_m=0.0, T_a=0.0, T_l=0.0, T_r=0.0)
     b = sensor_noise_spectrum(cold, reference_omega)
-    assert b.total > 0.0
+    assert b.sigma_ff > 0.0
     assert b.langevin > 0.0 and b.back_action > 0.0 and b.sensing > 0.0
 
 
@@ -135,7 +135,7 @@ def test_line_spectra_in_the_quantum_and_classical_limits(temps, reference_param
     electrical = [p.T_a] * 4 + [p.T_r] * 2 + [p.T_l] * 2
     spectra = [limit(p.T_m, w)] + [2.0 * limit(t, p.omega_t) for t in electrical]
     expected = np.dot(np.abs(estimator_coefficients(p, w)) ** 2, spectra)
-    assert sensor_noise_spectrum(p, w).total == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert sensor_noise_spectrum(p, w).sigma_ff == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_budget_point_evaluates_each_temperature_once(reference_params, reference_omega,
@@ -162,7 +162,7 @@ def test_decomposition_sum_over_draws(reference_params, reference_omega):
         for w in draw_frequencies(reference_omega, rng, count=2):
             b = sensor_noise_spectrum(q, w)
             parts = b.langevin + b.back_action + b.sensing + b.interference
-            assert abs(parts - b.total) / b.total < 1e-12
+            assert abs(parts - b.sigma_ff) / b.sigma_ff < 1e-12
 
 
 def test_coefficient_vector_layout():

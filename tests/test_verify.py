@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import coldamp.sensor as sensor
 import coldamp.verify as verify
 from coldamp.constants import HBAR
 from coldamp.network import build_sensor_network, check_commutators, normalized_row, solve
@@ -212,10 +213,24 @@ def test_split_gate_catches_a_dropped_back_action(reference_params, reference_om
 
     def without_back_action(p, omega):
         table = budget_point(p, omega)
-        b = table.breakdown
-        vfr = table.sigma_vfr * b.langevin / (b.langevin + b.back_action)
+        vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
         return replace(table, sigma_vfr=vfr)
 
     monkeypatch.setattr(verify, "budget_point", without_back_action)
     split = verify.oracle_agreement(reference_params, reference_omega, draws=3, seed=0)[3]
     assert split >= verify.ORACLE_TOL
+
+
+@pytest.mark.parametrize("component", ["langevin", "back_action", "sensing", "interference"])
+def test_decomposition_gate_catches_a_scaled_component(reference_params, reference_omega,
+                                                       component, monkeypatch):
+    """Negative control: one component of the spectrum off by 1e-9 fails the sum gate."""
+    spectrum = sensor.sensor_noise_spectrum
+
+    def scaled(p, omega):
+        point = spectrum(p, omega)
+        return replace(point, **{component: getattr(point, component) * (1.0 + 1e-9)})
+
+    monkeypatch.setattr(sensor, "sensor_noise_spectrum", scaled)
+    deviation = verify.decomposition_consistency(reference_params, reference_omega, 40, 2)
+    assert deviation >= verify.EQUALITY_TOL
