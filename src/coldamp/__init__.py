@@ -6,8 +6,9 @@ amplifier.  Closed-form noise coefficients (sensor and servo modules)
 are cross-validated by an independent numerical network solver.
 
 The public names load on first use (PEP 562), each from the submodule
-that defines it: `import coldamp` and `coldamp.load` do not import
-numpy, which only the closed forms, the oracle and `run_checks` need.
+that defines it: `import coldamp` and `coldamp.load` do not import numpy,
+which only grids of closed forms, the servo tables, the oracle and
+`run_checks` need (sensor and budget_point evaluate floats without it).
 """
 
 from importlib import import_module

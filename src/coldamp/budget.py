@@ -16,14 +16,14 @@ sensitivity is sqrt(Sigma_FF)/M.  Matching is in the matching module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import fields
 
-import numpy as np
-
+from . import ops
 from .matching import numerical_matching  # bench/tracer.py traces it under this name
 from .params import InstrumentParams
-from .sensor import BudgetPoint, _frequencies, sensor_noise_spectrum
+from .sensor import BudgetPoint, sensor_noise_spectrum
 
 SIDEBAND_RATIO_FLOOR = 1e3
 _SWEEP_AXES = tuple(f.name for f in fields(InstrumentParams))
@@ -32,24 +32,40 @@ _SWEEP_AXES = tuple(f.name for f in fields(InstrumentParams))
 def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
     """Full noise budget at mechanical frequency omega (rad/s).
 
-    omega is a float or an (N,) array, and p may hold (N,) parameter
-    columns (p.with_(R_a=array)): a whole grid in one call.  A column
-    leaving the float range is a ValueError naming the first such field;
-    one warning covers every point whose carrier-to-signal ratio is not
-    above SIDEBAND_RATIO_FLOOR.
+    omega is a float, a list of floats or an (N,) array, and p may hold
+    (N,) parameter columns (p.with_(R_a=array)): a whole grid in one call.
+    Floats, and lists of floats, with float parameters take the float
+    path: point by point, without numpy, a list giving list columns.
+    Where Python raises an ArithmeticError there, numpy (which gives inf
+    or nan) evaluates the call again.  A column leaving the float range
+    is a ValueError naming the first such field; one warning covers every
+    point whose carrier-to-signal ratio is not above SIDEBAND_RATIO_FLOOR.
     """
-    w = _frequencies(omega)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        point, ratio = sensor_noise_spectrum(p, w), p.omega_t / abs(w)
+    grid = omega if isinstance(omega, list) else [omega]
+    xp = ops.of(*grid, *vars(p).values()) if grid else ops.numpy_ops()   # [] as an array
+    try:
+        point, ratio = _spectrum(xp, p, grid if xp is ops.FLOAT else omega)
+    except ArithmeticError:
+        xp = ops.numpy_ops()
+        point, ratio = _spectrum(xp, p, omega)
     for name, column in vars(point).items():
-        if not np.isfinite(column).all():
-            value = float(np.extract(~np.isfinite(column), column)[0])
-            raise ValueError(f"the budget leaves the float range: {name} = {value}")
-    if np.any(ratio <= SIDEBAND_RATIO_FLOOR):
-        warnings.warn(f"carrier-to-signal frequency ratio {np.min(ratio):.3g} is not above "
+        if bad := xp.nonfinite(column):
+            raise ValueError(f"the budget leaves the float range: {name} = {bad[0]}")
+    if ratio <= SIDEBAND_RATIO_FLOOR:
+        warnings.warn(f"carrier-to-signal frequency ratio {ratio:.3g} is not above "
                       f"{SIDEBAND_RATIO_FLOOR:g}; the sideband-resolved model becomes inaccurate",
                       stacklevel=2)
-    return point
+    return point[0] if xp is ops.FLOAT and grid is not omega else point
+
+
+def _spectrum(xp, p: InstrumentParams, omega) -> tuple:
+    """The unchecked budget at omega, and its least carrier-to-signal ratio."""
+    if xp is ops.FLOAT:      # a list of floats, point by point
+        rows = [vars(sensor_noise_spectrum(p, w)).values() for w in omega]
+        return BudgetPoint(*map(list, zip(*rows))), min(p.omega_t / abs(w) for w in omega)
+    w, np = xp.frequencies(omega), xp.np
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return sensor_noise_spectrum(p, w), np.min(p.omega_t / abs(w), initial=math.inf)
 
 
 def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> BudgetPoint:
@@ -78,6 +94,7 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     else:
         def at(value):
             return budget_point(p.with_(**{axis: value}), omega)
+    import numpy as np      # the grid is one numpy call
     try:
         return at(np.array(values))
     except ValueError as exc:

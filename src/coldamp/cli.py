@@ -7,8 +7,8 @@ summary goes to stderr so piping the CSV stays clean.  Exit codes are
 failure.
 
 Only config is imported at module level; each command imports the
-modules it needs once its configuration has loaded, so dump-config,
-optimize, --help and configuration errors run without loading numpy.
+modules it needs once its configuration has loaded.  Only sweep and
+verify load numpy: budget evaluates its grid point by point in floats.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ def _load(args) -> config.RunConfig:
 
 
 def _csv(table, cfg) -> str:
-    """CSV of a grid budget, one row per point: its BudgetPoint fields in order, omega in Hz."""
-    columns = {"frequency_hz": table.omega / (2.0 * math.pi), **vars(table)}
-    del columns["omega"]
+    """CSV of a grid budget (list or array columns), one row per point, omega in Hz."""
+    omega, *rest = (c if isinstance(c, list) else c.tolist() for c in vars(table).values())
+    columns = [[w / (2.0 * math.pi) for w in omega], *rest]
     row = ",".join([_NUMBER] * len(columns) + [cfg.digest, __version__])
-    header = ",".join([*columns, "config_digest", "tool_version"])
-    lines = [header, *map(row.__mod__, zip(*(c.tolist() for c in columns.values())))]
+    header = ",".join(["frequency_hz", *list(vars(table))[1:], "config_digest", "tool_version"])
+    lines = [header, *map(row.__mod__, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -90,7 +90,10 @@ def cmd_budget(args) -> int:
         lo = args.freq_min if args.freq_min is not None else cfg.frequency
         hi = args.freq_max if args.freq_max is not None else cfg.frequency
         omegas = _geometric_grid(lo, hi, args.points, "frequency")
-    points = budget.sweep(cfg.params, "frequency", omegas)
+    try:
+        points = budget.budget_point(cfg.params, omegas)    # the float path: no numpy
+    except ValueError:     # as sweep words it, naming the first failing point
+        points = budget.sweep(cfg.params, "frequency", omegas)
     _write(_csv(points, cfg), args.out)
     head = points[min(range(len(omegas)), key=lambda k: abs(omegas[k] - cfg.omega))]
     print(

@@ -28,7 +28,7 @@ from .constants import HBAR
 from .errors import NetworkSolveError
 from .noise import LINE_LABELS, check_frequency
 from .params import InstrumentParams
-from .sensor import _frequencies
+from .ops import numpy_ops
 
 
 @dataclass
@@ -294,7 +294,7 @@ def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
     (N,) columns) and (N,) arrays of gains or frequencies give a stack of
     N systems with one leading axis.
     """
-    w = _frequencies(omega)
+    w = numpy_ops().frequencies(omega)
     values = _sensor_values(p, gain, w)
     shape = np.broadcast(*values.values()).shape
     return LinearNetwork(a=_fill(_SENSOR_A, values, shape), b=_fill(_SENSOR_B, values, shape),

@@ -12,58 +12,47 @@ spectrum evaluated at the signal frequency Omega and the electrical
 quadrature spectra at the carrier omega_t.  sensor_noise_spectrum gives
 it with its components and velocity form as one BudgetPoint, the CSV row.
 
-Each closed form evaluates a whole grid (an (N,) omega, or parameters
-whose fields hold (N,) columns, as p.with_(R_a=array) gives) in one call,
-in real arithmetic with Python's pow for squares, so a grid point equals
-the single point bit for bit.
+Each closed form is written once over an ops namespace, which the types
+of its inputs pick (ops.of).  A float omega with float parameters is one
+point in Python floats, without numpy: a coefficient table is then a
+tuple of 9 complex numbers.  An (N,) omega, or parameters whose fields
+hold (N,) columns, as p.with_(R_a=array) gives, is a grid in one numpy
+call.  Both use real arithmetic with C pow for squares and C hypot for
+moduli, so a grid point equals the float evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import ops
 from .constants import HBAR
-from .noise import LINE_LABELS, SLOT, check_frequency, effective_temperature
+from .noise import LINE_LABELS, SLOT, effective_temperature
 from .params import InstrumentParams
 
 
-def _sq(x):
-    return np.float_power(x, 2.0)  # pow, like Python's x ** 2; numpy's x ** 2 is x * x
+def _grid(p: InstrumentParams, omega):
+    """The ops namespace for p at omega, and omega checked by check_frequency."""
+    xp = ops.of(omega, *vars(p).values())
+    return xp, xp.frequencies(omega)
 
 
-def _abs2(re, im):
-    return _sq(np.hypot(re, im))   # Python's abs(re + i im) ** 2
+def coefficients(**entries):
+    """Complex table in LINE_LABELS order; lines not named are zero.
 
-
-def _frequencies(omega):
-    """omega as a float array (a numpy float for a float), checked by check_frequency."""
-    w = np.asarray(omega, dtype=float)
-    if not (w.all() and np.isfinite(w).all()):
-        for value in w.flat:
-            check_frequency(float(value))   # raises at the first bad point
-    return w[()]
-
-
-def _columns(*values) -> list:
-    """values broadcast to one grid: (N,) arrays, or floats for a single point."""
-    return [c if c.ndim else float(c) for c in np.broadcast_arrays(*values)]
-
-
-def coefficients(**entries) -> np.ndarray:
-    """Complex (9,) or (N, 9) table in LINE_LABELS order; lines not named are zero."""
-    table = np.zeros((*np.broadcast(*entries.values()).shape, len(LINE_LABELS)), dtype=complex)
-    for label, value in entries.items():
+    A tuple of 9 for Python numbers, else a (9,) or (N, 9) array.
+    """
+    for label in entries:
         if label not in SLOT:
             raise ValueError(f"unknown line {label!r}; expected one of {', '.join(LINE_LABELS)}")
-        table[..., SLOT[label]] = value
-    return table
+    xp = ops.of(*entries.values())
+    return xp.table([entries.get(label, 0j) for label in LINE_LABELS], complex)
 
 
-def cancelling_product_sum(*products) -> tuple[np.ndarray, np.ndarray]:
+def cancelling_product_sum(*products):
     """Where sum_k prod(products[k]) cancels, that sum computed exactly.
 
     Factors are floats or arrays of one shape.  Returns the mask where
@@ -72,36 +61,13 @@ def cancelling_product_sum(*products) -> tuple[np.ndarray, np.ndarray]:
     there the exact sum, rounded once (zero elsewhere).
     """
     terms = [math.prod(factors) for factors in products]
-    cancels = np.asarray(abs(sum(terms)) < 0.5 * functools.reduce(np.maximum, map(abs, terms)))
-    exact = np.zeros(cancels.shape)
-    if cancels.any():
-        at = np.flatnonzero(cancels).tolist()
-        columns = [[np.ravel(f)[at].tolist() if np.ndim(f) else [f] * len(at) for f in factors]
-                   for factors in products]
-        exact.flat[at] = [_exact_sum(point) for point in zip(*(zip(*c) for c in columns))]
-    return cancels, exact
+    xp = ops.of(*terms)
+    total = functools.reduce(operator.add, terms)      # sum() compensates floats in 3.12+
+    cancels = abs(total) < 0.5 * functools.reduce(xp.maximum, map(abs, terms))
+    return cancels, xp.exact(cancels, products)
 
 
-def _exact_sum(products) -> float:
-    """sum_k prod(products[k]) of finite floats, exact, then rounded once.
-
-    Each float is m / 2^k (as_integer_ratio); the products are summed as
-    integers over their largest power of two, and Python's int division
-    rounds the quotient correctly.
-    """
-    terms = []
-    for factors in products:
-        num, shift = 1, 0
-        for f in factors:
-            m, d = f.as_integer_ratio()
-            num *= m
-            shift += d.bit_length() - 1
-        terms.append((num, shift))
-    top = max(shift for _, shift in terms)
-    return sum(num << (top - shift) for num, shift in terms) / (1 << top)
-
-
-def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> float:
+def max_rel_diff(mine, theirs, floor: float = 1e-6) -> float:
     """Entry-wise relative deviation of theirs from mine, small-entry floor.
 
     Entries of mine below floor times its largest (including structural
@@ -109,10 +75,11 @@ def max_rel_diff(mine: np.ndarray, theirs: np.ndarray, floor: float = 1e-6) -> f
     double-precision linear algebra cannot resolve such entries relative
     to their own magnitude.  A stack of rows is judged row by row.
     """
+    import numpy as np
     size = np.abs(mine)
     scale = size.max(axis=-1, keepdims=True)
     denom = np.where(size >= floor * scale, size, scale)
-    return float((np.abs(mine - theirs) / denom).max())
+    return float((np.abs(np.subtract(mine, theirs)) / denom).max())
 
 
 @dataclass(frozen=True)
@@ -126,7 +93,8 @@ class BudgetPoint:
     sigma_ff equals the components' sum and
     H_m^2 (1+delta^2) (sigma_vfr + sigma_vse + sigma_cross) to rounding.
     accel_sensitivity = sqrt(sigma_ff)/M.  Fields are floats, or (N,)
-    columns over a grid; len() and indexing then give single points.
+    columns over a grid (arrays, or lists from budget_point's float
+    path); len() and indexing then give single points.
     """
 
     omega: float
@@ -150,18 +118,24 @@ class BudgetPoint:
 
 def mechanical_impedance(p: InstrumentParams, omega):
     """Free-running mechanical impedance H_m - i M Omega + i K / Omega = H_m (1 + i Delta)."""
-    w = _frequencies(omega)
+    _, w = _grid(p, omega)
     return p.H_m + 1j * (p.K / w - p.M * w)
 
 
-def free_mass_coefficients(p: InstrumentParams, omega) -> np.ndarray:
-    """Velocity noise coefficients lambda of the free-running mass, (9,) or (N, 9).
+def _free_mass(xp, p: InstrumentParams, w):
+    """lambda_m and lambda_a1 = -lambda_b1, the free mass's nonzero coefficients (real)."""
+    return (-xp.sqrt(2.0 * HBAR * abs(w) * p.H_m),
+            -xp.sqrt(2.0 * HBAR * p.omega_t * p.R_a) * p.kappa_t)
+
+
+def free_mass_coefficients(p: InstrumentParams, omega):
+    """Velocity noise coefficients lambda of the free-running mass, a table.
 
     Only the mechanical Langevin term and the amplifier voltage-noise back
     action survive; the six remaining entries are structural zeros."""
-    w = _frequencies(omega)
-    lam_a1 = -np.sqrt(2.0 * HBAR * p.omega_t * p.R_a) * p.kappa_t
-    return coefficients(m=-np.sqrt(2.0 * HBAR * abs(w) * p.H_m), a1=lam_a1, b1=-lam_a1)
+    xp, w = _grid(p, omega)
+    lam_m, lam_a1 = _free_mass(xp, p, w)
+    return coefficients(m=lam_m, a1=lam_a1, b1=-lam_a1)
 
 
 def re_mu_a1(p: InstrumentParams, w, rounded):
@@ -169,35 +143,36 @@ def re_mu_a1(p: InstrumentParams, w, rounded):
 
     Re mu_a1 = sqrt(2 hbar R_a omega_t) / (2 kappa_t) times the bracket C_f K
     - C_f M Omega^2 - 2 kappa_t^2, which is summed exactly where it cancels."""
-    kt, root_a = p.kappa_t, np.sqrt(2.0 * HBAR * p.R_a * p.omega_t)
+    xp = ops.of(w, *vars(p).values())
+    kt, root_a = p.kappa_t, xp.sqrt(2.0 * HBAR * p.R_a * p.omega_t)
     cancels, bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
-    return np.where(cancels, root_a / (2.0 * kt) * bracket, rounded)
+    return xp.where(cancels, root_a / (2.0 * kt) * bracket, rounded)
 
 
-def estimator_coefficients(p: InstrumentParams, omega) -> np.ndarray:
-    """Force-estimator noise coefficients mu of the open-loop sensor, (9,) or (N, 9).
+def estimator_coefficients(p: InstrumentParams, omega):
+    """Force-estimator noise coefficients mu of the open-loop sensor, a table.
 
     The mechanical term and the back action are those of the velocity;
     every additional term is proportional to Xi_m = h + i x and
     represents the sensing error added by the electrical detection chain.
     """
-    w = _frequencies(omega)
-    if not np.asarray(p.kappa_t).all():
+    xp, w = _grid(p, omega)
+    if not xp.all(p.kappa_t):
         raise ValueError("the force estimator is undefined without electromechanical coupling")
     h, x, kt, wt = p.H_m, mechanical_impedance(p, w).imag, p.kappa_t, p.omega_t
-    lam = free_mass_coefficients(p, w)
+    lam_m, lam_a1 = _free_mass(xp, p, w)
     # mu_a1 = lambda_a1 + t Xi_m / (2 kappa_t omega_t Z_f) with Z_f = i |Z_f|.
-    t, e = np.sqrt(2.0 * HBAR * p.R_a * wt) * w, 2.0 * kt * wt * p.zf_mag
-    mu_a1 = re_mu_a1(p, w, lam[..., SLOT["a1"]].real + t * x / e) + 1j * (-(t * h) / e)
+    t, e = xp.sqrt(2.0 * HBAR * p.R_a * wt) * w, 2.0 * kt * wt * p.zf_mag
+    mu_a1 = re_mu_a1(p, w, lam_a1 + t * x / e) + 1j * (-(t * h) / e)
     # -i Omega sqrt(hbar R_a / 2 omega_t) Xi_m / kappa_t = s_re + i s_im times
     # 1/R_a -+ 1/R_l -+ 1/Z_t for a2 and b2, where 1/Z_t = -i y.
-    root = w * np.sqrt(HBAR * p.R_a / (2.0 * wt))
+    root = w * xp.sqrt(HBAR * p.R_a / (2.0 * wt))
     s_re, s_im = root * x / kt, -(root * h) / kt
     f_a, f_b, y = 1.0 / p.R_a - 1.0 / p.R_l, 1.0 / p.R_a + 1.0 / p.R_l, 1.0 / p.x_t(w)
-    root_r, e_r = -np.sqrt(HBAR * p.R_r / (2.0 * wt)) * w, 2.0 * kt * p.zf_mag
-    root_l = w * np.sqrt(HBAR / (2.0 * p.R_l * wt))
+    root_r, e_r = -xp.sqrt(HBAR * p.R_r / (2.0 * wt)) * w, 2.0 * kt * p.zf_mag
+    root_l = w * xp.sqrt(HBAR / (2.0 * p.R_l * wt))
     return coefficients(
-        m=lam[..., SLOT["m"]], a1=mu_a1, b1=-mu_a1,
+        m=lam_m, a1=mu_a1, b1=-mu_a1,
         a2=(s_re * f_a - s_im * y) + 1j * (s_re * y + s_im * f_a),
         b2=(s_re * f_b + s_im * y) + 1j * (s_im * f_b - s_re * y),
         r1=root_r * x / e_r + 1j * (-(root_r * h) / e_r),
@@ -205,32 +180,31 @@ def estimator_coefficients(p: InstrumentParams, omega) -> np.ndarray:
     )
 
 
-def coefficient_sum(coeffs: np.ndarray, spectra: np.ndarray):
-    """The quadratic noise sum sum_a |c_a|^2 sigma_a over the last axis.
+def coefficient_sum(coeffs, spectra):
+    """The quadratic noise sum sum_a |c_a|^2 sigma_a over the tables' lines.
 
-    Column by column in LINE_LABELS order, as for a single point: np.sum
-    or np.dot pair the additions differently and can change the CSV.
+    The spectra pick the namespace.  Line by line in LINE_LABELS order, as
+    for a single point: np.sum, np.dot and Python 3.12's sum() add
+    differently and can change the CSV.
     """
-    terms = _abs2(coeffs.real, coeffs.imag) * spectra
-    total = terms[..., 0]
-    for k in range(1, len(LINE_LABELS)):
-        total = total + terms[..., k]
-    return total
+    xp = ops.of(spectra)
+    terms = (xp.abs2(c.real, c.imag) * s for c, s in zip(xp.lines(coeffs), xp.lines(spectra)))
+    return functools.reduce(operator.add, terms)
 
 
 def line_spectra(p: InstrumentParams, omega) -> tuple:
-    """Input spectra sigma_a, a (9,) or (N, 9) table, and the k Theta of m, a, l, r.
+    """Input spectra sigma_a, a table of floats, and the k Theta of m, a, l, r.
 
     A line's input spectrum is k Theta / (hbar |w|): the mechanical line
     at Omega, and either quadrature of an electrical line twice that at
     the carrier omega_t.  effective_temperature is applied point by point.
     """
-    k_theta = np.frompyfunc(effective_temperature, 2, 1)
-    k_m, k_a, k_l, k_r = (np.asarray(k_theta(t, w), dtype=float)[()] for t, w in (
+    xp = ops.of(omega, *vars(p).values())
+    k_m, k_a, k_l, k_r = (xp.each(effective_temperature, t, w) for t, w in (
         (p.T_m, omega), (p.T_a, p.omega_t), (p.T_l, p.omega_t), (p.T_r, p.omega_t)))
     a, r, l = (2.0 * (k / (HBAR * p.omega_t)) for k in (k_a, k_r, k_l))
-    spectra = np.broadcast_arrays(k_m / (HBAR * abs(omega)), a, a, a, a, r, r, l, l)
-    return np.stack(spectra, axis=-1), (k_m, k_a, k_l, k_r)
+    spectra = xp.table([k_m / (HBAR * abs(omega)), a, a, a, a, r, r, l, l], float)
+    return spectra, (k_m, k_a, k_l, k_r)
 
 
 def sensor_noise_spectrum(p: InstrumentParams, omega) -> BudgetPoint:
@@ -242,25 +216,25 @@ def sensor_noise_spectrum(p: InstrumentParams, omega) -> BudgetPoint:
     sensing error and their signed interference.  The velocity columns
     are those components over |Xi_m|^2.
     """
-    w = _frequencies(omega)
+    xp, w = _grid(p, omega)
     spectra, (k_theta_m, k_theta_a, k_theta_l, k_theta_r) = line_spectra(p, w)
     total = coefficient_sum(estimator_coefficients(p, w), spectra)
 
     h_m, x, zf_mag = p.H_m, mechanical_impedance(p, w).imag, p.zf_mag
-    kt2 = _sq(p.kappa_t)
-    y_lt = _abs2(1.0 / p.R_l, 1.0 / p.x_t(w))
+    kt2 = xp.sq(p.kappa_t)
+    y_lt = xp.abs2(1.0 / p.R_l, 1.0 / p.x_t(w))
 
     langevin = 2.0 * h_m * k_theta_m
     back_action = 8.0 * p.R_a * kt2 * k_theta_a
-    xi_sq = _abs2(h_m, x)
-    ratio = xi_sq * _sq(w) / (_sq(p.omega_t) * kt2)
+    xi_sq = xp.abs2(h_m, x)
+    ratio = xi_sq * xp.sq(w) / (xp.sq(p.omega_t) * kt2)
     sensing = ratio * (
         k_theta_l / p.R_l
-        + p.R_r * k_theta_r / (4.0 * _sq(zf_mag))
-        + 2.0 * p.R_a * k_theta_a * (1.0 / _sq(zf_mag) + 1.0 / _sq(p.R_a) + y_lt)
+        + p.R_r * k_theta_r / (4.0 * xp.sq(zf_mag))
+        + 2.0 * p.R_a * k_theta_a * (1.0 / xp.sq(zf_mag) + 1.0 / xp.sq(p.R_a) + y_lt)
     )
     delta = x / h_m
     interference = -8.0 * (p.R_a / zf_mag) * (w / p.omega_t) * delta * h_m * k_theta_a
-    return BudgetPoint(*_columns(
+    return BudgetPoint(*xp.broadcast(
         w, delta, (langevin + back_action) / xi_sq, sensing / xi_sq, interference / xi_sq, total,
-        langevin, back_action, sensing, interference, np.sqrt(total) / p.M))
+        langevin, back_action, sensing, interference, xp.sqrt(total) / p.M))

@@ -16,9 +16,10 @@ import numpy as np
 
 from .constants import HBAR
 from .noise import SLOT, check_frequency
+from .ops import numpy_ops
 from .params import InstrumentParams
-from .sensor import (_frequencies, coefficients, estimator_coefficients,
-                     free_mass_coefficients, max_rel_diff, mechanical_impedance, re_mu_a1)
+from .sensor import (coefficients, estimator_coefficients, free_mass_coefficients, max_rel_diff,
+                     mechanical_impedance, re_mu_a1)
 
 
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
@@ -43,7 +44,7 @@ def cold_damped_velocity(p: InstrumentParams, omega) -> np.ndarray:
            * sum_a (lambda_a/G_s) a_in, and with Z_f = i |Z_f| the
     prefactor is -i q for a real q.
     """
-    w = _frequencies(omega)
+    w = numpy_ops().frequencies(omega)
     if not np.asarray(p.kappa_t).all():
         raise ValueError("cold damping requires a nonzero electromechanical coupling")
     ratio = p.R_r / p.zf_mag  # the loop analysis assumes a weakly loaded amplifier output
@@ -75,7 +76,7 @@ def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     from the open-loop estimator closed forms, except that Re mu_a1 is
     shared (sensor.re_mu_a1) where its bracket cancels.
     """
-    w = _frequencies(omega)
+    w = numpy_ops().frequencies(omega)
     v = cold_damped_velocity(p, w)
     lam = free_mass_coefficients(p, w)
     xi = np.asarray(mechanical_impedance(p, w))[..., None]
@@ -95,6 +96,7 @@ def sensing_error_identity(p: InstrumentParams, omega) -> float:
     Xi_m-proportional part of the open-loop estimator divided by Xi_m.
     Exact in the model, so the residual is at rounding level.
     """
-    xi = np.asarray(mechanical_impedance(p, omega))[..., None]
-    v_se = (estimator_coefficients(p, omega) - free_mass_coefficients(p, omega)) / xi
-    return max_rel_diff(-v_se, cold_damped_velocity(p, omega), floor=1e-14)
+    w = numpy_ops().frequencies(omega)
+    xi = np.asarray(mechanical_impedance(p, w))[..., None]
+    v_se = (estimator_coefficients(p, w) - free_mass_coefficients(p, w)) / xi
+    return max_rel_diff(-v_se, cold_damped_velocity(p, w), floor=1e-14)

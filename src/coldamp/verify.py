@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import network, sensor, servo
+from . import network, ops, sensor, servo
 from .budget import budget_point
 from .noise import LINE_LABELS
 from .params import InstrumentParams
@@ -113,7 +113,7 @@ def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -
     sigma = sensor.line_spectra(q, ws)[0]
     vfr, vse, ff = (sensor.coefficient_sum(c, sigma) for c in (lam, mu - lam, mu))
     xi = sensor.mechanical_impedance(q, ws)
-    rebuilt = np.array([vfr, vse, ff - vfr - vse]) / sensor._abs2(xi.real, xi.imag)
+    rebuilt = np.array([vfr, vse, ff - vfr - vse]) / ops.of(xi).abs2(xi.real, xi.imag)
     closed = np.array([table.sigma_vfr, table.sigma_vse, table.sigma_cross])
     return float((np.abs(rebuilt - closed) / (closed[0] + closed[1] + np.abs(closed[2]))).max())
 

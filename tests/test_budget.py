@@ -7,6 +7,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from coldamp import ops
 from coldamp.budget import budget_point, sweep
 from coldamp.matching import (
     MatchingError,
@@ -260,22 +261,28 @@ def test_a1_guard_fires_on_part_of_a_grid(reference_params, reference_omega):
 @pytest.mark.parametrize("seed, index", GRID_DRAWS)
 def test_sweeps_equal_single_point_budgets_bit_for_bit(reference_params, reference_omega,
                                                         seed, index):
-    """A grid budget is a loop of N = 1 budget_point calls, field by field."""
+    """A numpy grid budget equals the float path's budget at each of its points,
+    field by field, and the float path over a list gives the grid's columns."""
     q, ws = _verify_draw(reference_params, reference_omega, seed, index)
-    r_a = np.sort(q.R_a * 10.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 10))
+    omegas = ws.tolist()
+    r_a = np.sort(q.R_a * 10.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 10)).tolist()
+    assert ops.of(*omegas, *r_a, *vars(q).values()) is ops.FLOAT    # plain floats
+    assert [_a1_guard(q, w) for w in omegas] == _a1_guard(q, ws).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")       # extreme draws may leave the sideband band
         cases = [
-            (sweep(q, "frequency", ws), [budget_point(q, w) for w in ws]),
-            (sweep(q, "R_a", r_a, omega=ws[3]),
-             [budget_point(q.with_(R_a=r), ws[3]) for r in r_a]),
+            (sweep(q, "frequency", ws), [budget_point(q, w) for w in omegas]),
+            (sweep(q, "R_a", r_a, omega=omegas[3]),
+             [budget_point(q.with_(R_a=r), omegas[3]) for r in r_a]),
         ]
+        listed = budget_point(q, omegas)
     for grid, points in cases:
         assert len(grid) == len(points)
         for k, point in enumerate(points):
             values = astuple(point)
             assert all(type(v) is float for v in values)
             assert astuple(grid[k]) == values
+    assert vars(listed) == {name: column.tolist() for name, column in vars(cases[0][0]).items()}
 
 
 @pytest.mark.parametrize("seed, index", GRID_DRAWS)

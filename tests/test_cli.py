@@ -1,15 +1,18 @@
 """Command-line interface: exit codes, CSV contract, determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coldamp.verify as verify
-from coldamp import cli
+from coldamp import budget, cli, sensor
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import BudgetPoint, estimator_coefficients
 
@@ -110,6 +113,46 @@ def _shipped_with(tmp_path, old, new):
     path = tmp_path / "edited.cfg"
     path.write_text(text.replace(old, new))
     return str(path)
+
+
+def _perturbed(tmp_path):
+    """The shipped config with every value scaled by 10 ** uniform(-0.5, 0.5)."""
+    rng = random.Random(0)
+    text = re.sub(r"^(\w+ = )(\S+)",
+                  lambda m: f"{m.group(1)}{float(m.group(2)) * 10.0 ** rng.uniform(-0.5, 0.5)!r}",
+                  cli._default_config_text(), flags=re.MULTILINE)
+    path = tmp_path / "perturbed.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("points", [1, 50, 1000])
+@pytest.mark.parametrize("source", ["shipped", "perturbed"])
+def test_budget_csv_equals_the_numpy_grid(source, points, tmp_path, capsys):
+    """budget evaluates its grid point by point in floats; its CSV is that of
+    the numpy grid, byte for byte."""
+    argv = [] if source == "shipped" else ["--config", _perturbed(tmp_path)]
+    if points > 1:
+        argv += ["--freq-min", "1e-4", "--freq-max", "1e-2", "--points", str(points)]
+    code, out, _ = run(["budget", *argv], capsys)
+    assert code == cli.EXIT_OK
+    cfg = cli._load(argparse.Namespace(config=argv[1] if source == "perturbed" else None))
+    grid = cli._geometric_grid(1e-4, 1e-2, points, "frequency") if points > 1 else [cfg.omega]
+    assert out == cli._csv(budget.sweep(cfg.params, "frequency", np.array(grid)), cfg)
+
+
+def test_a_float_division_by_zero_reads_as_the_numpy_error(tmp_path, capsys):
+    """At 1e-200 C/m kappa_t^2 underflows to 0: the float path divides by zero
+    where numpy gives inf, and budget prints the numpy path's error."""
+    path = _shipped_with(tmp_path, "coupling = 1.0e-7 C/m", "coupling = 1e-200 C/m")
+    cfg = cli._load(argparse.Namespace(config=path))
+    with pytest.raises(ZeroDivisionError):
+        sensor.sensor_noise_spectrum(cfg.params, cfg.omega)
+    with pytest.raises(ValueError) as err:
+        budget.sweep(cfg.params, "frequency", np.array([cfg.omega]))
+    assert str(err.value) == "the budget leaves the float range: sigma_vse = inf"
+    code, out, text = run(["budget", "--config", path], capsys)
+    assert (code, out, text) == (cli.EXIT_CONFIG, "", f"configuration error: {err.value}\n")
 
 
 def test_zero_frequency_config_is_a_config_error(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Cold start: the package and the numpy-free commands never load numpy.
 
 Each case runs in a fresh interpreter, since numpy is already loaded in
-this one.  Only the closed forms, the oracle and verify need numpy.
+this one.  Only grids of closed forms (sweep), the oracle and verify
+need numpy.
 """
 
 import os
@@ -57,8 +58,18 @@ def test_config_error_skips_numpy(tmp_path):
     assert _fresh(_CLI, "budget", "--config", str(bad)) == ["1", "False"]
 
 
-def test_budget_loads_numpy():
-    assert _fresh(_CLI, "budget") == ["0", "True"]
+@pytest.mark.parametrize("argv", [
+    ["budget"],
+    ["budget", "--freq-min", "1e-4", "--freq-max", "1e-2", "--points", "50"],
+], ids=["budget", "budget-50"])
+def test_budget_skips_numpy(argv):
+    """budget evaluates its grid point by point in floats."""
+    assert _fresh(_CLI, *argv) == ["0", "False"]
+
+
+def test_sweep_loads_numpy():
+    """sweep evaluates its grid as numpy arrays, in one call."""
+    assert _fresh(_CLI, "sweep", "--min", "1e-4", "--max", "1e-2") == ["0", "True"]
 
 
 def test_every_public_name_resolves():

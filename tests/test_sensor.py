@@ -166,10 +166,17 @@ def test_decomposition_sum_over_draws(reference_params, reference_omega):
 
 
 def test_coefficient_vector_layout():
+    """Python numbers give a tuple of 9 complex entries, numpy values an array."""
     table = coefficients(a1=2.0, l2=-1j)
-    assert table.shape == (len(LINE_LABELS),) and table.dtype == complex
+    assert type(table) is tuple and len(table) == len(LINE_LABELS)
+    assert all(type(entry) is complex for entry in table)
     assert table[at("a1")] == 2.0 and table[at("l2")] == -1j
     assert np.count_nonzero(table) == 2
+    array = coefficients(a1=np.float64(2.0), l2=-1j)
+    assert array.shape == (len(LINE_LABELS),) and array.dtype == complex
+    assert array.tolist() == list(table)
+    grid = coefficients(a1=np.array([2.0, 3.0]), l2=-1j)
+    assert grid.shape == (2, len(LINE_LABELS)) and grid[0].tolist() == list(table)
     with pytest.raises(ValueError):
         coefficients(z9=1.0)
     # A structural zero is judged against the row scale, a large entry

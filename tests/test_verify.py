@@ -181,12 +181,13 @@ def test_loop_gate_catches_the_rounded_bracket_below_equality_tol(reference_para
 
 
 def _per_point_oracle(p, omega, draws, seed):
-    """oracle_agreement written as one unstacked solve and closed form per point."""
+    """oracle_agreement written as one unstacked solve per point, and the closed
+    forms at each point on the float path (Python floats, no numpy)."""
     rng = np.random.default_rng(seed)
     worst_lam = worst_mu = worst_comm = worst_split = 0.0
     for i in range(draws):
         q = draw_params(p, rng) if i else p
-        for w in draw_frequencies(omega, rng, count=verify.FREQUENCIES):
+        for w in draw_frequencies(omega, rng, count=verify.FREQUENCIES).tolist():
             net = build_sensor_network(q, None, w)
             res = solve(net)
             lam = normalized_row(res.transfer_rows["velocity"])
@@ -199,8 +200,8 @@ def _per_point_oracle(p, omega, draws, seed):
 
 
 def test_stacked_oracle_equals_the_per_point_solve(reference_params, reference_omega):
-    """Stacked solves and one grid of closed forms over all draws give bit for
-    bit the per-point figures."""
+    """Stacked solves and one numpy grid of closed forms over all draws give bit
+    for bit the per-point figures of the float path."""
     for seed in [*range(100), 173518645, 519218416, 1987374907]:
         args = (reference_params, reference_omega, 20, seed)
         assert verify.oracle_agreement(*args) == _per_point_oracle(*args), seed
