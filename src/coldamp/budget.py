@@ -36,10 +36,11 @@ def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
     (N,) parameter columns (p.with_(R_a=array)): a whole grid in one call.
     Floats, and lists of floats, with float parameters take the float
     path: point by point, without numpy, a list giving list columns.
-    Where Python raises an ArithmeticError there, numpy (which gives inf
-    or nan) evaluates the call again.  A column leaving the float range
-    is a ValueError naming the first such field; one warning covers every
-    point whose carrier-to-signal ratio is not above SIDEBAND_RATIO_FLOOR.
+    Where Python raises an ArithmeticError, numpy, with numpy parameters,
+    evaluates the call again and gives inf or nan.  A column leaving the
+    float range is a ValueError naming the first such field; one warning
+    covers every point whose carrier-to-signal ratio is not above
+    SIDEBAND_RATIO_FLOOR.
     """
     grid = omega if isinstance(omega, list) else [omega]
     xp = ops.of(*grid, *vars(p).values()) if grid else ops.numpy_ops()   # [] as an array
@@ -47,6 +48,7 @@ def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
         point, ratio = _spectrum(xp, p, grid if xp is ops.FLOAT else omega)
     except ArithmeticError:
         xp = ops.numpy_ops()
+        p = p.with_(**{name: xp.np.float64(value) for name, value in vars(p).items()})
         point, ratio = _spectrum(xp, p, omega)
     for name, column in vars(point).items():
         if bad := xp.nonfinite(column):
@@ -73,10 +75,11 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
 
     axis is "frequency" (grid in rad/s) or the name of a parameter field
     such as "R_a" (then omega fixes the analysis frequency, and the grid
-    is the field's (N,) column, validated point by point by
-    InstrumentParams).  The grid must be nonempty and strictly
-    increasing; the (N,) columns follow it.  An error names the first
-    point that fails on its own, unless every point fails.
+    is the field's (N,) numpy column, validated point by point by
+    InstrumentParams).  A frequency list runs in floats, an array as one
+    numpy grid.  The grid must be nonempty and strictly increasing; the
+    (N,) columns follow it.  An error names the first point that fails
+    on its own, unless every point fails.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -94,9 +97,9 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     else:
         def at(value):
             return budget_point(p.with_(**{axis: value}), omega)
-    import numpy as np      # the grid is one numpy call
+    float_path = axis == "frequency" and isinstance(grid, list)     # budget_point's type rule
     try:
-        return at(np.array(values))
+        return at(values if float_path else ops.numpy_ops().np.array(values))
     except ValueError as exc:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

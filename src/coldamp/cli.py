@@ -7,8 +7,9 @@ summary goes to stderr so piping the CSV stays clean.  Exit codes are
 failure.
 
 Only config is imported at module level; each command imports the
-modules it needs once its configuration has loaded.  Only sweep and
-verify load numpy: budget evaluates its grid point by point in floats.
+modules it needs once its configuration has loaded.  budget and sweep
+are one budget.sweep call each: budget's list of frequencies runs in
+floats without numpy, and sweep's array is one numpy grid.
 """
 
 from __future__ import annotations
@@ -90,10 +91,7 @@ def cmd_budget(args) -> int:
         lo = args.freq_min if args.freq_min is not None else cfg.frequency
         hi = args.freq_max if args.freq_max is not None else cfg.frequency
         omegas = _geometric_grid(lo, hi, args.points, "frequency")
-    try:
-        points = budget.budget_point(cfg.params, omegas)    # the float path: no numpy
-    except ValueError:     # as sweep words it, naming the first failing point
-        points = budget.sweep(cfg.params, "frequency", omegas)
+    points = budget.sweep(cfg.params, "frequency", omegas)    # a list: no numpy
     _write(_csv(points, cfg), args.out)
     head = points[min(range(len(omegas)), key=lambda k: abs(omegas[k] - cfg.omega))]
     print(
@@ -108,7 +106,8 @@ def cmd_budget(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     from . import budget
-    grid = _geometric_grid(args.min, args.max, args.points, args.axis)
+    import numpy as np
+    grid = np.array(_geometric_grid(args.min, args.max, args.points, args.axis))
     points = budget.sweep(cfg.params, args.axis, grid, omega=cfg.omega)
     _write(_csv(points, cfg), args.out)
     print(f"coldamp sweep ({cfg.digest}): {len(points)} points over {args.axis}",

@@ -333,16 +333,18 @@ def _sensor_values(p: InstrumentParams, gain: complex | np.ndarray | None, w) ->
     }
 
 
-def normalized_row(row: np.ndarray) -> np.ndarray:
+def normalized_row(net: LinearNetwork, row: np.ndarray) -> np.ndarray:
     """Sensor transfer row over LINE_LABELS, normalized to unit F_ext response.
 
-    The row runs over the sensor network's incoming fields, LINE_LABELS,
-    then its one drive, F_ext.  A stack of rows is normalized row by row.
+    The row of net runs over the sensor network's incoming fields,
+    LINE_LABELS, then its one drive, F_ext.  A stack of rows is
+    normalized row by row; a zero drive response is a NetworkSolveError
+    naming the first such point.
     """
-    drive = row[..., len(LINE_LABELS), None]
-    if (drive == 0).any():
-        raise ZeroDivisionError("transfer row has no drive response; cannot normalize")
-    return row[..., :len(LINE_LABELS)] / drive
+    drive = row[..., len(LINE_LABELS)]
+    if (zero := drive == 0).any():
+        raise _solve_error(net, zero, "transfer row has no drive response")
+    return row[..., :len(LINE_LABELS)] / drive[..., None]
 
 
 def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwork:

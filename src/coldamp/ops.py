@@ -7,8 +7,8 @@ grid of (N,) columns.  Both give the same bits: abs(complex) is C hypot,
 as np.hypot is (math.hypot rounds some points differently); x ** 2.0 is
 C pow, as np.float_power is (numpy's x ** 2 is x * x); math.sqrt and
 + - * / round correctly in both.  Where numpy gives inf or nan, Python
-may raise: the squares and hypot give inf for an OverflowError, and a
-ZeroDivisionError stands, for the caller to evaluate again on numpy.
+may raise an ArithmeticError instead; budget_point then evaluates the
+call again on numpy, with numpy parameters.
 """
 
 from __future__ import annotations
@@ -67,17 +67,11 @@ class _Float(_Ops):
 
     @staticmethod
     def sq(x):
-        try:
-            return x ** 2.0
-        except OverflowError:
-            return math.inf
+        return x ** 2.0
 
     @staticmethod
     def hypot(re, im):
-        try:
-            return abs(complex(re, im))
-        except OverflowError:
-            return math.inf
+        return abs(complex(re, im))
 
     @staticmethod
     def where(cond, a, b):

@@ -133,8 +133,8 @@ def oracle_agreement(p: InstrumentParams, omega: float,
         rows = slice(start, start + _BLOCK)
         net = network.build_sensor_network(_points(grid, rows), None, ws[rows])
         res = network.solve(net)
-        lam[rows] = network.normalized_row(res.transfer_rows["velocity"])
-        mu[rows] = network.normalized_row(res.transfer_rows["detected"])
+        lam[rows] = network.normalized_row(net, res.transfer_rows["velocity"])
+        mu[rows] = network.normalized_row(net, res.transfer_rows["detected"])
         worst_comm = max(worst_comm, network.check_commutators(net, res))
     return (sensor.max_rel_diff(free_lambda(grid, ws), lam),
             sensor.max_rel_diff(estimator_mu(grid, ws), mu),

@@ -107,11 +107,14 @@ def test_sweep_rejects_non_field_axis(axis, capsys):
     assert err.startswith("configuration error: unknown sweep axis")
 
 
-def _shipped_with(tmp_path, old, new):
+def _shipped_with(tmp_path, old, new, *edits):
+    """The shipped config with old replaced by new, then each further (old, new) edit."""
     text = cli._default_config_text()
-    assert old in text
+    for old, new in [(old, new), *edits]:
+        assert old in text
+        text = text.replace(old, new)
     path = tmp_path / "edited.cfg"
-    path.write_text(text.replace(old, new))
+    path.write_text(text)
     return str(path)
 
 
@@ -141,18 +144,39 @@ def test_budget_csv_equals_the_numpy_grid(source, points, tmp_path, capsys):
     assert out == cli._csv(budget.sweep(cfg.params, "frequency", np.array(grid)), cfg)
 
 
-def test_a_float_division_by_zero_reads_as_the_numpy_error(tmp_path, capsys):
-    """At 1e-200 C/m kappa_t^2 underflows to 0: the float path divides by zero
-    where numpy gives inf, and budget prints the numpy path's error."""
+def test_a_float_overflow_reads_as_the_numpy_error(tmp_path, capsys):
+    """At 1e-200 C/m kappa_t^2 underflows to 0: a float square overflows where
+    numpy gives inf, and budget prints the numpy path's error."""
     path = _shipped_with(tmp_path, "coupling = 1.0e-7 C/m", "coupling = 1e-200 C/m")
     cfg = cli._load(argparse.Namespace(config=path))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(OverflowError):
         sensor.sensor_noise_spectrum(cfg.params, cfg.omega)
     with pytest.raises(ValueError) as err:
         budget.sweep(cfg.params, "frequency", np.array([cfg.omega]))
     assert str(err.value) == "the budget leaves the float range: sigma_vse = inf"
     code, out, text = run(["budget", "--config", path], capsys)
     assert (code, out, text) == (cli.EXIT_CONFIG, "", f"configuration error: {err.value}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget"],
+    ["sweep", "--min", "1e-4", "--max", "1e-2"],
+    ["sweep", "--axis", "R_a", "--min", "1e4", "--max", "1e6"],
+], ids=["budget", "sweep", "sweep-axis"])
+@pytest.mark.parametrize("carrier, edit, message", [
+    ("1e-300", ("loss_resistance = 2.5e5 ohm", "loss_resistance = 1e-300 ohm"),
+     "the budget leaves the float range: sigma_vse = inf"),
+    ("1e300", ("feedback_impedance = 1.6e5 ohm", "feedback_impedance = 5e-324 ohm"),
+     "the budget leaves the float range: sigma_vse = nan"),
+], ids=["carrier-1e-300-R_l-1e-300", "carrier-1e300-Z_f-5e-324"])
+def test_a_parameter_only_division_by_zero_reads_as_the_numpy_error(carrier, edit, message, argv,
+                                                                     tmp_path, capsys):
+    """A division of parameters alone by zero raised ZeroDivisionError in floats,
+    and again on numpy while the parameters stayed floats: a traceback."""
+    path = _shipped_with(tmp_path, "carrier_frequency = 1.0e5 Hz",
+                         f"carrier_frequency = {carrier} Hz", edit)
+    code, out, err = run([*argv, "--config", path], capsys)
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", f"configuration error: {message}\n")
 
 
 def test_zero_frequency_config_is_a_config_error(tmp_path, capsys):
@@ -208,6 +232,18 @@ def test_matching_failure_exits_numerical(monkeypatch, capsys):
     code, _, err = run(["optimize"], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert err == "numerical failure: minimum on the bracket edge\n"
+
+
+@pytest.mark.parametrize("old, new, omega", [
+    ("coupling = 1.0e-7 C/m", "coupling = 5e-324 C/m", "0.000234423"),
+    ("frequency = 5.0e-4 Hz", "frequency = 1e200 Hz", "1.61832e+201"),
+], ids=["coupling-5e-324", "frequency-1e200"])
+def test_verify_without_a_drive_response_exits_numerical(old, new, omega, tmp_path, capsys):
+    """A transfer row with a zero F_ext entry ended in a ZeroDivisionError traceback."""
+    code, out, err = run(["verify", "--config", _shipped_with(tmp_path, old, new)], capsys)
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: transfer row has no drive response "
+                   f"at omega = {omega} rad/s\n")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -321,10 +357,15 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
      "the budget leaves the float range: sigma_vse = nan"),
     (["sweep", "--axis", "K", "--min", "1", "--max", "1e308", "--points", "3"],
      "sweep failed at K = 1e+154: the budget leaves the float range: delta = inf"),
+    # Bounds one float apart round to repeated points (budget printed 5 rows at 1 Hz).
+    (["budget", "--freq-min", "1", "--freq-max", "1.0000000000000002", "--points", "5"],
+     "sweep grid must be strictly increasing"),
+    (["sweep", "--min", "1", "--max", "1.0000000000000002", "--points", "5"],
+     "sweep grid must be strictly increasing"),
 ], ids=["budget-inf", "budget-nan", "sweep-inf", "sweep-negative-axis", "sweep-decreasing",
         "budget-decreasing", "sweep-overflow", "budget-angular-overflow", "budget-points-50",
         "budget-points-0", "sweep-K-overflow", "budget-high-frequency", "budget-low-frequency",
-        "sweep-R_a-subnormal", "sweep-K-partial"])
+        "sweep-R_a-subnormal", "sweep-K-partial", "budget-repeated", "sweep-repeated"])
 def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_CONFIG
@@ -365,15 +406,19 @@ _PROBE_KEYS = re.findall(r"^(\w+) = (\S+ \S+)$", cli._default_config_text(), re.
 _PROBE_VALUES = ("5e-324", "1e-300", "1e-200", "1e-10", "1e10", "1e200", "1e300", "1.7e308")
 
 
+_PROBE_ARGV = {"sweep": ["sweep", "--min", "1e-4", "--max", "1e-2"]}   # frequency, 25 points
+
+
 @pytest.mark.filterwarnings("ignore:carrier-to-signal frequency ratio")
-@pytest.mark.parametrize("command", ["optimize", "budget"])
+@pytest.mark.parametrize("command", ["optimize", "budget", "sweep"])
 @pytest.mark.parametrize("value", _PROBE_VALUES)
 @pytest.mark.parametrize("key, old", _PROBE_KEYS, ids=[key for key, _ in _PROBE_KEYS])
 def test_one_key_edits_end_in_a_result_or_one_typed_line(key, old, value, command, tmp_path,
                                                           capsys):
     """No traceback, no inf or nan with exit 0, and one line for any failure."""
     new = f"{key} = {value} {old.split()[1]}"
-    code, out, err = run([command, "--config", _shipped_with(tmp_path, f"{key} = {old}", new)],
+    argv = _PROBE_ARGV.get(command, [command])
+    code, out, err = run([*argv, "--config", _shipped_with(tmp_path, f"{key} = {old}", new)],
                          capsys)
     if code == cli.EXIT_OK:
         assert not re.search(r"\b(inf|nan)\b", out + err)

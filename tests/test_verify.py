@@ -190,8 +190,8 @@ def _per_point_oracle(p, omega, draws, seed):
         for w in draw_frequencies(omega, rng, count=verify.FREQUENCIES).tolist():
             net = build_sensor_network(q, None, w)
             res = solve(net)
-            lam = normalized_row(res.transfer_rows["velocity"])
-            mu = normalized_row(res.transfer_rows["detected"])
+            lam = normalized_row(net, res.transfer_rows["velocity"])
+            mu = normalized_row(net, res.transfer_rows["detected"])
             worst_lam = max(worst_lam, max_rel_diff(free_mass_coefficients(q, w), lam))
             worst_mu = max(worst_mu, max_rel_diff(estimator_coefficients(q, w), mu))
             worst_comm = max(worst_comm, check_commutators(net, res))
