@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import fields
 
 from . import ops
 from .matching import numerical_matching  # bench/tracer.py traces it under this name
@@ -26,7 +25,6 @@ from .params import InstrumentParams
 from .sensor import BudgetPoint, sensor_noise_spectrum
 
 SIDEBAND_RATIO_FLOOR = 1e3
-_SWEEP_AXES = tuple(f.name for f in fields(InstrumentParams))
 
 
 def budget_point(p: InstrumentParams, omega) -> BudgetPoint:
@@ -89,9 +87,9 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     if axis == "frequency":
         def at(value):
             return budget_point(p, value)
-    elif axis not in _SWEEP_AXES:
+    elif axis not in InstrumentParams._fields:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'frequency' or one of "
-                         f"{', '.join(_SWEEP_AXES)}")
+                         f"{', '.join(InstrumentParams._fields)}")
     elif omega is None:
         raise ValueError("parameter sweeps need an analysis frequency")
     else:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
-from .params import InstrumentParams
+from .params import InstrumentParams, Record
 
 # One row per key, in canonical order: key, section, unit, and the
 # InstrumentParams field it sets (None: the analysis frequency, which is
@@ -55,9 +54,8 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed configuration: instrument parameters plus analysis frequency."""
+class RunConfig(Record):
+    """Parsed configuration, a Record: instrument parameters plus analysis frequency."""
 
     params: InstrumentParams
     omega: float            # analysis frequency, rad/s

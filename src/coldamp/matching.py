@@ -10,11 +10,10 @@ command starts without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NetworkSolveError
 from .noise import effective_temperature
-from .params import InstrumentParams
+from .params import InstrumentParams, Record
 
 MATCHING_DECADES = 6.0       # half-width of the matching search, log10 units
 
@@ -67,8 +66,7 @@ def _reduced_terms(p: InstrumentParams, omega: float) -> tuple[float, float, flo
             effective_temperature(p.T_a, p.omega_t))
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(Record):
     """Optimal amplifier/mechanical resistance matching.
 
     ratio_opt is (R_a/R_m) at the minimum of the reduced budget,

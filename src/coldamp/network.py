@@ -19,7 +19,7 @@ transducer impedance is even across the sidebands and stays diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -27,12 +27,11 @@ import numpy as np
 from .constants import HBAR
 from .errors import NetworkSolveError
 from .noise import LINE_LABELS, check_frequency
-from .params import InstrumentParams
+from .params import InstrumentParams, Record
 from .ops import numpy_ops
 
 
-@dataclass
-class LinearNetwork:
+class LinearNetwork(Record):
     """Assembled linear relations a x = b of one network at one point.
 
     Each row is one element relation.  Columns of a are the unknowns;
@@ -51,7 +50,7 @@ class LinearNetwork:
     incoming: list[str]
     outgoing: dict[str, int]              # port label -> out-field unknown
     omega: float | np.ndarray
-    observables: dict[str, int] = field(default_factory=dict)
+    observables: dict[str, int] = MappingProxyType({})
     conjugated: frozenset[str] = frozenset()
 
     def __post_init__(self):
@@ -62,8 +61,7 @@ class LinearNetwork:
             )
 
 
-@dataclass
-class ScatteringResult:
+class ScatteringResult(Record):
     """Solved network: passive S rows, transfer rows and solve diagnostics.
 
     s_matrix has one row per out port of the network (net.outgoing) over

@@ -1,4 +1,4 @@
-"""Instrument parameter set for the cold-damped capacitive accelerometer.
+"""Instrument parameters of the cold-damped accelerometer, and Record, every record's base.
 
 Reactive magnitudes quoted for the instrument (|Z_f|, |Z_t|) are stored
 canonically as the underlying capacitances:
@@ -14,7 +14,6 @@ every stored impedance; both are purely imaginary, carried as zf_mag and x_t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .noise import check_frequency
 
@@ -31,9 +30,49 @@ def _broken_rule(name: str, value) -> str | None:
     return None if value > 0.0 else f"{name} must be strictly positive, got {value}"
 
 
-@dataclass(frozen=True)
-class InstrumentParams:
-    """Full parameter set of the accelerometer model.
+class Record:
+    """Base of every coldamp record: immutable, holding the fields its subclass annotates.
+
+    A class attribute of a field's name is its default; __post_init__, if any, checks them.
+    _fields names them, vars() gives them in that order, and ==, hash() and repr() use them.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        name, fields, defaults = type(self).__name__, self._fields, vars(type(self))
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & kwargs or not kwargs.keys() <= set(fields):
+            raise TypeError(f"{name} takes the fields {', '.join(fields)}, each at most once")
+        given.update(kwargs)
+        if missing := [key for key in fields if key not in given and key not in defaults]:
+            raise TypeError(f"{name} is missing the field(s) {', '.join(missing)}")
+        self.__dict__.update({key: given.get(key, defaults.get(key)) for key in fields})
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, key, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {key!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields replaced; __post_init__ checks it again."""
+        return type(self)(**{**vars(self), **changes})
+
+
+class InstrumentParams(Record):
+    """Full parameter set of the accelerometer model, an immutable Record.
 
     Each field is a float, or an (N,) array for N parameter sets at once
     (with_(R_a=array)).  Construction checks every point: each field is
@@ -57,8 +96,7 @@ class InstrumentParams:
     T_r: float       # detection-line temperature, K
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not getattr(value, "ndim", 0):
                 error = _broken_rule(name, value)
             elif _broken_rule(name, value.min()) or _broken_rule(name, value.max()):
@@ -97,4 +135,4 @@ class InstrumentParams:
 
     def with_(self, **changes) -> "InstrumentParams":
         """A copy with the given fields replaced, floats or (N,) arrays; validation re-runs."""
-        return replace(self, **changes)
+        return self.replace(**changes)

@@ -26,12 +26,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import ops
 from .constants import HBAR
 from .noise import LINE_LABELS, SLOT, effective_temperature
-from .params import InstrumentParams
+from .params import InstrumentParams, Record
 
 
 def _grid(p: InstrumentParams, omega):
@@ -82,9 +81,8 @@ def max_rel_diff(mine, theirs, floor: float = 1e-6) -> float:
     return float((np.abs(np.subtract(mine, theirs)) / denom).max())
 
 
-@dataclass(frozen=True)
-class BudgetPoint:
-    """Noise budget of the sensor at one frequency, or over a grid; one CSV row.
+class BudgetPoint(Record):
+    """Noise budget of the sensor at one frequency, or over a grid; one CSV row, a Record.
 
     delta = X_m/H_m is the detuning.  sigma_vfr, sigma_vse and
     sigma_cross are velocity spectral densities in (m/s)^2/Hz, sigma_ff
@@ -94,7 +92,7 @@ class BudgetPoint:
     H_m^2 (1+delta^2) (sigma_vfr + sigma_vse + sigma_cross) to rounding.
     accel_sensitivity = sqrt(sigma_ff)/M.  Fields are floats, or (N,)
     columns over a grid (arrays, or lists from budget_point's float
-    path); len() and indexing then give single points.
+    path); len() and indexing give single points, and vars() the columns in CSV order.
     """
 
     omega: float

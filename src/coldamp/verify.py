@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import network, ops, sensor, servo
 from .budget import budget_point
 from .noise import LINE_LABELS
-from .params import InstrumentParams
+from .params import InstrumentParams, Record
 
 # Closed forms under test, bound once at module level so a test harness
 # can substitute a corrupted implementation and confirm the suite fails.
@@ -48,8 +47,7 @@ FREQUENCIES = 10     # analysis frequencies drawn per parameter set for the orac
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one verification check."""
 
     name: str
@@ -97,8 +95,7 @@ def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int)
 
 def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
     """The grid's points at rows."""
-    return grid.with_(**{f.name: v[rows] for f in fields(grid)
-                         if np.ndim(v := getattr(grid, f.name))})
+    return grid.with_(**{name: v[rows] for name, v in vars(grid).items() if np.ndim(v)})
 
 
 def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 Each case runs in a fresh interpreter, since numpy is already loaded in
 this one.  Only grids of closed forms (sweep), the oracle and verify
-need numpy.
+need numpy.  Nor do those commands load dataclasses or inspect, whose
+imports cost more than any coldamp module: records are params.Record.
 """
 
 import os
@@ -24,15 +25,17 @@ try:
     rc = cli.main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(rc, "numpy" in sys.modules, file=sys.stderr)
+print(rc, *(name in sys.modules for name in _HEAVY), file=sys.stderr)
 """
+_HEAVY = ("numpy", "dataclasses", "inspect")    # modules a cold command should not load
+_COLD = ["False"] * len(_HEAVY)
 
 
 def _fresh(code: str, *args: str) -> list[str]:
-    """Last stderr line of `python -c code args`, split on whitespace."""
+    """Last stderr line of `python -c code args`, split on whitespace; code sees _HEAVY."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    p = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    p = subprocess.run([sys.executable, "-c", f"_HEAVY = {_HEAVY!r}\n{code}", *args], env=env,
                        capture_output=True, text=True, timeout=60, check=True)
     return p.stderr.splitlines()[-1].split()
 
@@ -40,22 +43,22 @@ def _fresh(code: str, *args: str) -> list[str]:
 def test_import_and_load_skip_numpy():
     code = ("import sys, coldamp\n"
             "cfg = coldamp.load(sys.argv[1])\n"
-            "print(cfg.digest, 'numpy' in sys.modules, file=sys.stderr)\n")
-    digest, loaded = _fresh(code, SHIPPED)
+            "print(cfg.digest, *(name in sys.modules for name in _HEAVY), file=sys.stderr)\n")
+    digest, *loaded = _fresh(code, SHIPPED)
     assert digest == coldamp.load(SHIPPED).digest
-    assert loaded == "False"
+    assert loaded == _COLD
 
 
 @pytest.mark.parametrize("argv", [["dump-config"], ["optimize"], ["--help"]],
                          ids=["dump-config", "optimize", "help"])
 def test_numpy_free_commands(argv):
-    assert _fresh(_CLI, *argv) == ["0", "False"]
+    assert _fresh(_CLI, *argv) == ["0", *_COLD]
 
 
 def test_config_error_skips_numpy(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(Path(SHIPPED).read_text().replace("[analysis]\n", "[analysis]\ncolour = 1.0 K\n"))
-    assert _fresh(_CLI, "budget", "--config", str(bad)) == ["1", "False"]
+    assert _fresh(_CLI, "budget", "--config", str(bad)) == ["1", *_COLD]
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,12 +67,12 @@ def test_config_error_skips_numpy(tmp_path):
 ], ids=["budget", "budget-50"])
 def test_budget_skips_numpy(argv):
     """budget evaluates its grid point by point in floats."""
-    assert _fresh(_CLI, *argv) == ["0", "False"]
+    assert _fresh(_CLI, *argv) == ["0", *_COLD]
 
 
 def test_sweep_loads_numpy():
     """sweep evaluates its grid as numpy arrays, in one call."""
-    assert _fresh(_CLI, "sweep", "--min", "1e-4", "--max", "1e-2") == ["0", "True"]
+    assert _fresh(_CLI, "sweep", "--min", "1e-4", "--max", "1e-2")[:2] == ["0", "True"]
 
 
 def test_every_public_name_resolves():

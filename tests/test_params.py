@@ -1,7 +1,6 @@
 """Instrument parameter container: validation and derived impedances."""
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from coldamp.params import InstrumentParams
 
-FIELDS = [f.name for f in fields(InstrumentParams)]
+FIELDS = list(InstrumentParams._fields)
 MAY_BE_ZERO = {"K", "kappa_t", "T_m", "T_a", "T_l", "T_r"}
 
 

@@ -1,7 +1,6 @@
 """Verification suite: gate honesty, typed errors and hard draws."""
 
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,10 +81,10 @@ def test_draws_equal_the_per_draw_stream(reference_params, reference_omega, draw
             ws.append(draw_frequencies(reference_omega, rng, count=count))
         grid, grid_ws = verify._draws(reference_params, reference_omega, seed, draws, count)
         assert np.array_equal(grid_ws, np.concatenate(ws)), seed
-        for f in fields(grid):
-            column = np.broadcast_to(getattr(grid, f.name), grid_ws.shape)
-            expected = np.repeat([getattr(q, f.name) for q in sets], count)
-            assert np.array_equal(column, expected), (seed, f.name)
+        for name in grid._fields:
+            column = np.broadcast_to(getattr(grid, name), grid_ws.shape)
+            expected = np.repeat([getattr(q, name) for q in sets], count)
+            assert np.array_equal(column, expected), (seed, name)
 
 
 def test_draws_validate_every_set(reference_params, reference_omega):
@@ -215,7 +214,7 @@ def test_split_gate_catches_a_dropped_back_action(reference_params, reference_om
     def without_back_action(p, omega):
         table = budget_point(p, omega)
         vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
-        return replace(table, sigma_vfr=vfr)
+        return table.replace(sigma_vfr=vfr)
 
     monkeypatch.setattr(verify, "budget_point", without_back_action)
     split = verify.oracle_agreement(reference_params, reference_omega, draws=3, seed=0)[3]
@@ -230,7 +229,7 @@ def test_decomposition_gate_catches_a_scaled_component(reference_params, referen
 
     def scaled(p, omega):
         point = spectrum(p, omega)
-        return replace(point, **{component: getattr(point, component) * (1.0 + 1e-9)})
+        return point.replace(**{component: getattr(point, component) * (1.0 + 1e-9)})
 
     monkeypatch.setattr(sensor, "sensor_noise_spectrum", scaled)
     deviation = verify.decomposition_consistency(reference_params, reference_omega, 40, 2)
