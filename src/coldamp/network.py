@@ -42,7 +42,9 @@ class LinearNetwork(Record):
     incoming ports that enter conjugated (the sensor's b1, b2); no out
     field is conjugated.  A stack of one layout (one system per
     frequency, gain or parameter set) carries a leading axis on a, b and
-    omega, the frequency of each point.
+    omega, the frequency of each point.  build_sensor_network stores its
+    stacks point-minor, so a[..., i, j] is a contiguous column over the
+    points; the shapes and indexing are those of any stack.
     """
 
     a: np.ndarray
@@ -139,15 +141,14 @@ def solve(net: LinearNetwork) -> ScatteringResult:
     triangular, so a zero pivot means it is singular at that point.
     """
     a, b = net.a, net.b
-    n = a.shape[-1]
-    nonzero = (a != 0).reshape(-1, n, n).any(axis=0)
+    nonzero = a.any(axis=tuple(range(a.ndim - 2)))      # the union of the points' patterns
     key = nonzero.tobytes()
     if (order := _ORDERS.get(key)) is None:
         order = _ORDERS[key] = _substitution_order(nonzero)
     zero = (a[..., order.pivots[0], order.pivots[1]] == 0).any(axis=-1)
     if zero.any():
         raise _solve_error(net, zero, "singular network matrix")
-    x = np.empty(b.shape, dtype=np.result_type(a, b))
+    x = np.empty_like(b, dtype=np.result_type(a, b))    # in b's memory layout
     # An overflow or invalid operation leaves a non-finite x, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for r, c, others in order.steps:
@@ -272,9 +273,14 @@ _SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
 
 
 def _fill(template, values: dict, shape: tuple) -> np.ndarray:
-    """Template matrices over shape, one per point, with the named entries set."""
+    """Template matrices over shape, one per point, with the named entries set.
+
+    The stack is stored point-minor, (rows, cols, *shape) in memory, and
+    returned as its (*shape, rows, cols) view: indexing is as for any
+    stack, and each entry out[..., i, j] is one contiguous column.
+    """
     matrix, entries = template
-    out = np.empty((*shape, *matrix.shape), dtype=complex)
+    out = np.moveaxis(np.empty((*matrix.shape, *shape), dtype=complex), (0, 1), (-2, -1))
     out[...] = matrix
     for i, j, name in entries:
         out[..., i, j] = values[name]

@@ -41,14 +41,19 @@ class Record:
         cls._fields = tuple(vars(cls).get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
-        name, fields, defaults = type(self).__name__, self._fields, vars(type(self))
-        given = dict(zip(fields, args))
-        if len(args) > len(fields) or given.keys() & kwargs or not kwargs.keys() <= set(fields):
-            raise TypeError(f"{name} takes the fields {', '.join(fields)}, each at most once")
-        given.update(kwargs)
-        if missing := [key for key in fields if key not in given and key not in defaults]:
-            raise TypeError(f"{name} is missing the field(s) {', '.join(missing)}")
-        self.__dict__.update({key: given.get(key, defaults.get(key)) for key in fields})
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):         # every field, by position
+            self.__dict__.update(zip(fields, args))
+        else:
+            name, defaults = type(self).__name__, vars(type(self))
+            given = dict(zip(fields, args))
+            if (len(args) > len(fields) or given.keys() & kwargs
+                    or not kwargs.keys() <= set(fields)):
+                raise TypeError(f"{name} takes the fields {', '.join(fields)}, each at most once")
+            given.update(kwargs)
+            if missing := [key for key in fields if key not in given and key not in defaults]:
+                raise TypeError(f"{name} is missing the field(s) {', '.join(missing)}")
+            self.__dict__.update({key: given.get(key, defaults.get(key)) for key in fields})
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 

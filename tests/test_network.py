@@ -345,3 +345,30 @@ def test_grid_network_equals_stacked_per_set_builds(reference_params, reference_
         assert np.array_equal(net.a, np.stack([n.a for n in per_set]))
         assert np.array_equal(net.b, np.stack([n.b for n in per_set]))
         assert np.array_equal(net.omega, ws)
+
+
+def test_sensor_stacks_are_point_minor(reference_params, reference_omega):
+    """A grid build stores each entry a[..., i, j] as one contiguous column over
+    its points; the shapes stay (N, n, n) and (N, n, m), and one point stays a
+    plain C-ordered matrix."""
+    grid, ws = verify._draws(reference_params, reference_omega, 0, 3, 10)
+    net = build_sensor_network(grid, None, ws)
+    n = len(_SENSOR_UNKNOWNS)
+    assert net.a.shape == (30, n, n) and net.b.shape == (30, n, len(LINE_LABELS) + 1)
+    assert net.a[..., 0, 0].strides == (16,) and net.b[..., 0, 0].strides == (16,)
+    single = build_sensor_network(reference_params, None, reference_omega)
+    assert single.a.flags.c_contiguous and single.b.flags.c_contiguous
+
+
+@pytest.mark.parametrize("damping", [None, 1e4])
+def test_point_minor_solve_equals_the_c_ordered_solve(reference_params, reference_omega, damping):
+    """The memory layout of a stack changes no bit of its solve, in open loop
+    and with the closed loop's dense block."""
+    grid, ws = verify._draws(reference_params, reference_omega, 1987374907, 20, 10)
+    gains = None if damping is None else np.full(len(ws), damping * reference_params.H_m)
+    net = build_sensor_network(grid, gains, ws)
+    res = solve(net)
+    ref = solve(net.replace(a=np.ascontiguousarray(net.a), b=np.ascontiguousarray(net.b)))
+    assert np.array_equal(res.s_matrix, ref.s_matrix)
+    for name, row in ref.transfer_rows.items():
+        assert np.array_equal(res.transfer_rows[name], row), name

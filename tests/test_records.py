@@ -5,9 +5,9 @@ import pytest
 
 from coldamp import cli
 from coldamp.budget import budget_point
-from coldamp.config import RunConfig
+from coldamp.config import RunConfig, loads
 from coldamp.matching import MatchingResult
-from coldamp.network import LinearNetwork, ScatteringResult, build_matched_junction
+from coldamp.network import LinearNetwork, ScatteringResult, build_matched_junction, solve
 from coldamp.params import InstrumentParams, Record
 from coldamp.sensor import BudgetPoint
 from coldamp.verify import CheckResult
@@ -32,6 +32,22 @@ def test_positional_and_keyword_construction_agree(reference_params):
     assert list(vars(InstrumentParams(**dict(reversed(values.items()))))) == list(values)
 
 
+def test_all_positional_construction_equals_keyword_construction(reference_params,
+                                                                 reference_omega):
+    net = build_matched_junction(50.0, 800.0, reference_omega)
+    records = [reference_params, loads(cli._default_config_text()),
+               budget_point(reference_params, reference_omega),
+               MatchingResult(1.0, 3.0, 2.0, 1.0), CheckResult("gate", 1.0, 2.0), net, solve(net)]
+    assert [type(record) for record in records] == RECORDS
+    for record in records:
+        values = vars(record)
+        positional = type(record)(*values.values())
+        assert positional == type(record)(**values) == record
+        assert list(vars(positional)) == list(record._fields)
+    with pytest.raises(ValueError, match="M must be strictly positive"):
+        InstrumentParams(-1.0, *list(vars(reference_params).values())[1:])   # still checked
+
+
 def test_construction_errors_are_type_errors(reference_params):
     values = vars(reference_params)
     with pytest.raises(TypeError, match="missing the field.s. T_r"):
@@ -44,6 +60,13 @@ def test_construction_errors_are_type_errors(reference_params):
         InstrumentParams(*values.values(), 1.0)                      # one too many
     with pytest.raises(TypeError, match="at most once"):
         reference_params.with_(colour=1.0)
+    with pytest.raises(TypeError, match="missing the field.s. tolerance"):
+        CheckResult("gate", 1.0)
+    with pytest.raises(TypeError, match="takes the fields"):
+        CheckResult("gate", 1.0, 2.0, 3.0)
+    net = build_matched_junction(1.0, 2.0, 1.0)
+    with pytest.raises(TypeError, match="takes the fields"):
+        LinearNetwork(*vars(net).values(), None)
 
 
 def test_fields_can_be_neither_set_nor_deleted(reference_params):

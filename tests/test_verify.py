@@ -206,6 +206,18 @@ def test_stacked_oracle_equals_the_per_point_solve(reference_params, reference_o
         assert verify.oracle_agreement(*args) == _per_point_oracle(*args), seed
 
 
+@pytest.mark.parametrize("seed", [0, 1987374907])
+def test_oracle_is_block_size_invariant(reference_params, reference_omega, seed, monkeypatch):
+    """Any block size, from one point to the whole 200-point grid in one stack
+    and beyond, gives the identical four deviations."""
+    args = (reference_params, reference_omega, 20, seed)
+    results = set()
+    for block in (1, 7, 64, 256, 200, 1000):
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        results.add(verify.oracle_agreement(*args))
+    assert len(results) == 1
+
+
 def test_split_gate_catches_a_dropped_back_action(reference_params, reference_omega,
                                                   monkeypatch):
     """Negative control: sigma_vfr without its back action fails the velocity-split check."""
