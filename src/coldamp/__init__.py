@@ -27,8 +27,8 @@ _EXPORTS = {
     "free_mass_coefficients": "sensor", "mechanical_impedance": "sensor",
     "sensor_noise_spectrum": "sensor",
     "cold_damped_estimator": "servo", "cold_damped_velocity": "servo",
-    "gain_for_effective_impedance": "servo", "sensing_error_identity": "servo",
-    "CheckResult": "verify", "run_checks": "verify",
+    "gain_for_effective_impedance": "servo",
+    "CheckResult": "verify", "run_checks": "verify", "sensing_error_identity": "verify",
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -219,8 +219,8 @@ _SENSOR_UNKNOWNS = (
 # drive.  A str coefficient names a per-point value supplied by
 # build_sensor_network.
 _SENSOR_RELATIONS = (
-    # Equation of motion; the feedback force enters only in closed loop.
-    ({"V": "xi_m", "I_t1": "1j*kt*x_t", "r1_out": "gain"}, {"F_ext": 1.0, "m": "-c_mech"}),
+    # Equation of motion; in closed loop the feedback force +G_s r1_out acts too.
+    ({"V": "xi_m", "I_t1": "1j*kt*x_t", "r1_out": "-gain"}, {"F_ext": 1.0, "m": "-c_mech"}),
     # Mechanical line out field.
     ({"m_out": 1.0, "V": "-c_mech_out"}, {"m": 1.0}),
     # Transducer three-port, Z_t = i x_t.
@@ -320,7 +320,7 @@ def _sensor_values(p: InstrumentParams, gain: complex | np.ndarray | None, w) ->
     return {
         "xi_m": h_m + 1j * (-(p.M * w) + p.K / w),
         "1j*kt*x_t": 1j * (kt * x_t),
-        "gain": 0.0 if gain is None else gain,
+        "-gain": 0.0 if gain is None else -gain,
         "-c_mech": -np.sqrt(2.0 * HBAR * abs(w) * h_m),          # Langevin force
         "-c_mech_out": -np.sqrt(2.0 * h_m / (HBAR * abs(w))),    # velocity -> out field
         "-1j*x_t": 1j * -x_t,

@@ -66,21 +66,6 @@ def cancelling_product_sum(*products):
     return cancels, xp.exact(cancels, products)
 
 
-def max_rel_diff(mine, theirs, floor: float = 1e-6) -> float:
-    """Entry-wise relative deviation of theirs from mine, small-entry floor.
-
-    Entries of mine below floor times its largest (including structural
-    zeros) are compared against that largest entry instead of themselves:
-    double-precision linear algebra cannot resolve such entries relative
-    to their own magnitude.  A stack of rows is judged row by row.
-    """
-    import numpy as np
-    size = np.abs(mine)
-    scale = size.max(axis=-1, keepdims=True)
-    denom = np.where(size >= floor * scale, size, scale)
-    return float((np.abs(np.subtract(mine, theirs)) / denom).max())
-
-
 class BudgetPoint(Record):
     """Noise budget of the sensor at one frequency, or over a grid; one CSV row, a Record.
 

@@ -18,8 +18,7 @@ from .constants import HBAR
 from .noise import SLOT, check_frequency
 from .ops import numpy_ops
 from .params import InstrumentParams
-from .sensor import (coefficients, estimator_coefficients, free_mass_coefficients, max_rel_diff,
-                     mechanical_impedance, re_mu_a1)
+from .sensor import coefficients, free_mass_coefficients, mechanical_impedance, re_mu_a1
 
 
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
@@ -88,15 +87,3 @@ def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     mu[..., SLOT["b1"]] = -a1
     return mu
 
-
-def sensing_error_identity(p: InstrumentParams, omega) -> float:
-    """Maximum entry-wise relative deviation from V_cd = -V_se, worst point of a grid.
-
-    V_cd comes from the infinite-gain velocity table; V_se is the
-    Xi_m-proportional part of the open-loop estimator divided by Xi_m.
-    Exact in the model, so the residual is at rounding level.
-    """
-    w = numpy_ops().frequencies(omega)
-    xi = np.asarray(mechanical_impedance(p, w))[..., None]
-    v_se = (estimator_coefficients(p, w) - free_mass_coefficients(p, w)) / xi
-    return max_rel_diff(-v_se, cold_damped_velocity(p, w), floor=1e-14)

@@ -40,6 +40,6 @@ def test_solve_diagnostics_the_tracer_reads(tracer, reference_params, reference_
         verify.oracle_agreement(reference_params, reference_omega, draws=1, seed=0)
     finally:
         recorder.uninstall()
-    assert recorder.solves == 1           # one stacked solve per block of up to 64 points
+    assert recorder.solves == 1           # one stacked solve per block of up to 256 points
     assert recorder.relaxed == 0
     assert math.isnan(res.condition)

@@ -153,6 +153,8 @@ def test_sweep_validation(reference_params, reference_omega):
         sweep(reference_params, "R_a", [], omega=reference_omega)
     with pytest.raises(ValueError, match="increasing"):
         sweep(reference_params, "R_a", [2.0, 1.0], omega=reference_omega)
+    with pytest.raises(ValueError, match="^parameter sweeps need an analysis frequency$"):
+        sweep(reference_params, "R_a", [1.0, 2.0])
     # Only record fields are axes: not properties, methods or anything else.
     for axis in ("not_a_field", "z_f", "r_m", "delta", "with_"):
         with pytest.raises(ValueError, match="unknown sweep axis"):

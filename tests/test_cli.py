@@ -345,6 +345,10 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
      "frequency grid leaves the float range"),
     (["budget", "--points", "50"], "frequency lower bound must be below the upper bound"),
     (["budget", "--points", "0"], "points must be >= 1"),
+    (["budget", "--points", "1", "--freq-min", "1", "--freq-max", "2"],
+     "points=1 requires equal bounds"),
+    (["sweep", "--points", "1", "--min", "1", "--max", "2"], "points=1 requires equal bounds"),
+    (["verify", "--draws", "0"], "draws must be >= 1"),
     # Finite grids whose budgets overflow (these gave a nan/inf CSV with exit 0).
     (["sweep", "--axis", "K", "--min", "1e300", "--max", "1e308", "--points", "2"],
      "the budget leaves the float range: delta = inf"),
@@ -363,7 +367,8 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
      "sweep grid must be strictly increasing"),
 ], ids=["budget-inf", "budget-nan", "sweep-inf", "sweep-negative-axis", "sweep-decreasing",
         "budget-decreasing", "sweep-overflow", "budget-angular-overflow", "budget-points-50",
-        "budget-points-0", "sweep-K-overflow", "budget-high-frequency", "budget-low-frequency",
+        "budget-points-0", "budget-points-1", "sweep-points-1", "verify-draws-0",
+        "sweep-K-overflow", "budget-high-frequency", "budget-low-frequency",
         "sweep-R_a-subnormal", "sweep-K-partial", "budget-repeated", "sweep-repeated"])
 def test_bad_grid_bounds_are_one_line_config_errors(argv, message, capsys):
     code, out, err = run(argv, capsys)

@@ -1,4 +1,5 @@
-"""Cold start: the package and the numpy-free commands never load numpy.
+"""Cold start: the package and the numpy-free commands never load numpy,
+and verify loads neither budget nor matching.
 
 Each case runs in a fresh interpreter, since numpy is already loaded in
 this one.  Only grids of closed forms (sweep), the oracle and verify
@@ -7,6 +8,7 @@ imports cost more than any coldamp module: records are params.Record.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,17 @@ def test_budget_skips_numpy(argv):
 def test_sweep_loads_numpy():
     """sweep evaluates its grid as numpy arrays, in one call."""
     assert _fresh(_CLI, "sweep", "--min", "1e-4", "--max", "1e-2")[:2] == ["0", "True"]
+
+
+def test_verify_skips_the_budget_modules():
+    """verify reads the spectrum from sensor; budget and matching stay unloaded."""
+    code = f"_HEAVY = ('coldamp.budget', 'coldamp.matching')\n{_CLI}"
+    assert _fresh(code, "verify", "--draws", "1") == ["0", "False", "False"]
+
+
+def test_sensor_imports_no_numpy():
+    source = Path(SRC, "coldamp", "sensor.py").read_text()
+    assert not re.search(r"^\s*(import|from)\s+numpy\b", source, re.MULTILINE)
 
 
 def test_every_public_name_resolves():

@@ -20,9 +20,9 @@ from coldamp.network import (
     solve,
 )
 from coldamp.noise import LINE_LABELS
-from coldamp.sensor import estimator_coefficients, free_mass_coefficients, max_rel_diff
+from coldamp.sensor import estimator_coefficients, free_mass_coefficients, mechanical_impedance
 from coldamp.servo import gain_for_effective_impedance
-from coldamp.verify import ORACLE_TOL
+from coldamp.verify import ORACLE_TOL, max_rel_diff
 from draws import draw_frequencies, draw_params
 
 OMEGA = 2.0 * math.pi * 1e5
@@ -306,6 +306,19 @@ def test_closed_loop_estimator_row_is_gain_independent(reference_params, referen
         gain = gain_for_effective_impedance(p, ratio * p.H_m, w)
         _, mu_closed = oracle_rows(p, w, gain=gain)
         assert max_rel_diff(mu, mu_closed) < 1e-10
+
+
+def test_closed_loop_realizes_the_requested_impedance(reference_params, reference_omega):
+    """With the gain from gain_for_effective_impedance, the loop's velocity
+    response to F_ext is 1/(Xi_m + Xi_me): the requested Xi_me, damping or
+    reactive, small or large, with its sign."""
+    p, w = reference_params, reference_omega
+    requested = np.array([1e-2, 1.0, 1e4, 1e7, 1e3j]) * p.H_m
+    gains = np.array([gain_for_effective_impedance(p, xi_me, w) for xi_me in requested])
+    net = build_sensor_network(p, gains, w)
+    response = solve(net).transfer_rows["velocity"][:, len(LINE_LABELS)]    # F_ext's column
+    realized = 1.0 / response - mechanical_impedance(p, w)
+    assert np.abs(realized / requested - 1.0).max() < 1e-12
 
 
 def test_sensor_entries_equal_their_complex_expressions(reference_params, reference_omega):

@@ -15,10 +15,10 @@ from coldamp.sensor import (
     coefficients,
     estimator_coefficients,
     free_mass_coefficients,
-    max_rel_diff,
     mechanical_impedance,
     sensor_noise_spectrum,
 )
+from coldamp.verify import max_rel_diff
 from draws import draw_frequencies, draw_params
 
 at = LINE_LABELS.index

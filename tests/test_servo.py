@@ -9,14 +9,9 @@ import pytest
 from coldamp.constants import HBAR
 from coldamp.noise import LINE_LABELS
 import coldamp.verify as verify
-from coldamp.sensor import (cancelling_product_sum, estimator_coefficients, max_rel_diff,
-                            mechanical_impedance)
-from coldamp.servo import (
-    cold_damped_estimator,
-    cold_damped_velocity,
-    gain_for_effective_impedance,
-    sensing_error_identity,
-)
+from coldamp.sensor import cancelling_product_sum, estimator_coefficients, mechanical_impedance
+from coldamp.servo import cold_damped_estimator, cold_damped_velocity, gain_for_effective_impedance
+from coldamp.verify import max_rel_diff, sensing_error_identity
 from coldamp.network import build_sensor_network, solve
 from draws import draw_frequencies, draw_params
 

@@ -10,9 +10,9 @@ import coldamp.verify as verify
 from coldamp.constants import HBAR
 from coldamp.network import build_sensor_network, check_commutators, normalized_row, solve
 from coldamp.noise import LINE_LABELS
-from coldamp.sensor import (estimator_coefficients, free_mass_coefficients, max_rel_diff,
-                            mechanical_impedance)
+from coldamp.sensor import estimator_coefficients, free_mass_coefficients, mechanical_impedance
 from coldamp.servo import cold_damped_velocity, gain_for_effective_impedance
+from coldamp.verify import max_rel_diff
 from draws import draw_frequencies, draw_params
 
 
@@ -221,14 +221,12 @@ def test_oracle_is_block_size_invariant(reference_params, reference_omega, seed,
 def test_split_gate_catches_a_dropped_back_action(reference_params, reference_omega,
                                                   monkeypatch):
     """Negative control: sigma_vfr without its back action fails the velocity-split check."""
-    from coldamp.budget import budget_point
-
     def without_back_action(p, omega):
-        table = budget_point(p, omega)
+        table = sensor.sensor_noise_spectrum(p, omega)
         vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
         return table.replace(sigma_vfr=vfr)
 
-    monkeypatch.setattr(verify, "budget_point", without_back_action)
+    monkeypatch.setattr(verify, "spectrum", without_back_action)
     split = verify.oracle_agreement(reference_params, reference_omega, draws=3, seed=0)[3]
     assert split >= verify.ORACLE_TOL
 
@@ -243,6 +241,6 @@ def test_decomposition_gate_catches_a_scaled_component(reference_params, referen
         point = spectrum(p, omega)
         return point.replace(**{component: getattr(point, component) * (1.0 + 1e-9)})
 
-    monkeypatch.setattr(sensor, "sensor_noise_spectrum", scaled)
+    monkeypatch.setattr(verify, "spectrum", scaled)
     deviation = verify.decomposition_consistency(reference_params, reference_omega, 40, 2)
     assert deviation >= verify.EQUALITY_TOL
