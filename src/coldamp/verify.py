@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network, ops, sensor, servo
 from .noise import LINE_LABELS
-from .params import InstrumentParams, Record
+from .params import InstrumentParams, Record, _broken_rule
 
 # Closed forms under test, bound once at module level so a test harness
 # can substitute a corrupted implementation and confirm the suite fails.
@@ -42,7 +42,7 @@ EXPONENT_TOL = 0.05
 _DECADES = {**dict.fromkeys(("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C_f", "C_t"), 2.0),
             "T_m": 1.0, "T_a": 1.0, "omega": 1.5}
 _PARAMS = tuple(_DECADES)[:-1]
-FREQUENCIES = 10     # analysis frequencies drawn per parameter set for the oracle
+FREQUENCIES = 10     # frequencies per drawn set; draw i, frequency j is grid row 10 i + j
 # Points per stacked oracle solve: memory stays flat at any draw count.  At
 # 1000 draws a cold `verify` peaks at 45 MB resident with 256 (49 MB with 512,
 # 141 MB as one stack), and 512 is no faster.
@@ -80,24 +80,28 @@ def max_rel_diff(mine, theirs, floor: float = 1e-6) -> float:
     return float((np.abs(np.subtract(mine, theirs)) / denom).max())
 
 
-def _draws(p: InstrumentParams, omega: float, seed: int, draws: int, count: int):
-    """Draw parameter sets (the first is p) with count frequencies each.
+def _draws(p: InstrumentParams, omega: float, seed: int, draws: int):
+    """Draw parameter sets (the first is p) with FREQUENCIES frequencies each.
 
     Each draw scales every field of _PARAMS by 10 ** uniform(-d, d), d
-    its _DECADES, and then draws count frequencies the same way around
-    omega, all from one array of the seed's stream.  Returns one grid
-    of the sets, each repeated count times, and its (draws * count,)
-    frequencies.
+    its _DECADES, and then draws its frequencies the same way around
+    omega, all from one array of the seed's stream.  Returns one grid of
+    the sets, each repeated, and its frequencies: draw i, frequency j is
+    row i * FREQUENCIES + j.  A set out of range names its seed and draw.
     """
     rng = np.random.default_rng(seed)
-    first = rng.uniform(-_DECADES["omega"], _DECADES["omega"], size=count)
-    high = np.array([_DECADES[name] for name in _PARAMS] + [_DECADES["omega"]] * count)
+    first = rng.uniform(-_DECADES["omega"], _DECADES["omega"], size=FREQUENCIES)
+    high = np.array([_DECADES[name] for name in _PARAMS] + [_DECADES["omega"]] * FREQUENCIES)
     u = rng.uniform(-high, high, size=(draws - 1, len(high)))
     base = np.array([getattr(p, name) for name in _PARAMS])
     # float_power is the C pow of Python's **; numpy's ** rounds some factors differently.
     with np.errstate(over="ignore"):      # an overflowed set fails with_'s validation
         sets = np.vstack([base, base * np.float_power(10.0, u[:, :len(_PARAMS)])])
-    grid = p.with_(**{name: np.repeat(sets[:, k], count) for k, name in enumerate(_PARAMS)})
+    try:
+        grid = p.with_(**dict(zip(_PARAMS, np.repeat(sets.T, FREQUENCIES, axis=1))))
+    except ValueError:          # the first failing set's first broken rule
+        raise ValueError(next(f"seed {seed}, draw {i}: {e}" for i, row in enumerate(sets.tolist())
+                              for e in map(_broken_rule, _PARAMS, row) if e)) from None
     return grid, omega * 10.0 ** np.concatenate([first, u[:, len(_PARAMS):].ravel()])
 
 
@@ -123,15 +127,12 @@ def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -
     return float((np.abs(rebuilt - closed) / (closed[0] + closed[1] + np.abs(closed[2]))).max())
 
 
-def oracle_agreement(p: InstrumentParams, omega: float,
-                     draws: int, seed: int) -> tuple[float, float, float, float]:
+def oracle_agreement(grid: InstrumentParams, ws) -> tuple[float, float, float, float]:
     """Worst deviations (lambda, mu, passive-row commutator, velocity split).
 
-    Every point (FREQUENCIES per draw) compares directly against ORACLE_TOL.
-    The grid is solved as stacks of up to _BLOCK points; the closed forms
-    and the velocity split evaluate it at once, from the same solves.
+    Every point compares directly against ORACLE_TOL.  The grid solves as stacks of
+    up to _BLOCK points; the closed forms and the velocity split read it at once.
     """
-    grid, ws = _draws(p, omega, seed, draws, FREQUENCIES)
     lam, mu = (np.empty((len(ws), len(LINE_LABELS)), dtype=complex) for _ in range(2))
     worst_comm = 0.0
     for start in range(0, len(ws), _BLOCK):
@@ -154,10 +155,8 @@ def toy_commutators(omega: float) -> float:
     return max(network.check_commutators(net, network.solve(net)) for net in nets)
 
 
-def loop_estimator_equality(p: InstrumentParams, omega: float,
-                            draws: int, seed: int) -> float:
-    """Closed-loop vs open-loop estimator coefficients, independent paths."""
-    grid, ws = _draws(p, omega, seed, draws, 3)
+def loop_estimator_equality(grid: InstrumentParams, ws) -> float:
+    """Closed-loop vs open-loop estimator coefficients, independent paths, over a grid."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the loop's preconditions, on extreme draws
         return max_rel_diff(estimator_mu(grid, ws), closed_loop_mu(grid, ws))
@@ -196,19 +195,18 @@ def finite_gain_exponent(p: InstrumentParams, omega: float) -> float:
     return float(np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0])
 
 
-def decomposition_consistency(p: InstrumentParams, omega: float,
-                              draws: int, seed: int) -> float:
-    """Component sum vs direct quadratic total of the force spectrum."""
-    grid, ws = _draws(p, omega, seed, draws, 3)
-    b = spectrum(grid, ws)
+def decomposition_consistency(grid: InstrumentParams, ws) -> float:
+    """Component sum vs direct quadratic total of the force spectrum, over a grid."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = spectrum(grid, ws)
     columns = (b.sigma_ff, b.langevin, b.back_action, b.sensing, b.interference)
-    return max(abs(math.fsum(parts) - total) / total
-               for total, *parts in zip(*(c.tolist() for c in columns)))
+    return float(np.max([abs(math.fsum(parts) - total) / total     # a nan point fails
+                         for total, *parts in zip(*(c.tolist() for c in columns))]))
 
 
 def run_checks(p: InstrumentParams, omega: float, *,
                draws: int = 100, seed: int = 0) -> list[CheckResult]:
-    """Run the full verification suite; returns one result per check."""
+    """Run the full verification suite on one grid of draws; one result per check."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if seed < 0:
@@ -216,7 +214,8 @@ def run_checks(p: InstrumentParams, omega: float, *,
     if p.kappa_t == 0.0:
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
-    lam, mu, comm, split = oracle_agreement(p, omega, draws, seed)
+    grid, ws = _draws(p, omega, seed, draws)
+    lam, mu, comm, split = oracle_agreement(grid, ws)
     return [
         CheckResult("oracle velocity coefficients", lam, ORACLE_TOL),
         CheckResult("oracle estimator coefficients", mu, ORACLE_TOL),
@@ -224,11 +223,11 @@ def run_checks(p: InstrumentParams, omega: float, *,
         CheckResult("oracle velocity split (vfr, vse, cross)", split, ORACLE_TOL),
         CheckResult("toy-network commutator preservation", toy_commutators(omega), ORACLE_TOL),
         CheckResult("open/closed-loop estimator equality",
-                    loop_estimator_equality(p, omega, draws, seed + 1), LOOP_TOL),
+                    loop_estimator_equality(grid, ws), LOOP_TOL),
         CheckResult("cold-damped velocity vs sensing error",
                     sensing_identity_sweep(p, omega), ORACLE_TOL),
         CheckResult("finite-gain convergence exponent",
                     abs(finite_gain_exponent(p, omega) + 1.0), EXPONENT_TOL),
         CheckResult("spectrum decomposition sum",
-                    decomposition_consistency(p, omega, draws, seed + 2), EQUALITY_TOL),
+                    decomposition_consistency(grid, ws), EQUALITY_TOL),
     ]

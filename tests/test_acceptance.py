@@ -14,6 +14,7 @@ from coldamp.matching import numerical_matching, optimal_matching
 from coldamp.noise import effective_temperature
 from coldamp.network import build_sensor_network, check_commutators, solve
 from coldamp.verify import (
+    _draws,
     decomposition_consistency,
     finite_gain_exponent,
     loop_estimator_equality,
@@ -48,7 +49,7 @@ def test_acceptance_2_acceleration_sensitivity(reference_params, reference_omega
 
 def test_acceptance_3_oracle_equivalence(reference_params, reference_omega):
     start = time.perf_counter()
-    lam, mu, _, _ = oracle_agreement(reference_params, reference_omega, draws=1000, seed=0)
+    lam, mu, _, _ = oracle_agreement(*_draws(reference_params, reference_omega, 0, 1000))
     elapsed = time.perf_counter() - start
     worst = max(lam, mu)
     ok = worst < 1e-10 and elapsed < 30.0
@@ -58,8 +59,7 @@ def test_acceptance_3_oracle_equivalence(reference_params, reference_omega):
 
 
 def test_acceptance_4_loop_invariance(reference_params, reference_omega):
-    dev = loop_estimator_equality(reference_params, reference_omega,
-                                  draws=100, seed=0)
+    dev = loop_estimator_equality(*_draws(reference_params, reference_omega, 0, 100))
     slope = finite_gain_exponent(reference_params, reference_omega)
     ok = dev < 1e-12 and abs(slope + 1.0) < 0.05
     report("loop invariance", ok,
@@ -116,8 +116,7 @@ def test_acceptance_8_limits_suite(reference_params, reference_omega):
         worst_classical = max(
             worst_classical,
             abs(effective_temperature(t, w) - K_B * t) / (K_B * t))
-    decomposition = decomposition_consistency(reference_params, reference_omega,
-                                              draws=200, seed=0)
+    decomposition = decomposition_consistency(*_draws(reference_params, reference_omega, 0, 200))
     ok = worst_zero == 0.0 and worst_classical < 1e-12 and decomposition < 1e-12
     report("limits suite", ok,
            f"zero-point residual {worst_zero:.1e} (exact required), "

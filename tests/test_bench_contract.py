@@ -37,9 +37,25 @@ def test_solve_diagnostics_the_tracer_reads(tracer, reference_params, reference_
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        verify.oracle_agreement(reference_params, reference_omega, draws=1, seed=0)
+        verify.oracle_agreement(*verify._draws(reference_params, reference_omega, 0, 1))
     finally:
         recorder.uninstall()
     assert recorder.solves == 1           # one stacked solve per block of up to 256 points
     assert recorder.relaxed == 0
     assert math.isnan(res.condition)
+
+
+def test_run_checks_calls_each_traced_check_once(tracer, reference_params, reference_omega):
+    """One run_checks records one call of each grid check and of the exponent fit,
+    through the module bindings the tracer wraps, and one finite oracle deviation."""
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        verify.run_checks(reference_params, reference_omega, draws=1)
+    finally:
+        recorder.uninstall()
+    for name in ("oracle_agreement", "loop_estimator_equality", "decomposition_consistency",
+                 "finite_gain_exponent"):
+        assert recorder.stats[recorder.names.index(f"verify.{name}")].calls == 1, name
+    (dev,) = recorder.oracle_dev.values()
+    assert math.isfinite(dev)

@@ -405,6 +405,13 @@ def test_negative_seed_is_a_config_error(capsys):
     assert err == "configuration error: seed must be >= 0, got -1\n"
 
 
+def test_a_drawn_set_out_of_range_names_its_draw(tmp_path, capsys):
+    """The configured mass is finite; the draw that overflows it is named."""
+    config = _shipped_with(tmp_path, "mass = 0.27 kg", "mass = 1e307 kg")
+    assert run(["verify", "--config", config], capsys) == (
+        cli.EXIT_CONFIG, "", "configuration error: seed 0, draw 1: M must be finite, got inf\n")
+
+
 # One-key edits of the shipped config: every key at each of these values.
 _PROBE_KEYS = re.findall(r"^(\w+) = (\S+ \S+)$", cli._default_config_text(), re.MULTILINE)
 _PROBE_VALUES = ("5e-324", "1e-300", "1e-200", "1e-10", "1e10", "1e200", "1e300", "1.7e308")

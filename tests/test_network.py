@@ -164,7 +164,7 @@ def test_substitution_solve_agrees_with_lapack(reference_params, reference_omega
     """Over gate 3's stream and the hard seeds, the substitution solve and the
     dense refined LAPACK solve agree within ORACLE_TOL on the normalized
     transfer rows and on the S rows."""
-    grid, ws = verify._draws(reference_params, reference_omega, seed, draws, 10)
+    grid, ws = verify._draws(reference_params, reference_omega, seed, draws)
     for start in range(0, len(ws), verify._BLOCK):
         rows = slice(start, start + verify._BLOCK)
         net = build_sensor_network(verify._points(grid, rows), None, ws[rows])
@@ -364,7 +364,7 @@ def test_sensor_stacks_are_point_minor(reference_params, reference_omega):
     """A grid build stores each entry a[..., i, j] as one contiguous column over
     its points; the shapes stay (N, n, n) and (N, n, m), and one point stays a
     plain C-ordered matrix."""
-    grid, ws = verify._draws(reference_params, reference_omega, 0, 3, 10)
+    grid, ws = verify._draws(reference_params, reference_omega, 0, 3)
     net = build_sensor_network(grid, None, ws)
     n = len(_SENSOR_UNKNOWNS)
     assert net.a.shape == (30, n, n) and net.b.shape == (30, n, len(LINE_LABELS) + 1)
@@ -377,7 +377,7 @@ def test_sensor_stacks_are_point_minor(reference_params, reference_omega):
 def test_point_minor_solve_equals_the_c_ordered_solve(reference_params, reference_omega, damping):
     """The memory layout of a stack changes no bit of its solve, in open loop
     and with the closed loop's dense block."""
-    grid, ws = verify._draws(reference_params, reference_omega, 1987374907, 20, 10)
+    grid, ws = verify._draws(reference_params, reference_omega, 1987374907, 20)
     gains = None if damping is None else np.full(len(ws), damping * reference_params.H_m)
     net = build_sensor_network(grid, gains, ws)
     res = solve(net)
