@@ -2,8 +2,9 @@
 
 Every analytic coefficient table in the package is re-derived here by
 solving the raw network equations and comparing entry by entry, over
-randomized parameter draws.  Every comparison of the package lives
-here, the budget checks read the spectrum from sensor, and the CLI
+randomized parameter draws; every comparison of the package lives here.
+run_checks solves the oracle on one grid of draws, then evaluates each
+closed form on it once for the grid checks, which only compare; the CLI
 `verify` command is a thin wrapper around run_checks.
 """
 
@@ -44,8 +45,8 @@ _DECADES = {**dict.fromkeys(("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C
 _PARAMS = tuple(_DECADES)[:-1]
 FREQUENCIES = 10     # frequencies per drawn set; draw i, frequency j is grid row 10 i + j
 # Points per stacked oracle solve: memory stays flat at any draw count.  At
-# 1000 draws a cold `verify` peaks at 45 MB resident with 256 (49 MB with 512,
-# 141 MB as one stack), and 512 is no faster.
+# 1000 draws a cold `verify` peaks at 48 MB resident with 256 or 512 (141 MB
+# as one stack), set by the closed forms over the grid; 512 is no faster.
 _BLOCK = 256
 
 
@@ -110,15 +111,13 @@ def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
     return grid.with_(**{name: v[rows] for name, v in vars(grid).items() if np.ndim(v)})
 
 
-def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -> float:
-    """Worst deviation of the budget's velocity split, rebuilt from the rows.
+def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray, table) -> float:
+    """Worst deviation of the spectrum table's velocity split, rebuilt from the rows.
 
     |Xi_m|^2 sigma_vfr, sigma_vse, sigma_cross are sum_a sigma_a times
     |lambda_a|^2, |mu_a - lambda_a|^2 and the rest of |mu_a|^2; each
     point is compared relative to vfr + vse + |cross|.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = spectrum(q, ws)
     sigma = sensor.line_spectra(q, ws)[0]
     vfr, vse, ff = (sensor.coefficient_sum(c, sigma) for c in (lam, mu - lam, mu))
     xi = sensor.mechanical_impedance(q, ws)
@@ -127,12 +126,8 @@ def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray) -
     return float((np.abs(rebuilt - closed) / (closed[0] + closed[1] + np.abs(closed[2]))).max())
 
 
-def oracle_agreement(grid: InstrumentParams, ws) -> tuple[float, float, float, float]:
-    """Worst deviations (lambda, mu, passive-row commutator, velocity split).
-
-    Every point compares directly against ORACLE_TOL.  The grid solves as stacks of
-    up to _BLOCK points; the closed forms and the velocity split read it at once.
-    """
+def _oracle_rows(grid: InstrumentParams, ws):
+    """The oracle's lambda and mu rows and worst passive-row commutator, in _BLOCK stacks."""
     lam, mu = (np.empty((len(ws), len(LINE_LABELS)), dtype=complex) for _ in range(2))
     worst_comm = 0.0
     for start in range(0, len(ws), _BLOCK):
@@ -142,9 +137,16 @@ def oracle_agreement(grid: InstrumentParams, ws) -> tuple[float, float, float, f
         lam[rows] = network.normalized_row(net, res.transfer_rows["velocity"])
         mu[rows] = network.normalized_row(net, res.transfer_rows["detected"])
         worst_comm = max(worst_comm, network.check_commutators(net, res))
-    return (max_rel_diff(free_lambda(grid, ws), lam),
-            max_rel_diff(estimator_mu(grid, ws), mu),
-            worst_comm, _split_deviation(grid, ws, lam, mu))
+    return lam, mu, worst_comm
+
+
+def oracle_agreement(grid: InstrumentParams, ws, oracle, mu,
+                     table) -> tuple[float, float, float, float]:
+    """Worst deviations (lambda, mu, passive-row commutator, velocity split) of
+    free_lambda, the estimator table mu and the spectrum table from the oracle."""
+    lam_rows, mu_rows, worst_comm = oracle
+    return (max_rel_diff(free_lambda(grid, ws), lam_rows), max_rel_diff(mu, mu_rows),
+            worst_comm, _split_deviation(grid, ws, lam_rows, mu_rows, table))
 
 
 def toy_commutators(omega: float) -> float:
@@ -155,11 +157,11 @@ def toy_commutators(omega: float) -> float:
     return max(network.check_commutators(net, network.solve(net)) for net in nets)
 
 
-def loop_estimator_equality(grid: InstrumentParams, ws) -> float:
-    """Closed-loop vs open-loop estimator coefficients, independent paths, over a grid."""
+def loop_estimator_equality(grid: InstrumentParams, ws, mu) -> float:
+    """The closed-loop estimator table against the open-loop one, mu, over a grid."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the loop's preconditions, on extreme draws
-        return max_rel_diff(estimator_mu(grid, ws), closed_loop_mu(grid, ws))
+        return max_rel_diff(mu, closed_loop_mu(grid, ws))
 
 
 def sensing_error_identity(p: InstrumentParams, omega) -> float:
@@ -183,11 +185,12 @@ def sensing_identity_sweep(p: InstrumentParams, omega: float) -> float:
 def finite_gain_exponent(p: InstrumentParams, omega: float) -> float:
     """Fitted power of 1/|G_s| in the convergence to the infinite-gain table.
 
-    Loop gains are chosen to synthesize effective dampings H_me/H_m of
-    1e3 to 1e7; the log-log slope of deviation vs |G_s| should be -1 for
-    a first-order limit.
+    Loop gains synthesize effective dampings H_me of 1e3 to 1e7 times
+    |Xi_m|, the scale of the convergence; the log-log slope of deviation
+    vs |G_s| should be -1 for a first-order limit.
     """
-    gains = np.array([servo.gain_for_effective_impedance(p, r * p.H_m, omega)
+    xi = abs(sensor.mechanical_impedance(p, omega))
+    gains = np.array([servo.gain_for_effective_impedance(p, r * xi, omega)
                       for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
     target = servo.cold_damped_velocity(p, omega)   # the infinite-gain velocity table
     rows = network.solve(network.build_sensor_network(p, gains, omega)).transfer_rows["velocity"]
@@ -195,10 +198,8 @@ def finite_gain_exponent(p: InstrumentParams, omega: float) -> float:
     return float(np.polyfit(np.log10(np.abs(gains)), np.log10(devs), 1)[0])
 
 
-def decomposition_consistency(grid: InstrumentParams, ws) -> float:
-    """Component sum vs direct quadratic total of the force spectrum, over a grid."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b = spectrum(grid, ws)
+def decomposition_consistency(b: sensor.BudgetPoint) -> float:
+    """Component sum vs direct quadratic total of a force spectrum table b."""
     columns = (b.sigma_ff, b.langevin, b.back_action, b.sensing, b.interference)
     return float(np.max([abs(math.fsum(parts) - total) / total     # a nan point fails
                          for total, *parts in zip(*(c.tolist() for c in columns))]))
@@ -215,19 +216,24 @@ def run_checks(p: InstrumentParams, omega: float, *,
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
     grid, ws = _draws(p, omega, seed, draws)
-    lam, mu, comm, split = oracle_agreement(grid, ws)
+    oracle = _oracle_rows(grid, ws)     # first: a grid without a drive response fails here
+    mu = estimator_mu(grid, ws)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = spectrum(grid, ws)      # the sensitivity, which no check reads, may overflow
+    lam_dev, mu_dev, comm, split = oracle_agreement(grid, ws, oracle, mu, table)
+    del oracle                          # the rows take 3 MB at 1000 draws
     return [
-        CheckResult("oracle velocity coefficients", lam, ORACLE_TOL),
-        CheckResult("oracle estimator coefficients", mu, ORACLE_TOL),
+        CheckResult("oracle velocity coefficients", lam_dev, ORACLE_TOL),
+        CheckResult("oracle estimator coefficients", mu_dev, ORACLE_TOL),
         CheckResult("sensor commutator preservation (m, l1, l2)", comm, ORACLE_TOL),
         CheckResult("oracle velocity split (vfr, vse, cross)", split, ORACLE_TOL),
         CheckResult("toy-network commutator preservation", toy_commutators(omega), ORACLE_TOL),
         CheckResult("open/closed-loop estimator equality",
-                    loop_estimator_equality(grid, ws), LOOP_TOL),
+                    loop_estimator_equality(grid, ws, mu), LOOP_TOL),
         CheckResult("cold-damped velocity vs sensing error",
                     sensing_identity_sweep(p, omega), ORACLE_TOL),
         CheckResult("finite-gain convergence exponent",
                     abs(finite_gain_exponent(p, omega) + 1.0), EXPONENT_TOL),
         CheckResult("spectrum decomposition sum",
-                    decomposition_consistency(grid, ws), EQUALITY_TOL),
+                    decomposition_consistency(table), EQUALITY_TOL),
     ]

@@ -13,8 +13,10 @@ from coldamp.constants import HBAR, K_B
 from coldamp.matching import numerical_matching, optimal_matching
 from coldamp.noise import effective_temperature
 from coldamp.network import build_sensor_network, check_commutators, solve
+from coldamp.sensor import estimator_coefficients, sensor_noise_spectrum
 from coldamp.verify import (
     _draws,
+    _oracle_rows,
     decomposition_consistency,
     finite_gain_exponent,
     loop_estimator_equality,
@@ -49,7 +51,10 @@ def test_acceptance_2_acceleration_sensitivity(reference_params, reference_omega
 
 def test_acceptance_3_oracle_equivalence(reference_params, reference_omega):
     start = time.perf_counter()
-    lam, mu, _, _ = oracle_agreement(*_draws(reference_params, reference_omega, 0, 1000))
+    grid, ws = _draws(reference_params, reference_omega, 0, 1000)
+    lam, mu, _, _ = oracle_agreement(grid, ws, _oracle_rows(grid, ws),
+                                     estimator_coefficients(grid, ws),
+                                     sensor_noise_spectrum(grid, ws))
     elapsed = time.perf_counter() - start
     worst = max(lam, mu)
     ok = worst < 1e-10 and elapsed < 30.0
@@ -59,7 +64,8 @@ def test_acceptance_3_oracle_equivalence(reference_params, reference_omega):
 
 
 def test_acceptance_4_loop_invariance(reference_params, reference_omega):
-    dev = loop_estimator_equality(*_draws(reference_params, reference_omega, 0, 100))
+    grid, ws = _draws(reference_params, reference_omega, 0, 100)
+    dev = loop_estimator_equality(grid, ws, estimator_coefficients(grid, ws))
     slope = finite_gain_exponent(reference_params, reference_omega)
     ok = dev < 1e-12 and abs(slope + 1.0) < 0.05
     report("loop invariance", ok,
@@ -116,7 +122,8 @@ def test_acceptance_8_limits_suite(reference_params, reference_omega):
         worst_classical = max(
             worst_classical,
             abs(effective_temperature(t, w) - K_B * t) / (K_B * t))
-    decomposition = decomposition_consistency(*_draws(reference_params, reference_omega, 0, 200))
+    decomposition = decomposition_consistency(
+        sensor_noise_spectrum(*_draws(reference_params, reference_omega, 0, 200)))
     ok = worst_zero == 0.0 and worst_classical < 1e-12 and decomposition < 1e-12
     report("limits suite", ok,
            f"zero-point residual {worst_zero:.1e} (exact required), "

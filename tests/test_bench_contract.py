@@ -37,7 +37,7 @@ def test_solve_diagnostics_the_tracer_reads(tracer, reference_params, reference_
     recorder = tracer.Tracer()
     recorder.install()
     try:
-        verify.oracle_agreement(*verify._draws(reference_params, reference_omega, 0, 1))
+        verify._oracle_rows(*verify._draws(reference_params, reference_omega, 0, 1))
     finally:
         recorder.uninstall()
     assert recorder.solves == 1           # one stacked solve per block of up to 256 points

@@ -16,17 +16,21 @@ from coldamp.verify import max_rel_diff
 from draws import draw_frequencies, draw_params
 
 
-def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega, monkeypatch):
+def _agreement(grid, ws, mu=None, table=None):
+    """oracle_agreement on a grid, with the closed-form tables run_checks would
+    pass unless mu or table is given."""
+    mu = estimator_coefficients(grid, ws) if mu is None else mu
+    table = sensor.sensor_noise_spectrum(grid, ws) if table is None else table
+    return verify.oracle_agreement(grid, ws, verify._oracle_rows(grid, ws), mu, table)
+
+
+def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega):
     """Negative control: every point is held to ORACLE_TOL, none relaxed."""
-
-    def perturbed(p, omega):
-        mu = estimator_coefficients(p, omega)
-        mu[..., LINE_LABELS.index("m")] *= 1.0 + 1e-9
-        return mu
-
-    monkeypatch.setattr(verify, "estimator_mu", perturbed)
-    _, mu, _, _ = verify.oracle_agreement(*verify._draws(reference_params, reference_omega, 0, 1))
-    assert mu >= verify.ORACLE_TOL
+    grid, ws = verify._draws(reference_params, reference_omega, 0, 1)
+    mu = estimator_coefficients(grid, ws)
+    mu[..., LINE_LABELS.index("m")] *= 1.0 + 1e-9
+    _, deviation, _, _ = _agreement(grid, ws, mu=mu)
+    assert deviation >= verify.ORACLE_TOL
 
 
 def test_finite_gain_on_a_closed_loop_draw(reference_params, reference_omega):
@@ -57,7 +61,8 @@ def test_stacked_finite_gain_equals_the_per_gain_solves(reference_params, refere
         rng = np.random.default_rng(4)
         p = draw_params(p, rng)
         w = draw_frequencies(w, rng, count=1)[0]
-    gains = np.array([gain_for_effective_impedance(p, r * p.H_m, w)
+    xi = abs(mechanical_impedance(p, w))
+    gains = np.array([gain_for_effective_impedance(p, r * xi, w)
                       for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
     stacked = solve(build_sensor_network(p, gains, w)).transfer_rows["velocity"]
     rows = [solve(build_sensor_network(p, g, w)).transfer_rows["velocity"] for g in gains]
@@ -104,6 +109,32 @@ def test_run_checks_draws_one_grid(reference_params, reference_omega, monkeypatc
     assert calls == [(reference_params, reference_omega, 5, 3)]
 
 
+def test_run_checks_evaluate_each_closed_form_once_after_the_oracle(reference_params,
+                                                                    reference_omega, monkeypatch):
+    """One run_checks calls each closed form under test once on the draw grid, and
+    none of them on it before the oracle's last block solve."""
+    draws = 30                  # 300 points: the oracle solves blocks of 256 and 44
+    events = []
+
+    def recorded(name, fn):
+        def record(arg, omega):
+            events.append((name, np.size(omega)))
+            return fn(arg, omega)
+        return record
+
+    for name in ("free_lambda", "estimator_mu", "closed_loop_mu", "spectrum"):
+        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+    solve_stack = verify.network.solve
+    monkeypatch.setattr(verify.network, "solve", lambda net: events.append(
+        ("solve", np.size(net.omega))) or solve_stack(net))
+    verify.run_checks(reference_params, reference_omega, draws=draws, seed=0)
+    on_grid = [i for i, (_, points) in enumerate(events) if points == draws * verify.FREQUENCIES]
+    assert sorted(events[i][0] for i in on_grid) == ["closed_loop_mu", "estimator_mu",
+                                                     "free_lambda", "spectrum"]
+    assert events[:2] == [("solve", 256), ("solve", 44)]
+    assert min(on_grid) > 1
+
+
 def test_decomposition_ignores_an_overflowing_sensitivity(reference_params, reference_omega):
     """At M = 1e-320 the acceleration sensitivity sqrt(sigma_ff)/M overflows; the
     decomposition check reads none of it and raises no RuntimeWarning."""
@@ -112,15 +143,11 @@ def test_decomposition_ignores_an_overflowing_sensitivity(reference_params, refe
     assert [str(r) for r in results if not r.passed] == []
 
 
-def test_decomposition_gate_fails_a_nan_point(reference_params, reference_omega, monkeypatch):
+def test_decomposition_gate_fails_a_nan_point(reference_params, reference_omega):
     """A nan component at one point of the grid is a nan deviation, which fails."""
-    def one_nan(p, omega):
-        point = sensor.sensor_noise_spectrum(p, omega)
-        return point.replace(sensing=np.where(np.arange(len(omega)) == 7, np.nan, point.sensing))
-
-    monkeypatch.setattr(verify, "spectrum", one_nan)
-    deviation = verify.decomposition_consistency(*verify._draws(reference_params,
-                                                                reference_omega, 0, 3))
+    table = sensor.sensor_noise_spectrum(*verify._draws(reference_params, reference_omega, 0, 3))
+    deviation = verify.decomposition_consistency(
+        table.replace(sensing=np.where(np.arange(len(table)) == 7, np.nan, table.sensing)))
     assert math.isnan(deviation)
     assert not verify.CheckResult("decomposition", deviation, verify.EQUALITY_TOL).passed
 
@@ -165,8 +192,8 @@ def test_known_equality_flake(reference_params, reference_omega):
     results = verify.run_checks(reference_params, reference_omega, draws=20, seed=1176)
     assert [str(r) for r in results if not r.passed] == []
     for seed in (1176, 18):
-        grid = verify._draws(reference_params, reference_omega, seed, 20)
-        assert verify.loop_estimator_equality(*grid) < 1e-14
+        grid, ws = verify._draws(reference_params, reference_omega, seed, 20)
+        assert verify.loop_estimator_equality(grid, ws, estimator_coefficients(grid, ws)) < 1e-14
 
 
 def _plain_estimator(p, omega):
@@ -193,10 +220,9 @@ def _plain_closed_loop(p, omega):
 def test_equality_gate_catches_the_rounded_bracket(reference_params, reference_omega,
                                                    monkeypatch):
     """Negative control: both routes rounded term by term fail the equality gate."""
-    monkeypatch.setattr(verify, "estimator_mu", _plain_estimator)
     monkeypatch.setattr(verify, "closed_loop_mu", _plain_closed_loop)
-    dev = verify.loop_estimator_equality(*verify._draws(reference_params, reference_omega,
-                                                        1176, 20))
+    grid, ws = verify._draws(reference_params, reference_omega, 1176, 20)
+    dev = verify.loop_estimator_equality(grid, ws, _plain_estimator(grid, ws))
     assert dev >= verify.EQUALITY_TOL
 
 
@@ -206,11 +232,13 @@ def test_loop_gate_catches_the_rounded_bracket_below_equality_tol(reference_para
     rounded term by term differ by LOOP_TOL or more but less than EQUALITY_TOL
     (2.98e-14), which EQUALITY_TOL would pass; with the exact bracket they
     agree to 5.8e-16."""
-    grid = verify._draws(reference_params, reference_omega, 7, 20)
-    assert verify.loop_estimator_equality(*grid) < verify.LOOP_TOL
-    monkeypatch.setattr(verify, "estimator_mu", _plain_estimator)
+    grid, ws = verify._draws(reference_params, reference_omega, 7, 20)
+    assert verify.loop_estimator_equality(grid, ws, estimator_coefficients(grid, ws)) \
+        < verify.LOOP_TOL
     monkeypatch.setattr(verify, "closed_loop_mu", _plain_closed_loop)
-    assert verify.LOOP_TOL <= verify.loop_estimator_equality(*grid) < verify.EQUALITY_TOL
+    rounded = verify.loop_estimator_equality(grid, ws, _plain_estimator(grid, ws))
+    assert verify.LOOP_TOL <= rounded < verify.EQUALITY_TOL
+    monkeypatch.setattr(verify, "estimator_mu", _plain_estimator)
     (loop,) = [r for r in verify.run_checks(reference_params, reference_omega, draws=20, seed=7)
                if not r.passed]
     assert loop.name == "open/closed-loop estimator equality"
@@ -231,7 +259,8 @@ def _per_point_oracle(p, omega, seed, draws):
             worst_lam = max(worst_lam, max_rel_diff(free_mass_coefficients(q, w), lam))
             worst_mu = max(worst_mu, max_rel_diff(estimator_coefficients(q, w), mu))
             worst_comm = max(worst_comm, check_commutators(net, res))
-            worst_split = max(worst_split, verify._split_deviation(q, w, lam, mu))
+            worst_split = max(worst_split, verify._split_deviation(
+                q, w, lam, mu, sensor.sensor_noise_spectrum(q, w)))
     return worst_lam, worst_mu, worst_comm, worst_split
 
 
@@ -240,7 +269,7 @@ def test_stacked_oracle_equals_the_per_point_solve(reference_params, reference_o
     for bit the per-point figures of the float path."""
     for seed in [*range(100), 173518645, 519218416, 1987374907]:
         args = (reference_params, reference_omega, seed, 20)
-        assert verify.oracle_agreement(*verify._draws(*args)) == _per_point_oracle(*args), seed
+        assert _agreement(*verify._draws(*args)) == _per_point_oracle(*args), seed
 
 
 @pytest.mark.parametrize("seed", [0, 1987374907])
@@ -251,34 +280,40 @@ def test_oracle_is_block_size_invariant(reference_params, reference_omega, seed,
     results = set()
     for block in (1, 7, 64, 256, 200, 1000):
         monkeypatch.setattr(verify, "_BLOCK", block)
-        results.add(verify.oracle_agreement(*verify._draws(*args)))
+        results.add(_agreement(*verify._draws(*args)))
     assert len(results) == 1
 
 
-def test_split_gate_catches_a_dropped_back_action(reference_params, reference_omega,
-                                                  monkeypatch):
+def test_split_gate_catches_a_dropped_back_action(reference_params, reference_omega):
     """Negative control: sigma_vfr without its back action fails the velocity-split check."""
-    def without_back_action(p, omega):
-        table = sensor.sensor_noise_spectrum(p, omega)
-        vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
-        return table.replace(sigma_vfr=vfr)
-
-    monkeypatch.setattr(verify, "spectrum", without_back_action)
-    split = verify.oracle_agreement(*verify._draws(reference_params, reference_omega, 0, 3))[3]
+    grid, ws = verify._draws(reference_params, reference_omega, 0, 3)
+    table = sensor.sensor_noise_spectrum(grid, ws)
+    vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
+    split = _agreement(grid, ws, table=table.replace(sigma_vfr=vfr))[3]
     assert split >= verify.ORACLE_TOL
 
 
 @pytest.mark.parametrize("component", ["langevin", "back_action", "sensing", "interference"])
 def test_decomposition_gate_catches_a_scaled_component(reference_params, reference_omega,
-                                                       component, monkeypatch):
+                                                       component):
     """Negative control: one component of the spectrum off by 1e-9 fails the sum gate."""
-    spectrum = sensor.sensor_noise_spectrum
-
-    def scaled(p, omega):
-        point = spectrum(p, omega)
-        return point.replace(**{component: getattr(point, component) * (1.0 + 1e-9)})
-
-    monkeypatch.setattr(verify, "spectrum", scaled)
-    deviation = verify.decomposition_consistency(*verify._draws(reference_params,
-                                                                reference_omega, 2, 40))
+    table = sensor.sensor_noise_spectrum(*verify._draws(reference_params, reference_omega, 2, 40))
+    deviation = verify.decomposition_consistency(
+        table.replace(**{component: getattr(table, component) * (1.0 + 1e-9)}))
     assert deviation >= verify.EQUALITY_TOL
+
+
+def test_run_checks_catch_a_spectrum_without_back_action(reference_params, reference_omega,
+                                                         monkeypatch):
+    """Negative control through run_checks: a spectrum that drops the amplifier
+    back action from sigma_vfr and from its components fails the velocity split
+    and the decomposition sum, the two checks that read it, and no other."""
+    def without_back_action(p, omega):
+        table = sensor.sensor_noise_spectrum(p, omega)
+        vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
+        return table.replace(sigma_vfr=vfr, back_action=0.0 * table.back_action)
+
+    monkeypatch.setattr(verify, "spectrum", without_back_action)
+    results = verify.run_checks(reference_params, reference_omega, draws=3, seed=0)
+    assert [r.name for r in results if not r.passed] == ["oracle velocity split (vfr, vse, cross)",
+                                                         "spectrum decomposition sum"]
