@@ -2,8 +2,8 @@
 
 The raw element relations (resistive/mechanical line laws, the transducer
 three-port, the charge-amplifier laws and optionally the feedback
-force) are assembled into one complex linear system per point; arrays
-of frequencies, gains or parameter sets give a stack of systems.  Each
+force) are the nonzero entries of one complex linear system per point;
+arrays of frequencies, gains or parameter sets give a stack of systems.  Each
 relation ties two or three fields, so solve takes them in a
 substitution order, one division per unknown, and leaves LAPACK only
 the dense block of a feedback loop.  Nothing here reuses the
@@ -32,23 +32,21 @@ from .ops import numpy_ops
 
 
 class LinearNetwork(Record):
-    """Assembled linear relations a x = b of one network at one point.
+    """Linear relations a x = b of one network, as their nonzero entries.
 
-    Each row is one element relation.  Columns of a are the unknowns;
-    columns of b are the incoming fields, in the order of incoming, then
-    any external drives.  outgoing maps each port with an out-field
-    unknown to that unknown's column of a; observables name further
-    unknowns whose transfer rows solve returns.  conjugated names the
-    incoming ports that enter conjugated (the sensor's b1, b2); no out
-    field is conjugated.  A stack of one layout (one system per
-    frequency, gain or parameter set) carries a leading axis on a, b and
-    omega, the frequency of each point.  build_sensor_network stores its
-    stacks point-minor, so a[..., i, j] is a contiguous column over the
-    points; the shapes and indexing are those of any stack.
+    a[i, j] multiplies unknown j and b[i, k] input k in relation i; size is
+    (n, m): n relations in n unknowns, m inputs (the incoming fields in
+    order, then any external drives).  A value is a complex scalar, or an
+    (N,) complex128 column over the points of a stack (one system per
+    frequency, gain or parameter set; omega holds each point's frequency).
+    outgoing maps each port with an out-field unknown to that unknown,
+    observables name further unknowns whose transfer rows solve returns,
+    and conjugated the incoming ports that enter conjugated (b1, b2).
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: dict[tuple[int, int], complex | np.ndarray]
+    b: dict[tuple[int, int], complex | np.ndarray]
+    size: tuple[int, int]
     incoming: list[str]
     outgoing: dict[str, int]              # port label -> out-field unknown
     omega: float | np.ndarray
@@ -56,11 +54,10 @@ class LinearNetwork(Record):
     conjugated: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        a, b = self.a.shape, self.b.shape
-        if len(a) < 2 or a[-1] != a[-2] or b[:-1] != a[:-1]:
-            raise ValueError(
-                f"system must be square: a is {self.a.shape}, b is {self.b.shape}"
-            )
+        n, m = self.size
+        if not (set().union(*self.a) | {i for i, _ in self.b} <= set(range(n))
+                and {k for _, k in self.b} <= set(range(m))):
+            raise ValueError(f"system must be square: a must be {n} x {n} and b {n} x {m}")
 
 
 class ScatteringResult(Record):
@@ -81,38 +78,41 @@ class _Order(NamedTuple):
     """Substitution order of one nonzero pattern; see _substitution_order."""
 
     steps: tuple[tuple[int, int, tuple[int, ...]], ...]  # (relation, unknown, other unknowns)
-    pivots: tuple[np.ndarray, np.ndarray]                # (relations, unknowns) of the steps
-    block_rows: np.ndarray                               # relations of the dense block
-    block_cols: np.ndarray                               # unknowns of the dense block
-    feed: tuple[int, ...]                                # solved unknowns the block uses
+    home: dict[int, int]                                 # relation -> the unknown it gives
+    block_cols: tuple[int, ...]                          # unknowns of the dense block
+    block: tuple[tuple[int, int, int, int], ...]         # (row, column, relation, unknown)
+    feed: tuple[tuple[int, int, int], ...]               # (row, relation, solved unknown)
 
 
-# Substitution orders by the bytes of a nonzero pattern.
-_ORDERS: dict[bytes, _Order] = {}
+# Substitution orders by system size and nonzero pattern.
+_ORDERS: dict[tuple[int, frozenset], _Order] = {}
 
 
-def _substitution_order(nonzero: np.ndarray) -> _Order:
-    """Substitution order of an n x n nonzero pattern.
+def _substitution_order(n: int, nonzero) -> _Order:
+    """Substitution order of n relations in n unknowns, nonzero at (relation, unknown).
 
     Repeatedly takes the first relation with exactly one unknown not yet
-    solved; that relation gives its unknown by one division.  The
-    relations and unknowns left over form one dense block, a feedback
-    loop.  Ordered so, the matrix is block lower triangular: the steps'
-    pivots, then the block.
+    solved; that relation gives its unknown by one division.  The relations
+    and unknowns left over form one dense block, a feedback loop fed by
+    solved unknowns; its i-th relation's home is its i-th unknown.  Ordered
+    so, the matrix is block lower triangular: the steps, then the block.
     """
-    uses = [set(np.flatnonzero(row).tolist()) for row in nonzero]
-    solved, steps, left = set(), [], list(range(len(uses)))
+    uses = [set() for _ in range(n)]
+    for r, c in nonzero:
+        uses[r].add(c)
+    solved, steps, left = set(), [], list(range(n))
     while (r := next((r for r in left if len(uses[r] - solved) == 1), None)) is not None:
         (c,) = uses[r] - solved
         steps.append((r, c, tuple(sorted(uses[r] - {c}))))
         solved.add(c)
         left.remove(r)
+    cols = sorted(set(range(n)) - solved)
     return _Order(
-        steps=tuple(steps),
-        pivots=tuple(np.array([s[k] for s in steps], dtype=np.intp) for k in (0, 1)),
-        block_rows=np.array(left, dtype=np.intp),
-        block_cols=np.array(sorted(set(range(len(uses))) - solved), dtype=np.intp),
-        feed=tuple(sorted(set().union(*(uses[r] for r in left)) & solved)),
+        steps=tuple(steps), home=dict(zip(left, cols)) | {r: c for r, c, _ in steps},
+        block_cols=tuple(cols),
+        block=tuple((i, j, r, c) for i, r in enumerate(left) for j, c in enumerate(cols)
+                    if c in uses[r]),
+        feed=tuple((i, r, k) for i, r in enumerate(left) for k in sorted(uses[r] & solved)),
     )
 
 
@@ -127,41 +127,45 @@ def solve(net: LinearNetwork) -> ScatteringResult:
 
     Returns the scattering rows of the ports that have an out-field
     variable and the raw transfer rows of the declared observables over
-    incoming fields and drives.  A stack is solved in one call; a
-    failure names the frequency of the first failing point.
+    incoming fields and drives.  A stack is solved in one call; a failure
+    names the frequency of the first failing point.
 
-    The order comes from the nonzero pattern of a (over a stack, the
-    union of its points' patterns): each relation that ties one unknown
-    not yet solved gives that unknown by one division, summing its
-    other terms elementwise in a fixed order, so a stacked point equals
-    the point solved alone bit for bit when both have the stack's
-    pattern.  The relations left over form one dense block, a feedback
-    loop (6 x 6 for the closed-loop sensor; none in open loop), solved
-    by LAPACK plus one refinement step.  The matrix is block
-    triangular, so a zero pivot means it is singular at that point.
+    The order comes from the nonzero pattern of a (over a stack, the union
+    of its points' patterns; an entry zero at every point leaves it): each
+    relation that ties one unknown not yet solved gives that unknown by
+    one division, summing its other terms elementwise in a fixed order, so
+    a stacked point equals the point solved alone bit for bit when both
+    have the stack's pattern.  The relations left over form one dense
+    block, a feedback loop (6 x 6 for the closed-loop sensor; none in open
+    loop), assembled densely and solved by LAPACK plus one refinement
+    step.  The matrix is block triangular, so a zero pivot means it is
+    singular at that point.
     """
-    a, b = net.a, net.b
-    nonzero = a.any(axis=tuple(range(a.ndim - 2)))      # the union of the points' patterns
-    key = nonzero.tobytes()
-    if (order := _ORDERS.get(key)) is None:
-        order = _ORDERS[key] = _substitution_order(nonzero)
-    zero = (a[..., order.pivots[0], order.pivots[1]] == 0).any(axis=-1)
-    if zero.any():
+    a, (n, m), points = net.a, net.size, np.shape(net.omega)
+    pattern = frozenset(k for k, v in a.items() if (v.any() if isinstance(v, np.ndarray) else v))
+    if (order := _ORDERS.get((n, pattern))) is None:
+        order = _ORDERS[n, pattern] = _substitution_order(n, pattern)
+    zero = sum(a[r, c] == 0 for r, c, _ in order.steps) > 0     # per point, any zero pivot
+    if np.any(zero):
         raise _solve_error(net, zero, "singular network matrix")
-    x = np.empty_like(b, dtype=np.result_type(a, b))    # in b's memory layout
+    x = np.zeros((n, m, *points), dtype=complex)    # per unknown, its row over the inputs
+    for (r, k), value in net.b.items():
+        x[order.home[r], k] = value     # each relation's right side, in its unknown's row
     # An overflow or invalid operation leaves a non-finite x, reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for r, c, others in order.steps:
-            rhs = b[..., r, :]
+            row = x[c]
             for k in others:
-                rhs = rhs - a[..., r, k, None] * x[..., k, :]
-            x[..., c, :] = rhs / a[..., r, c, None]
-        if len(rows := order.block_rows):
-            cols = order.block_cols
-            rhs = b[..., rows, :]
-            for k in order.feed:
-                rhs = rhs - a[..., rows, k, None] * x[..., k, None, :]
-            block = a[..., rows[:, None], cols]
+                row -= a[r, k] * x[k]
+            row /= a[r, c]
+        if cols := list(order.block_cols):
+            block = np.zeros((len(cols), len(cols), *points), dtype=complex)
+            for i, j, r, c in order.block:
+                block[i, j] = a[r, c]
+            rhs = x[cols]
+            for i, r, k in order.feed:
+                rhs[i] -= a[r, k] * x[k]
+            block, rhs = (np.moveaxis(v, (0, 1), (-2, -1)) for v in (block, rhs))
             try:
                 y = np.linalg.solve(block, rhs)
                 # The block is ill-conditioned through the scales of its
@@ -169,18 +173,19 @@ def solve(net: LinearNetwork) -> ScatteringResult:
                 # (fixed-precision refinement: Skeel, Math. Comp. 35
                 # (1980); Higham ch. 12) restores componentwise stability
                 # and brings the forward error to rounding level.
-                x[..., cols, :] = y + np.linalg.solve(block, rhs - block @ y)
+                y = y + np.linalg.solve(block, rhs - block @ y)
             except np.linalg.LinAlgError as exc:
                 # slogdet's sign is 0 exactly where LU meets a zero pivot.
                 raise _solve_error(net, np.linalg.slogdet(block)[0] == 0,
                                    "singular network matrix") from exc
-    failed = ~np.isfinite(x).all(axis=(-2, -1))
+            x[cols] = np.moveaxis(y, (-2, -1), (0, 1))
+    failed = ~np.isfinite(x).all(axis=(0, 1))
     if failed.any():
         raise _solve_error(net, failed, "non-finite network solution")
 
     return ScatteringResult(
-        s_matrix=x[..., list(net.outgoing.values()), :len(net.incoming)],
-        transfer_rows={name: x[..., j, :] for name, j in net.observables.items()},
+        s_matrix=np.moveaxis(x[list(net.outgoing.values()), :len(net.incoming)], (0, 1), (-2, -1)),
+        transfer_rows={name: np.moveaxis(x[j], 0, -1) for name, j in net.observables.items()},
         condition=math.nan,
     )
 
@@ -247,44 +252,25 @@ _SENSOR_RELATIONS = (
 )
 
 
-def _template(side: int, columns: tuple[str, ...]):
-    """One side (0: a, 1: b) of the sensor relations, for _fill.
+def _complex128(values: dict) -> dict:
+    """values as complex scalars, or (N,) complex128 columns."""
+    return {k: np.asarray(v, complex) if isinstance(v, np.ndarray) else complex(v)
+            for k, v in values.items()}
 
-    Returns the matrix of constant entries and, per per-point entry,
-    its (row, column, value name).
-    """
+
+def _sensor_entries(side: int, columns: tuple[str, ...]) -> tuple:
+    """(relation, column, coefficient) of each entry on side 0 (a) or 1 (b) of _SENSOR_RELATIONS."""
     index = {name: j for j, name in enumerate(columns)}
-    matrix = np.zeros((len(_SENSOR_RELATIONS), len(columns)), dtype=complex)
-    entries = []
-    for i, relation in enumerate(_SENSOR_RELATIONS):
-        for name, coef in relation[side].items():
-            if isinstance(coef, str):
-                entries.append((i, index[name], coef))
-            else:
-                matrix[i, index[name]] = coef
-    return matrix, tuple(entries)
+    return tuple((i, index[name], coef if isinstance(coef, str) else complex(coef))
+                 for i, relation in enumerate(_SENSOR_RELATIONS)
+                 for name, coef in relation[side].items())
 
 
-_SENSOR_A = _template(0, _SENSOR_UNKNOWNS)
-_SENSOR_B = _template(1, (*LINE_LABELS, "F_ext"))
+_SENSOR_A = _sensor_entries(0, _SENSOR_UNKNOWNS)
+_SENSOR_B = _sensor_entries(1, (*LINE_LABELS, "F_ext"))
 _SENSOR_OUTGOING = {port: _SENSOR_UNKNOWNS.index(f"{port}_out") for port in ("m", "l1", "l2")}
 _SENSOR_OBSERVABLES = {"velocity": _SENSOR_UNKNOWNS.index("V"),
                        "detected": _SENSOR_UNKNOWNS.index("r1_out")}
-
-
-def _fill(template, values: dict, shape: tuple) -> np.ndarray:
-    """Template matrices over shape, one per point, with the named entries set.
-
-    The stack is stored point-minor, (rows, cols, *shape) in memory, and
-    returned as its (*shape, rows, cols) view: indexing is as for any
-    stack, and each entry out[..., i, j] is one contiguous column.
-    """
-    matrix, entries = template
-    out = np.moveaxis(np.empty((*matrix.shape, *shape), dtype=complex), (0, 1), (-2, -1))
-    out[...] = matrix
-    for i, j, name in entries:
-        out[..., i, j] = values[name]
-    return out
 
 
 def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
@@ -296,12 +282,16 @@ def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
     loss line and the amplifier input; the charge amplifier's reactive
     feedback couples the quadratures.  A parameter grid (fields holding
     (N,) columns) and (N,) arrays of gains or frequencies give a stack of
-    N systems with one leading axis.
+    N systems: each per-point entry is one (N,) column, and an entry
+    that names the same value as another is the same column.
     """
     w = numpy_ops().frequencies(omega)
-    values = _sensor_values(p, gain, w)
+    values = _complex128(_sensor_values(p, gain, w))
     shape = np.broadcast(*values.values()).shape
-    return LinearNetwork(a=_fill(_SENSOR_A, values, shape), b=_fill(_SENSOR_B, values, shape),
+    # values.get(coef, coef): the named per-point value, or the constant itself.
+    a, b = ({(i, j): values.get(coef, coef) for i, j, coef in side}
+            for side in (_SENSOR_A, _SENSOR_B))
+    return LinearNetwork(a=a, b=b, size=(len(_SENSOR_UNKNOWNS), len(LINE_LABELS) + 1),
                          incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
                          omega=np.broadcast_to(w, shape)[()],
                          observables=_SENSOR_OBSERVABLES, conjugated=frozenset({"b1", "b2"}))
@@ -357,12 +347,11 @@ def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwor
     c_1 = math.sqrt(2.0 * HBAR * abs(omega) * r_1)
     c_2 = math.sqrt(2.0 * HBAR * abs(omega) * r_2)
     # Unknowns U, I_1, I_2, p1_out, p2_out; incoming p1, p2.
-    a = np.array([[1.0, -r_1, 0.0, 0.0, 0.0], [1.0, 0.0, -r_2, 0.0, 0.0],
-                  [0.0, 1.0, 1.0, 0.0, 0.0], [-2.0 / c_1, 0.0, 0.0, 1.0, 0.0],
-                  [-2.0 / c_2, 0.0, 0.0, 0.0, 1.0]], dtype=complex)
-    b = np.array([[c_1, 0.0], [0.0, c_2], [0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    return LinearNetwork(a=a, b=b, incoming=["p1", "p2"], outgoing={"p1": 3, "p2": 4},
-                         omega=omega)
+    a = {(0, 0): 1.0, (0, 1): -r_1, (1, 0): 1.0, (1, 2): -r_2, (2, 1): 1.0, (2, 2): 1.0,
+         (3, 0): -2.0 / c_1, (3, 3): 1.0, (4, 0): -2.0 / c_2, (4, 4): 1.0}
+    b = {(0, 0): c_1, (1, 1): c_2, (3, 0): -1.0, (4, 1): -1.0}
+    return LinearNetwork(a=_complex128(a), b=_complex128(b), size=(5, 2),
+                         incoming=["p1", "p2"], outgoing={"p1": 3, "p2": 4}, omega=omega)
 
 
 def build_open_line(r: float, omega: float) -> LinearNetwork:
@@ -370,6 +359,7 @@ def build_open_line(r: float, omega: float) -> LinearNetwork:
     check_frequency(omega)
     c = math.sqrt(2.0 * HBAR * abs(omega) * r)
     # Unknowns U, I, p_out; incoming p.
-    a = np.array([[1.0, -r, 0.0], [0.0, 1.0, 0.0], [-2.0 / c, 0.0, 1.0]], dtype=complex)
-    b = np.array([[c], [0.0], [-1.0]], dtype=complex)
-    return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 2}, omega=omega)
+    a = {(0, 0): 1.0, (0, 1): -r, (1, 1): 1.0, (2, 0): -2.0 / c, (2, 2): 1.0}
+    b = {(0, 0): c, (2, 0): -1.0}
+    return LinearNetwork(a=_complex128(a), b=_complex128(b), size=(3, 1),
+                         incoming=["p"], outgoing={"p": 2}, omega=omega)

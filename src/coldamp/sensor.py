@@ -199,9 +199,15 @@ def sensor_noise_spectrum(p: InstrumentParams, omega) -> BudgetPoint:
     sensing error and their signed interference.  The velocity columns
     are those components over |Xi_m|^2.
     """
-    xp, w = _grid(p, omega)
-    spectra, (k_theta_m, k_theta_a, k_theta_l, k_theta_r) = line_spectra(p, w)
-    total = coefficient_sum(estimator_coefficients(p, w), spectra)
+    _, w = _grid(p, omega)
+    return _noise_spectrum(p, w, estimator_coefficients(p, w), line_spectra(p, w))
+
+
+def _noise_spectrum(p: InstrumentParams, w, mu, lines) -> BudgetPoint:
+    """The body of sensor_noise_spectrum, given estimator_coefficients and line_spectra."""
+    xp = ops.of(w, *vars(p).values())
+    spectra, (k_theta_m, k_theta_a, k_theta_l, k_theta_r) = lines
+    total = coefficient_sum(mu, spectra)
 
     h_m, x, zf_mag = p.H_m, mechanical_impedance(p, w).imag, p.zf_mag
     kt2 = xp.sq(p.kappa_t)

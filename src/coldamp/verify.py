@@ -24,7 +24,7 @@ from .params import InstrumentParams, Record, _broken_rule
 free_lambda = sensor.free_mass_coefficients
 estimator_mu = sensor.estimator_coefficients
 closed_loop_mu = servo.cold_damped_estimator
-spectrum = sensor.sensor_noise_spectrum
+spectrum = sensor._noise_spectrum      # sensor_noise_spectrum from estimator_mu and line spectra
 
 ORACLE_TOL = 1e-10
 # No check uses a condition number.  The benchmark's tracer
@@ -45,7 +45,7 @@ _DECADES = {**dict.fromkeys(("M", "K", "H_m", "kappa_t", "R_l", "R_r", "R_a", "C
 _PARAMS = tuple(_DECADES)[:-1]
 FREQUENCIES = 10     # frequencies per drawn set; draw i, frequency j is grid row 10 i + j
 # Points per stacked oracle solve: memory stays flat at any draw count.  At
-# 1000 draws a cold `verify` peaks at 48 MB resident with 256 or 512 (141 MB
+# 1000 draws a cold `verify` peaks at 48 MB resident with 256 or 512 (81 MB
 # as one stack), set by the closed forms over the grid; 512 is no faster.
 _BLOCK = 256
 
@@ -111,14 +111,12 @@ def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
     return grid.with_(**{name: v[rows] for name, v in vars(grid).items() if np.ndim(v)})
 
 
-def _split_deviation(q: InstrumentParams, ws, lam: np.ndarray, mu: np.ndarray, table) -> float:
+def _split_deviation(q: InstrumentParams, ws, lam, mu, table, sigma) -> float:
     """Worst deviation of the spectrum table's velocity split, rebuilt from the rows.
 
-    |Xi_m|^2 sigma_vfr, sigma_vse, sigma_cross are sum_a sigma_a times
-    |lambda_a|^2, |mu_a - lambda_a|^2 and the rest of |mu_a|^2; each
-    point is compared relative to vfr + vse + |cross|.
+    |Xi_m|^2 sigma_vfr, sigma_vse, sigma_cross are sum_a sigma_a (line spectra) times |lambda_a|^2,
+    |mu_a - lambda_a|^2 and the rest of |mu_a|^2; each point is compared to vfr + vse + |cross|.
     """
-    sigma = sensor.line_spectra(q, ws)[0]
     vfr, vse, ff = (sensor.coefficient_sum(c, sigma) for c in (lam, mu - lam, mu))
     xi = sensor.mechanical_impedance(q, ws)
     rebuilt = np.array([vfr, vse, ff - vfr - vse]) / ops.of(xi).abs2(xi.real, xi.imag)
@@ -140,13 +138,13 @@ def _oracle_rows(grid: InstrumentParams, ws):
     return lam, mu, worst_comm
 
 
-def oracle_agreement(grid: InstrumentParams, ws, oracle, mu,
-                     table) -> tuple[float, float, float, float]:
-    """Worst deviations (lambda, mu, passive-row commutator, velocity split) of
-    free_lambda, the estimator table mu and the spectrum table from the oracle."""
+def oracle_agreement(grid: InstrumentParams, ws, oracle, mu, table,
+                     sigma) -> tuple[float, float, float, float]:
+    """Worst deviations (lambda, mu, passive-row commutator, velocity split) of free_lambda,
+    the estimator table mu and the spectrum table (of line spectra sigma) from the oracle."""
     lam_rows, mu_rows, worst_comm = oracle
     return (max_rel_diff(free_lambda(grid, ws), lam_rows), max_rel_diff(mu, mu_rows),
-            worst_comm, _split_deviation(grid, ws, lam_rows, mu_rows, table))
+            worst_comm, _split_deviation(grid, ws, lam_rows, mu_rows, table, sigma))
 
 
 def toy_commutators(omega: float) -> float:
@@ -199,10 +197,15 @@ def finite_gain_exponent(p: InstrumentParams, omega: float) -> float:
 
 
 def decomposition_consistency(b: sensor.BudgetPoint) -> float:
-    """Component sum vs direct quadratic total of a force spectrum table b."""
+    """Component sum vs direct quadratic total of a force spectrum table b; a nan point fails."""
     columns = (b.sigma_ff, b.langevin, b.back_action, b.sensing, b.interference)
-    return float(np.max([abs(math.fsum(parts) - total) / total     # a nan point fails
-                         for total, *parts in zip(*(c.tolist() for c in columns))]))
+    deviations = []
+    for total, *parts in zip(*(c.tolist() for c in columns)):
+        try:
+            deviations.append(abs(math.fsum(parts) - total) / total)
+        except (ValueError, ArithmeticError):   # opposite infinities, an overflowing sum, 0 / 0
+            deviations.append(math.nan)
+    return float(np.max(deviations))
 
 
 def run_checks(p: InstrumentParams, omega: float, *,
@@ -217,11 +220,11 @@ def run_checks(p: InstrumentParams, omega: float, *,
 
     grid, ws = _draws(p, omega, seed, draws)
     oracle = _oracle_rows(grid, ws)     # first: a grid without a drive response fails here
-    mu = estimator_mu(grid, ws)
+    mu, lines = estimator_mu(grid, ws), sensor.line_spectra(grid, ws)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = spectrum(grid, ws)      # the sensitivity, which no check reads, may overflow
-    lam_dev, mu_dev, comm, split = oracle_agreement(grid, ws, oracle, mu, table)
-    del oracle                          # the rows take 3 MB at 1000 draws
+        table = spectrum(grid, ws, mu, lines)   # its sensitivity, read by no check, may overflow
+    lam_dev, mu_dev, comm, split = oracle_agreement(grid, ws, oracle, mu, table, lines[0])
+    del oracle, lines                   # the rows and spectra take 4 MB at 1000 draws
     return [
         CheckResult("oracle velocity coefficients", lam_dev, ORACLE_TOL),
         CheckResult("oracle estimator coefficients", mu_dev, ORACLE_TOL),

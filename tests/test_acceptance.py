@@ -13,7 +13,7 @@ from coldamp.constants import HBAR, K_B
 from coldamp.matching import numerical_matching, optimal_matching
 from coldamp.noise import effective_temperature
 from coldamp.network import build_sensor_network, check_commutators, solve
-from coldamp.sensor import estimator_coefficients, sensor_noise_spectrum
+from coldamp.sensor import estimator_coefficients, line_spectra, sensor_noise_spectrum
 from coldamp.verify import (
     _draws,
     _oracle_rows,
@@ -54,7 +54,7 @@ def test_acceptance_3_oracle_equivalence(reference_params, reference_omega):
     grid, ws = _draws(reference_params, reference_omega, 0, 1000)
     lam, mu, _, _ = oracle_agreement(grid, ws, _oracle_rows(grid, ws),
                                      estimator_coefficients(grid, ws),
-                                     sensor_noise_spectrum(grid, ws))
+                                     sensor_noise_spectrum(grid, ws), line_spectra(grid, ws)[0])
     elapsed = time.perf_counter() - start
     worst = max(lam, mu)
     ok = worst < 1e-10 and elapsed < 30.0

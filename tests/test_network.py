@@ -28,6 +28,17 @@ from draws import draw_frequencies, draw_params
 OMEGA = 2.0 * math.pi * 1e5
 
 
+def _dense(net):
+    """The entries of net as dense (..., n, n) and (..., n, m) stacks."""
+    n, m = net.size
+    points = np.shape(net.omega)
+    a, b = np.zeros((*points, n, n), dtype=complex), np.zeros((*points, n, m), dtype=complex)
+    for matrix, entries in ((a, net.a), (b, net.b)):
+        for (i, j), value in entries.items():
+            matrix[..., i, j] = value
+    return a, b
+
+
 def oracle_rows(p, omega, gain=None):
     """Normalized (velocity, detected) rows of the solved sensor network."""
     net = build_sensor_network(p, gain, omega)
@@ -71,8 +82,9 @@ def test_solver_residual_and_flag(reference_params, reference_omega):
 
 def test_singular_network_error_carries_diagnostics():
     net = LinearNetwork(
-        a=np.array([[1.0, 1.0], [2.0, 2.0]], dtype=complex),
-        b=np.array([[1.0], [2.0]], dtype=complex),
+        a={(0, 0): 1 + 0j, (0, 1): 1 + 0j, (1, 0): 2 + 0j, (1, 1): 2 + 0j},
+        b={(0, 0): 1 + 0j, (1, 0): 2 + 0j},
+        size=(2, 1),
         incoming=["p"],
         outgoing={"p": 0},
         omega=123.0,
@@ -85,7 +97,7 @@ def test_singular_network_error_carries_diagnostics():
 @pytest.mark.filterwarnings("error")
 def test_non_finite_solution_is_a_solve_error():
     net = LinearNetwork(
-        a=np.array([[1.0]], dtype=complex), b=np.array([[math.inf]], dtype=complex),
+        a={(0, 0): 1 + 0j}, b={(0, 0): complex(math.inf)}, size=(1, 1),
         incoming=["p"], outgoing={"p": 0}, omega=5.0,
     )
     with pytest.raises(NetworkSolveError, match="non-finite") as err:
@@ -94,24 +106,26 @@ def test_non_finite_solution_is_a_solve_error():
 
 
 def _stack(a, b):
-    """A 3-point stack of 2x2 networks at omega = 1, 2, 3 rad/s."""
-    return LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 0},
+    """A 3-point stack of 2x2 networks at omega = 1, 2, 3 rad/s; each entry is a
+    list of its 3 values."""
+    return LinearNetwork(a={key: np.array(v, dtype=complex) for key, v in a.items()},
+                         b={key: np.array(v, dtype=complex) for key, v in b.items()},
+                         size=(2, 1), incoming=["p"], outgoing={"p": 0},
                          omega=np.array([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.filterwarnings("error")
 def test_stacked_solve_errors_name_the_failing_point():
-    a = np.array([np.eye(2)] * 3, dtype=complex)
-    b = np.ones((3, 2, 1), dtype=complex)
-    singular = a.copy()
-    singular[1] = [[1.0, 1.0], [2.0, 2.0]]
+    one, b = [1.0] * 3, {(0, 0): [1.0] * 3, (1, 0): [1.0] * 3}
+    # The identity, but [[1, 1], [2, 2]] at the second point.
+    singular = {(0, 0): one, (0, 1): [0.0, 1.0, 0.0], (1, 0): [0.0, 2.0, 0.0],
+                (1, 1): [1.0, 2.0, 1.0]}
     with pytest.raises(NetworkSolveError, match="singular") as err:
         solve(_stack(singular, b))
     assert err.value.omega == 2.0 and np.ndim(err.value.omega) == 0
-    non_finite = b.copy()
-    non_finite[2, 0, 0] = math.nan
+    non_finite = {**b, (0, 0): [1.0, 1.0, math.nan]}
     with pytest.raises(NetworkSolveError, match="non-finite") as err:
-        solve(_stack(a, non_finite))
+        solve(_stack({(0, 0): one, (1, 1): one}, non_finite))
     assert err.value.omega == 3.0 and np.ndim(err.value.omega) == 0
 
 
@@ -130,12 +144,13 @@ def test_substitution_orders_of_the_layouts(reference_params, reference_omega):
                "junction": (build_matched_junction(50.0, 800.0, w), 0, 5),
                "line": (build_open_line(120.0, w), 3, 0)}
     for name, (net, steps, block) in layouts.items():
-        order = _substitution_order(net.a != 0)
-        assert (len(order.steps), len(order.block_rows), len(order.block_cols)) == \
-            (steps, block, block), name
+        a = _dense(net)[0]
+        order = _substitution_order(len(a), zip(*np.nonzero(a)))
+        assert (len(order.steps), len(order.block_cols)) == (steps, block), name
         for r, c, others in order.steps:
-            assert set(np.flatnonzero(net.a[r])) == {c, *others}, name
-    order = _substitution_order(layouts["closed"][0].a != 0)
+            assert set(np.flatnonzero(a[r])) == {c, *others}, name
+    a = _dense(layouts["closed"][0])[0]
+    order = _substitution_order(len(a), zip(*np.nonzero(a)))
     assert {_SENSOR_UNKNOWNS[c] for c in order.block_cols} == \
         {"V", "m_out", "I_t2", "I_f2", "U_r1", "r1_out"}
 
@@ -146,7 +161,7 @@ def test_zero_pivot_names_its_point(reference_params, reference_omega):
     reported with that point's frequency and no floating-point warning."""
     ws = reference_omega * np.array([0.5, 1.0, 2.0])
     net = build_sensor_network(reference_params, None, ws)
-    net.a[1, 0, _SENSOR_UNKNOWNS.index("V")] = 0.0     # xi_m of the equation of motion
+    net.a[0, _SENSOR_UNKNOWNS.index("V")][1] = 0.0     # xi_m of the equation of motion
     with pytest.raises(NetworkSolveError, match="singular") as err:
         solve(net)
     assert err.value.omega == ws[1]
@@ -154,8 +169,9 @@ def test_zero_pivot_names_its_point(reference_params, reference_omega):
 
 def _lapack_solve(net):
     """The dense reference: LAPACK on the raw matrix plus one float64 refinement step."""
-    x = np.linalg.solve(net.a, net.b)
-    return x + np.linalg.solve(net.a, net.b - net.a @ x)
+    a, b = _dense(net)
+    x = np.linalg.solve(a, b)
+    return x + np.linalg.solve(a, b - a @ x)
 
 
 @pytest.mark.parametrize("seed, draws", [(0, 1000), (173518645, 20), (519218416, 20),
@@ -178,11 +194,12 @@ def test_substitution_solve_agrees_with_lapack(reference_params, reference_omega
 
 def test_square_system_enforced():
     for a, b in [
-        (np.zeros((1, 2)), np.zeros((1, 1))),   # more unknowns than relations
-        (np.zeros((2, 2)), np.zeros((1, 1))),   # b rows do not match a
+        ({(0, 0): 1 + 0j, (0, 1): 1 + 0j}, {(0, 0): 1 + 0j}),   # more unknowns than relations
+        ({(0, 0): 1 + 0j}, {(1, 0): 1 + 0j}),                   # a relation b has and a lacks
+        ({(0, 0): 1 + 0j}, {(0, 1): 1 + 0j}),                   # more inputs than b has
     ]:
         with pytest.raises(ValueError, match="square"):
-            LinearNetwork(a=a, b=b, incoming=["p"], outgoing={"p": 0}, omega=1.0)
+            LinearNetwork(a=a, b=b, size=(1, 1), incoming=["p"], outgoing={"p": 0}, omega=1.0)
 
 
 def test_rejects_zero_frequency(reference_params):
@@ -255,7 +272,7 @@ def test_sensor_commutators_need_the_conjugated_lines(reference_params, referenc
 def test_passive_row_commutators_catch_a_1e9_error(reference_params, reference_omega):
     """Negative control: a 1e-9 error in one loss-line relation fails the check."""
     net = build_sensor_network(reference_params, None, reference_omega)
-    (row,) = np.flatnonzero(net.a[:, net.outgoing["l1"]])   # the l1_out relation
+    (row,) = [r for r, c in net.a if c == net.outgoing["l1"]]   # the l1_out relation
     net.b[row, net.incoming.index("l1")] *= 1.0 + 1e-9
     assert check_commutators(net, solve(net)) >= ORACLE_TOL
 
@@ -273,7 +290,7 @@ def test_refinement_step_is_needed(reference_params, reference_omega):
         w = draw_frequencies(reference_omega, rng, count=10)[7]
     net = build_sensor_network(q, None, w)
     lam = free_mass_coefficients(q, w)
-    plain = np.linalg.solve(net.a, net.b)[net.observables["velocity"]]
+    plain = np.linalg.solve(*_dense(net))[net.observables["velocity"]]
     assert max_rel_diff(lam, normalized_row(net, plain)) > ORACLE_TOL
     refined = solve(net).transfer_rows["velocity"]
     assert max_rel_diff(lam, normalized_row(net, refined)) < 1e-14
@@ -293,7 +310,7 @@ def test_feedback_block_refinement_is_needed(reference_params, reference_omega):
         w = draw_frequencies(reference_omega, rng, count=10)[6]
     net = build_sensor_network(q, gain_for_effective_impedance(q, 1e3 * q.H_m, w), w)
     mu = estimator_coefficients(q, w)
-    plain = np.linalg.solve(net.a, net.b)[net.observables["detected"]]
+    plain = np.linalg.solve(*_dense(net))[net.observables["detected"]]
     assert max_rel_diff(mu, normalized_row(net, plain)) > ORACLE_TOL
     assert max_rel_diff(mu, normalized_row(net, solve(net).transfer_rows["detected"])) < 1e-14
 
@@ -355,33 +372,49 @@ def test_grid_network_equals_stacked_per_set_builds(reference_params, reference_
         net = build_sensor_network(grid, gain, ws)
         per_set = [build_sensor_network(q, None if gain is None else gain[k], w)
                    for k, (q, w) in enumerate(zip(sets, ws))]
-        assert np.array_equal(net.a, np.stack([n.a for n in per_set]))
-        assert np.array_equal(net.b, np.stack([n.b for n in per_set]))
+        for side in ("a", "b"):
+            entries = getattr(net, side)
+            assert all(getattr(n, side).keys() == entries.keys() for n in per_set), side
+            for key, value in entries.items():
+                assert np.array_equal(np.broadcast_to(value, ws.shape),
+                                      [getattr(n, side)[key] for n in per_set]), (side, key)
         assert np.array_equal(net.omega, ws)
 
 
-def test_sensor_stacks_are_point_minor(reference_params, reference_omega):
-    """A grid build stores each entry a[..., i, j] as one contiguous column over
-    its points; the shapes stay (N, n, n) and (N, n, m), and one point stays a
-    plain C-ordered matrix."""
+def test_sensor_entries_are_columns(reference_params, reference_omega):
+    """A grid build holds each per-point entry as one (N,) complex128 column, one
+    per named value, and each constant as a complex scalar; a single build
+    holds only complex scalars."""
     grid, ws = verify._draws(reference_params, reference_omega, 0, 3)
     net = build_sensor_network(grid, None, ws)
-    n = len(_SENSOR_UNKNOWNS)
-    assert net.a.shape == (30, n, n) and net.b.shape == (30, n, len(LINE_LABELS) + 1)
-    assert net.a[..., 0, 0].strides == (16,) and net.b[..., 0, 0].strides == (16,)
+    assert net.size == (len(_SENSOR_UNKNOWNS), len(LINE_LABELS) + 1)
+    columns = {}
+    for side, entries in enumerate((net.a, net.b)):
+        columns_of = (_SENSOR_UNKNOWNS, (*LINE_LABELS, "F_ext"))[side]
+        for i, relation in enumerate(_SENSOR_RELATIONS):
+            for name, coef in relation[side].items():
+                value = entries[i, columns_of.index(name)]
+                if isinstance(coef, str) and coef != "-gain":
+                    assert value.shape == (30,) and value.dtype == complex, coef
+                    assert value is columns.setdefault(coef, value), coef
+                else:
+                    assert type(value) is complex, coef
+        assert len(entries) == sum(len(relation[side]) for relation in _SENSOR_RELATIONS)
     single = build_sensor_network(reference_params, None, reference_omega)
-    assert single.a.flags.c_contiguous and single.b.flags.c_contiguous
+    assert {type(value) for value in (*single.a.values(), *single.b.values())} == {complex}
 
 
 @pytest.mark.parametrize("damping", [None, 1e4])
-def test_point_minor_solve_equals_the_c_ordered_solve(reference_params, reference_omega, damping):
-    """The memory layout of a stack changes no bit of its solve, in open loop
-    and with the closed loop's dense block."""
+def test_stacked_solve_equals_each_point_solved_alone(reference_params, reference_omega,
+                                                      damping):
+    """A stack's scattering and transfer rows are, bit for bit, those of each of its
+    points solved alone, in open loop and with the closed loop's dense block."""
     grid, ws = verify._draws(reference_params, reference_omega, 1987374907, 20)
     gains = None if damping is None else np.full(len(ws), damping * reference_params.H_m)
-    net = build_sensor_network(grid, gains, ws)
-    res = solve(net)
-    ref = solve(net.replace(a=np.ascontiguousarray(net.a), b=np.ascontiguousarray(net.b)))
-    assert np.array_equal(res.s_matrix, ref.s_matrix)
-    for name, row in ref.transfer_rows.items():
-        assert np.array_equal(res.transfer_rows[name], row), name
+    res = solve(build_sensor_network(grid, gains, ws))
+    for k, w in enumerate(ws.tolist()):
+        q = grid.with_(**{name: float(v[k]) for name, v in vars(grid).items() if np.ndim(v)})
+        alone = solve(build_sensor_network(q, None if gains is None else gains[k], w))
+        assert np.array_equal(res.s_matrix[k], alone.s_matrix), k
+        for name, row in alone.transfer_rows.items():
+            assert np.array_equal(res.transfer_rows[name][k], row), (k, name)

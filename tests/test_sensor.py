@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import coldamp.sensor as sensor
 from coldamp.budget import budget_point
 from coldamp.constants import HBAR, K_B
 from coldamp.noise import LINE_LABELS, effective_temperature
@@ -15,6 +16,7 @@ from coldamp.sensor import (
     coefficients,
     estimator_coefficients,
     free_mass_coefficients,
+    line_spectra,
     mechanical_impedance,
     sensor_noise_spectrum,
 )
@@ -163,6 +165,21 @@ def test_decomposition_sum_over_draws(reference_params, reference_omega):
             b = sensor_noise_spectrum(q, w)
             parts = b.langevin + b.back_action + b.sensing + b.interference
             assert abs(parts - b.sigma_ff) / b.sigma_ff < 1e-12
+
+
+def test_spectrum_equals_its_body_on_precomputed_tables(reference_params, reference_omega):
+    """sensor_noise_spectrum is, bit for bit, its private body fed with
+    estimator_coefficients and line_spectra, at a float point and on a grid."""
+    rng = np.random.default_rng(5)
+    q = draw_params(reference_params, rng)
+    ws = draw_frequencies(reference_omega, rng, count=40)
+    grid = reference_params.with_(R_a=reference_params.R_a * np.logspace(-2.0, 2.0, 40))
+    for p, w in ((reference_params, reference_omega), (q, float(ws[0])), (q, ws), (grid, ws)):
+        body = sensor._noise_spectrum(p, w, estimator_coefficients(p, w), line_spectra(p, w))
+        table = sensor_noise_spectrum(p, w)
+        for name, column in vars(table).items():
+            assert np.array_equal(getattr(body, name), column), name
+            assert type(getattr(body, name)) is type(column), name
 
 
 def test_coefficient_vector_layout():

@@ -1,6 +1,7 @@
 """Verification suite: gate honesty, typed errors and hard draws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ def _agreement(grid, ws, mu=None, table=None):
     pass unless mu or table is given."""
     mu = estimator_coefficients(grid, ws) if mu is None else mu
     table = sensor.sensor_noise_spectrum(grid, ws) if table is None else table
-    return verify.oracle_agreement(grid, ws, verify._oracle_rows(grid, ws), mu, table)
+    return verify.oracle_agreement(grid, ws, verify._oracle_rows(grid, ws), mu, table,
+                                   sensor.line_spectra(grid, ws)[0])
 
 
 def test_oracle_gate_catches_a_1e9_error(reference_params, reference_omega):
@@ -112,25 +114,29 @@ def test_run_checks_draws_one_grid(reference_params, reference_omega, monkeypatc
 def test_run_checks_evaluate_each_closed_form_once_after_the_oracle(reference_params,
                                                                     reference_omega, monkeypatch):
     """One run_checks calls each closed form under test once on the draw grid, and
-    none of them on it before the oracle's last block solve."""
+    none of them on it before the oracle's last block solve.  The spectrum is
+    built from the one estimator table and the one set of line spectra: neither
+    estimator_coefficients nor line_spectra runs again inside sensor."""
     draws = 30                  # 300 points: the oracle solves blocks of 256 and 44
     events = []
 
     def recorded(name, fn):
-        def record(arg, omega):
+        def record(p, omega, *tables):
             events.append((name, np.size(omega)))
-            return fn(arg, omega)
+            return fn(p, omega, *tables)
         return record
 
-    for name in ("free_lambda", "estimator_mu", "closed_loop_mu", "spectrum"):
-        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+    for module, name in ((verify, "free_lambda"), (verify, "estimator_mu"),
+                         (verify, "closed_loop_mu"), (verify, "spectrum"),
+                         (sensor, "estimator_coefficients"), (sensor, "line_spectra")):
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     solve_stack = verify.network.solve
     monkeypatch.setattr(verify.network, "solve", lambda net: events.append(
         ("solve", np.size(net.omega))) or solve_stack(net))
     verify.run_checks(reference_params, reference_omega, draws=draws, seed=0)
     on_grid = [i for i, (_, points) in enumerate(events) if points == draws * verify.FREQUENCIES]
     assert sorted(events[i][0] for i in on_grid) == ["closed_loop_mu", "estimator_mu",
-                                                     "free_lambda", "spectrum"]
+                                                     "free_lambda", "line_spectra", "spectrum"]
     assert events[:2] == [("solve", 256), ("solve", 44)]
     assert min(on_grid) > 1
 
@@ -141,6 +147,20 @@ def test_decomposition_ignores_an_overflowing_sensitivity(reference_params, refe
     results = verify.run_checks(reference_params.with_(M=1e-320), reference_omega,
                                 draws=5, seed=0)
     assert [str(r) for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("parts", [{"back_action": math.inf, "interference": -math.inf},
+                                   {"langevin": 1e308, "back_action": 1e308}])
+def test_decomposition_gate_fails_a_point_out_of_the_float_range(reference_params,
+                                                                 reference_omega, parts):
+    """Components that overflow to opposite infinities, or whose exact sum
+    overflows, at one point of a 2-point table read a nan deviation, which fails;
+    the sum raises no error."""
+    table = sensor.sensor_noise_spectrum(reference_params, reference_omega * np.array([1.0, 2.0]))
+    deviation = verify.decomposition_consistency(table.replace(**{
+        name: np.array([getattr(table, name)[0], value]) for name, value in parts.items()}))
+    assert math.isnan(deviation)
+    assert not verify.CheckResult("decomposition", deviation, verify.EQUALITY_TOL).passed
 
 
 def test_decomposition_gate_fails_a_nan_point(reference_params, reference_omega):
@@ -260,7 +280,7 @@ def _per_point_oracle(p, omega, seed, draws):
             worst_mu = max(worst_mu, max_rel_diff(estimator_coefficients(q, w), mu))
             worst_comm = max(worst_comm, check_commutators(net, res))
             worst_split = max(worst_split, verify._split_deviation(
-                q, w, lam, mu, sensor.sensor_noise_spectrum(q, w)))
+                q, w, lam, mu, sensor.sensor_noise_spectrum(q, w), sensor.line_spectra(q, w)[0]))
     return worst_lam, worst_mu, worst_comm, worst_split
 
 
@@ -270,6 +290,20 @@ def test_stacked_oracle_equals_the_per_point_solve(reference_params, reference_o
     for seed in [*range(100), 173518645, 519218416, 1987374907]:
         args = (reference_params, reference_omega, seed, 20)
         assert _agreement(*verify._draws(*args)) == _per_point_oracle(*args), seed
+
+
+def test_oracle_solve_peak_memory(reference_params, reference_omega):
+    """The oracle over a 20-draw grid, one 200-point block, allocates at most
+    1071 KiB at its peak: half of the 2142 KiB it took as dense matrix stacks."""
+    grid, ws = verify._draws(reference_params, reference_omega, 0, 20)
+    verify._oracle_rows(grid, ws)           # caches the substitution order
+    tracemalloc.start()
+    try:
+        verify._oracle_rows(grid, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1071 * 1024
 
 
 @pytest.mark.parametrize("seed", [0, 1987374907])
@@ -308,8 +342,8 @@ def test_run_checks_catch_a_spectrum_without_back_action(reference_params, refer
     """Negative control through run_checks: a spectrum that drops the amplifier
     back action from sigma_vfr and from its components fails the velocity split
     and the decomposition sum, the two checks that read it, and no other."""
-    def without_back_action(p, omega):
-        table = sensor.sensor_noise_spectrum(p, omega)
+    def without_back_action(p, omega, mu, lines):
+        table = sensor._noise_spectrum(p, omega, mu, lines)
         vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
         return table.replace(sigma_vfr=vfr, back_action=0.0 * table.back_action)
 
