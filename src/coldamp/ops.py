@@ -1,6 +1,7 @@
 """The operations a closed form needs that differ between floats and numpy.
 
-Each closed form is written once over a namespace xp = of(inputs):
+Each closed form is written once over a namespace xp = of(inputs), picked
+once per public call and passed to its helpers as their first argument:
 FLOAT evaluates one point in Python floats with math and builtins and
 never imports numpy, and numpy_ops() (built on first use) evaluates a
 grid of (N,) columns.  Both give the same bits: abs(complex) is C hypot,
@@ -18,12 +19,12 @@ import math
 
 from .noise import check_frequency
 
-# Types of a float evaluation's inputs: numbers, and the tuples its tables are.
-_FLOAT_TYPES = frozenset({float, int, complex, tuple})
+# Types of a float evaluation's inputs, its frequency and parameters.
+_FLOAT_TYPES = frozenset({float, int})
 
 
 def of(*values):
-    """FLOAT when every value is a Python number or a FLOAT table, else numpy_ops()."""
+    """FLOAT when every value is a Python float or int, else numpy_ops()."""
     return FLOAT if _FLOAT_TYPES.issuperset(map(type, values)) else numpy_ops()
 
 

@@ -12,13 +12,15 @@ spectrum evaluated at the signal frequency Omega and the electrical
 quadrature spectra at the carrier omega_t.  sensor_noise_spectrum gives
 it with its components and velocity form as one BudgetPoint, the CSV row.
 
-Each closed form is written once over an ops namespace, which the types
-of its inputs pick (ops.of).  A float omega with float parameters is one
-point in Python floats, without numpy: a coefficient table is then a
-tuple of 9 complex numbers.  An (N,) omega, or parameters whose fields
-hold (N,) columns, as p.with_(R_a=array) gives, is a grid in one numpy
-call.  Both use real arithmetic with C pow for squares and C hypot for
-moduli, so a grid point equals the float evaluation bit for bit.
+Each closed form is written once over an ops namespace, which a public
+closed form picks once from the types of its inputs (_grid) and passes
+to its helpers as their first argument.  A float omega with float
+parameters is one point in Python floats, without numpy: a coefficient
+table is then a tuple of 9 complex numbers.  An (N,) omega, or
+parameters whose fields hold (N,) columns, as p.with_(R_a=array) gives,
+is a grid in one numpy call.  Both use real arithmetic with C pow for
+squares and C hypot for moduli, so a grid point equals the float
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -39,19 +41,18 @@ def _grid(p: InstrumentParams, omega):
     return xp, xp.frequencies(omega)
 
 
-def coefficients(**entries):
+def coefficients(xp, **entries):
     """Complex table in LINE_LABELS order; lines not named are zero.
 
-    A tuple of 9 for Python numbers, else a (9,) or (N, 9) array.
+    A tuple of 9 on ops.FLOAT, else a (9,) or (N, 9) array.
     """
     for label in entries:
         if label not in SLOT:
             raise ValueError(f"unknown line {label!r}; expected one of {', '.join(LINE_LABELS)}")
-    xp = ops.of(*entries.values())
     return xp.table([entries.get(label, 0j) for label in LINE_LABELS], complex)
 
 
-def cancelling_product_sum(*products):
+def cancelling_product_sum(xp, *products):
     """Where sum_k prod(products[k]) cancels, that sum computed exactly.
 
     Factors are floats or arrays of one shape.  Returns the mask where
@@ -60,7 +61,6 @@ def cancelling_product_sum(*products):
     there the exact sum, rounded once (zero elsewhere).
     """
     terms = [math.prod(factors) for factors in products]
-    xp = ops.of(*terms)
     total = functools.reduce(operator.add, terms)      # sum() compensates floats in 3.12+
     cancels = abs(total) < 0.5 * functools.reduce(xp.maximum, map(abs, terms))
     return cancels, xp.exact(cancels, products)
@@ -101,7 +101,11 @@ class BudgetPoint(Record):
 
 def mechanical_impedance(p: InstrumentParams, omega):
     """Free-running mechanical impedance H_m - i M Omega + i K / Omega = H_m (1 + i Delta)."""
-    _, w = _grid(p, omega)
+    return _impedance(p, _grid(p, omega)[1])
+
+
+def _impedance(p: InstrumentParams, w):
+    """mechanical_impedance at a checked w."""
     return p.H_m + 1j * (p.K / w - p.M * w)
 
 
@@ -118,17 +122,16 @@ def free_mass_coefficients(p: InstrumentParams, omega):
     action survive; the six remaining entries are structural zeros."""
     xp, w = _grid(p, omega)
     lam_m, lam_a1 = _free_mass(xp, p, w)
-    return coefficients(m=lam_m, a1=lam_a1, b1=-lam_a1)
+    return coefficients(xp, m=lam_m, a1=lam_a1, b1=-lam_a1)
 
 
-def re_mu_a1(p: InstrumentParams, w, rounded):
+def re_mu_a1(xp, p: InstrumentParams, w, rounded):
     """Re mu_a1 at w for both estimator routes; rounded is the calling route's value.
 
     Re mu_a1 = sqrt(2 hbar R_a omega_t) / (2 kappa_t) times the bracket C_f K
     - C_f M Omega^2 - 2 kappa_t^2, which is summed exactly where it cancels."""
-    xp = ops.of(w, *vars(p).values())
     kt, root_a = p.kappa_t, xp.sqrt(2.0 * HBAR * p.R_a * p.omega_t)
-    cancels, bracket = cancelling_product_sum((p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
+    cancels, bracket = cancelling_product_sum(xp, (p.C_f, p.K), (-p.C_f, p.M, w, w), (-2.0, kt, kt))
     return xp.where(cancels, root_a / (2.0 * kt) * bracket, rounded)
 
 
@@ -140,13 +143,18 @@ def estimator_coefficients(p: InstrumentParams, omega):
     represents the sensing error added by the electrical detection chain.
     """
     xp, w = _grid(p, omega)
+    return _estimator(xp, p, w)
+
+
+def _estimator(xp, p: InstrumentParams, w):
+    """estimator_coefficients at a checked w."""
     if not xp.all(p.kappa_t):
         raise ValueError("the force estimator is undefined without electromechanical coupling")
-    h, x, kt, wt = p.H_m, mechanical_impedance(p, w).imag, p.kappa_t, p.omega_t
+    h, x, kt, wt = p.H_m, _impedance(p, w).imag, p.kappa_t, p.omega_t
     lam_m, lam_a1 = _free_mass(xp, p, w)
     # mu_a1 = lambda_a1 + t Xi_m / (2 kappa_t omega_t Z_f) with Z_f = i |Z_f|.
     t, e = xp.sqrt(2.0 * HBAR * p.R_a * wt) * w, 2.0 * kt * wt * p.zf_mag
-    mu_a1 = re_mu_a1(p, w, lam_a1 + t * x / e) + 1j * (-(t * h) / e)
+    mu_a1 = re_mu_a1(xp, p, w, lam_a1 + t * x / e) + 1j * (-(t * h) / e)
     # -i Omega sqrt(hbar R_a / 2 omega_t) Xi_m / kappa_t = s_re + i s_im times
     # 1/R_a -+ 1/R_l -+ 1/Z_t for a2 and b2, where 1/Z_t = -i y.
     root = w * xp.sqrt(HBAR * p.R_a / (2.0 * wt))
@@ -155,7 +163,7 @@ def estimator_coefficients(p: InstrumentParams, omega):
     root_r, e_r = -xp.sqrt(HBAR * p.R_r / (2.0 * wt)) * w, 2.0 * kt * p.zf_mag
     root_l = w * xp.sqrt(HBAR / (2.0 * p.R_l * wt))
     return coefficients(
-        m=lam_m, a1=mu_a1, b1=-mu_a1,
+        xp, m=lam_m, a1=mu_a1, b1=-mu_a1,
         a2=(s_re * f_a - s_im * y) + 1j * (s_re * y + s_im * f_a),
         b2=(s_re * f_b + s_im * y) + 1j * (s_im * f_b - s_re * y),
         r1=root_r * x / e_r + 1j * (-(root_r * h) / e_r),
@@ -163,14 +171,12 @@ def estimator_coefficients(p: InstrumentParams, omega):
     )
 
 
-def coefficient_sum(coeffs, spectra):
+def coefficient_sum(xp, coeffs, spectra):
     """The quadratic noise sum sum_a |c_a|^2 sigma_a over the tables' lines.
 
-    The spectra pick the namespace.  Line by line in LINE_LABELS order, as
-    for a single point: np.sum, np.dot and Python 3.12's sum() add
-    differently and can change the CSV.
+    Line by line in LINE_LABELS order, as for a single point: np.sum,
+    np.dot and Python 3.12's sum() add differently and can change the CSV.
     """
-    xp = ops.of(spectra)
     terms = (xp.abs2(c.real, c.imag) * s for c, s in zip(xp.lines(coeffs), xp.lines(spectra)))
     return functools.reduce(operator.add, terms)
 
@@ -182,11 +188,16 @@ def line_spectra(p: InstrumentParams, omega) -> tuple:
     at Omega, and either quadrature of an electrical line twice that at
     the carrier omega_t.  effective_temperature is applied point by point.
     """
-    xp = ops.of(omega, *vars(p).values())
-    k_m, k_a, k_l, k_r = (xp.each(effective_temperature, t, w) for t, w in (
-        (p.T_m, omega), (p.T_a, p.omega_t), (p.T_l, p.omega_t), (p.T_r, p.omega_t)))
+    xp, w = _grid(p, omega)
+    return _line_spectra(xp, p, w)
+
+
+def _line_spectra(xp, p: InstrumentParams, w) -> tuple:
+    """line_spectra at a checked w."""
+    k_m, k_a, k_l, k_r = (xp.each(effective_temperature, t, freq) for t, freq in (
+        (p.T_m, w), (p.T_a, p.omega_t), (p.T_l, p.omega_t), (p.T_r, p.omega_t)))
     a, r, l = (2.0 * (k / (HBAR * p.omega_t)) for k in (k_a, k_r, k_l))
-    spectra = xp.table([k_m / (HBAR * abs(omega)), a, a, a, a, r, r, l, l], float)
+    spectra = xp.table([k_m / (HBAR * abs(w)), a, a, a, a, r, r, l, l], float)
     return spectra, (k_m, k_a, k_l, k_r)
 
 
@@ -199,17 +210,16 @@ def sensor_noise_spectrum(p: InstrumentParams, omega) -> BudgetPoint:
     sensing error and their signed interference.  The velocity columns
     are those components over |Xi_m|^2.
     """
-    _, w = _grid(p, omega)
-    return _noise_spectrum(p, w, estimator_coefficients(p, w), line_spectra(p, w))
+    xp, w = _grid(p, omega)
+    return _noise_spectrum(xp, p, w, _estimator(xp, p, w), _line_spectra(xp, p, w))
 
 
-def _noise_spectrum(p: InstrumentParams, w, mu, lines) -> BudgetPoint:
-    """The body of sensor_noise_spectrum, given estimator_coefficients and line_spectra."""
-    xp = ops.of(w, *vars(p).values())
+def _noise_spectrum(xp, p: InstrumentParams, w, mu, lines) -> BudgetPoint:
+    """sensor_noise_spectrum at a checked w, from estimator_coefficients and line_spectra."""
     spectra, (k_theta_m, k_theta_a, k_theta_l, k_theta_r) = lines
-    total = coefficient_sum(mu, spectra)
+    total = coefficient_sum(xp, mu, spectra)
 
-    h_m, x, zf_mag = p.H_m, mechanical_impedance(p, w).imag, p.zf_mag
+    h_m, x, zf_mag = p.H_m, _impedance(p, w).imag, p.zf_mag
     kt2 = xp.sq(p.kappa_t)
     y_lt = xp.abs2(1.0 / p.R_l, 1.0 / p.x_t(w))
 

@@ -57,7 +57,7 @@ def cold_damped_velocity(p: InstrumentParams, omega) -> np.ndarray:
     g, y = 2.0 * zf * root_ar, 1.0 / p.x_t(w)
     f_a, f_b = 1.0 / p.R_a - 1.0 / p.R_l, 1.0 / p.R_a + 1.0 / p.R_l
     return coefficients(
-        l2=-1j * q * (2.0 * zf / np.sqrt(p.R_l * p.R_r)),
+        numpy_ops(), l2=-1j * q * (2.0 * zf / np.sqrt(p.R_l * p.R_r)),
         r1=1j * q,
         a1=-1j * q * (2.0 * root_ar),
         b1=1j * q * (2.0 * root_ar),
@@ -83,7 +83,7 @@ def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     mu = (lam.real - (xi.real * v.real - xi.imag * v.imag)) \
         + 1j * (lam.imag - (xi.real * v.imag + xi.imag * v.real))
     a1 = mu[..., SLOT["a1"]]
-    a1.real = re_mu_a1(p, w, a1.real)
+    a1.real = re_mu_a1(numpy_ops(), p, w, a1.real)
     mu[..., SLOT["b1"]] = -a1
     return mu
 

@@ -250,13 +250,29 @@ GRID_DRAWS = [(0, 0), (1996521376, 4), (173518645, 7), (11, 3)]
 
 
 def _a1_guard(q, ws):
-    return cancelling_product_sum((q.C_f, q.K), (-q.C_f, q.M, ws, ws),
-                                  (-2.0, q.kappa_t, q.kappa_t))[0]
+    return cancelling_product_sum(ops.of(ws, *vars(q).values()), (q.C_f, q.K),
+                                  (-q.C_f, q.M, ws, ws), (-2.0, q.kappa_t, q.kappa_t))[0]
 
 
 def test_a1_guard_fires_on_part_of_a_grid(reference_params, reference_omega):
     q, ws = _verify_draw(reference_params, reference_omega, *GRID_DRAWS[1])
     assert 0 < np.count_nonzero(_a1_guard(q, ws)) < len(ws)
+
+
+def test_each_budget_picks_its_namespace_twice(reference_params, reference_omega,
+                                               monkeypatch):
+    """budget_point's type rule and sensor's _grid are the only ops.of calls, at one
+    float point and over a numpy grid: the closed forms and their helpers under
+    sensor_noise_spectrum take the namespace _grid picked (10 calls in sensor
+    per point before)."""
+    calls = []
+    of = ops.of
+    monkeypatch.setattr(ops, "of", lambda *values: calls.append(values) or of(*values))
+    budget_point(reference_params, reference_omega)
+    assert len(calls) == 2
+    calls.clear()
+    sweep(reference_params, "frequency", reference_omega * np.logspace(-1.0, 1.0, 50))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("seed, index", GRID_DRAWS)

@@ -245,6 +245,17 @@ def test_verify_without_a_drive_response_exits_numerical(old, new, omega, tmp_pa
                    f"at omega = {omega} rad/s\n")
 
 
+def test_verify_fails_the_exponent_where_the_loop_gains_overflow(tmp_path, capsys):
+    """At stiffness 1e300 N/m the finite-gain fit asks for gains of up to 1e7 |Xi_m|,
+    past the float range: the exponent reads nan and fails, every other result
+    still prints, and verify exits 2 (it ended in a numerical failure, exit 3)."""
+    config = _shipped_with(tmp_path, "stiffness = 4.0e-6 N/m", "stiffness = 1e300 N/m")
+    code, out, err = run(["verify", "--draws", "2", "--config", config], capsys)
+    assert (code, err) == (cli.EXIT_VERIFY, "verification FAILED\n")
+    assert len(out.splitlines()) == 9
+    assert "[FAIL] finite-gain convergence exponent: max deviation nan " in out
+
+
 @pytest.mark.parametrize("old, new", [
     ("mass = 0.27 kg", "mass = 1e10 kg"),
     ("stiffness = 4.0e-6 N/m", "stiffness = 1e10 N/m"),
@@ -437,22 +448,29 @@ _PROBE_KEYS = re.findall(r"^(\w+) = (\S+ \S+)$", cli._default_config_text(), re.
 _PROBE_VALUES = ("5e-324", "1e-300", "1e-200", "1e-10", "1e10", "1e200", "1e300", "1.7e308")
 
 
-_PROBE_ARGV = {"sweep": ["sweep", "--min", "1e-4", "--max", "1e-2"]}   # frequency, 25 points
+_PROBE_ARGV = {"sweep": ["sweep", "--min", "1e-4", "--max", "1e-2"],   # frequency, 25 points
+               "verify": ["verify", "--draws", "2"]}                    # 20 points
 
 
 @pytest.mark.filterwarnings("ignore:carrier-to-signal frequency ratio")
-@pytest.mark.parametrize("command", ["optimize", "budget", "sweep"])
+@pytest.mark.filterwarnings("ignore:R_r/\\|Z_f\\| = ")     # the loop's weak-loading condition
+@pytest.mark.parametrize("command", ["optimize", "budget", "sweep", "verify"])
 @pytest.mark.parametrize("value", _PROBE_VALUES)
 @pytest.mark.parametrize("key, old", _PROBE_KEYS, ids=[key for key, _ in _PROBE_KEYS])
 def test_one_key_edits_end_in_a_result_or_one_typed_line(key, old, value, command, tmp_path,
                                                           capsys):
-    """No traceback, no inf or nan with exit 0, and one line for any failure."""
+    """No traceback, no inf or nan with exit 0, and one line for any failure; a
+    failed verification prints each result and one line on stderr."""
     new = f"{key} = {value} {old.split()[1]}"
     argv = _PROBE_ARGV.get(command, [command])
     code, out, err = run([*argv, "--config", _shipped_with(tmp_path, f"{key} = {old}", new)],
                          capsys)
     if code == cli.EXIT_OK:
         assert not re.search(r"\b(inf|nan)\b", out + err)
+        return
+    if code == cli.EXIT_VERIFY:
+        assert all(re.match(r"\[(ok  |FAIL)\] ", line) for line in out.splitlines())
+        assert len(out.splitlines()) == 9 and err == "verification FAILED\n"
         return
     prefix = {cli.EXIT_CONFIG: "configuration error: ",
               cli.EXIT_NUMERICAL: "numerical failure: "}[code]

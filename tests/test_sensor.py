@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coldamp.sensor as sensor
+from coldamp import ops
 from coldamp.budget import budget_point
 from coldamp.constants import HBAR, K_B
 from coldamp.noise import LINE_LABELS, effective_temperature
@@ -175,32 +176,43 @@ def test_spectrum_equals_its_body_on_precomputed_tables(reference_params, refere
     ws = draw_frequencies(reference_omega, rng, count=40)
     grid = reference_params.with_(R_a=reference_params.R_a * np.logspace(-2.0, 2.0, 40))
     for p, w in ((reference_params, reference_omega), (q, float(ws[0])), (q, ws), (grid, ws)):
-        body = sensor._noise_spectrum(p, w, estimator_coefficients(p, w), line_spectra(p, w))
+        xp = ops.of(w, *vars(p).values())
+        body = sensor._noise_spectrum(xp, p, w, estimator_coefficients(p, w), line_spectra(p, w))
         table = sensor_noise_spectrum(p, w)
         for name, column in vars(table).items():
             assert np.array_equal(getattr(body, name), column), name
             assert type(getattr(body, name)) is type(column), name
 
 
+def test_line_spectra_take_a_list_as_the_array(reference_params):
+    """A list of frequencies gives, bit for bit, the tables of the same numpy array."""
+    omegas = [3e-3, 4e-3]
+    listed, array = line_spectra(reference_params, omegas), line_spectra(reference_params,
+                                                                         np.array(omegas))
+    for mine, theirs in zip((listed[0], *listed[1]), (array[0], *array[1])):
+        assert type(mine) is type(theirs) and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def test_coefficient_vector_layout():
-    """Python numbers give a tuple of 9 complex entries, numpy values an array."""
-    table = coefficients(a1=2.0, l2=-1j)
+    """ops.FLOAT gives a tuple of 9 complex entries, ops.numpy_ops() an array."""
+    table = coefficients(ops.FLOAT, a1=2.0, l2=-1j)
     assert type(table) is tuple and len(table) == len(LINE_LABELS)
     assert all(type(entry) is complex for entry in table)
     assert table[at("a1")] == 2.0 and table[at("l2")] == -1j
     assert np.count_nonzero(table) == 2
-    array = coefficients(a1=np.float64(2.0), l2=-1j)
+    array = coefficients(ops.numpy_ops(), a1=np.float64(2.0), l2=-1j)
     assert array.shape == (len(LINE_LABELS),) and array.dtype == complex
     assert array.tolist() == list(table)
-    grid = coefficients(a1=np.array([2.0, 3.0]), l2=-1j)
+    grid = coefficients(ops.numpy_ops(), a1=np.array([2.0, 3.0]), l2=-1j)
     assert grid.shape == (2, len(LINE_LABELS)) and grid[0].tolist() == list(table)
     with pytest.raises(ValueError):
-        coefficients(z9=1.0)
+        coefficients(ops.FLOAT, z9=1.0)
     # A structural zero is judged against the row scale, a large entry
     # against itself.
-    assert max_rel_diff(table, coefficients(a1=2.0, l2=-1j, m=1e-9)) == pytest.approx(
+    assert max_rel_diff(table, coefficients(ops.FLOAT, a1=2.0, l2=-1j, m=1e-9)) == pytest.approx(
         5e-10, rel=1e-14, abs=0.0)
-    assert max_rel_diff(table, coefficients(a1=2.2, l2=-1j)) == pytest.approx(
+    assert max_rel_diff(table, coefficients(ops.FLOAT, a1=2.2, l2=-1j)) == pytest.approx(
         0.1, rel=1e-14, abs=0.0)
 
 
@@ -219,14 +231,14 @@ def test_cancelling_product_sum_is_exact_only_where_the_sum_cancels():
     eps = 2.0**-30
     # (1 + eps)^2 - 1 is 2 eps + eps^2 exactly; the float square drops eps^2.
     assert (1.0 + eps) * (1.0 + eps) - 1.0 == 2.0 * eps
-    cancels, exact = cancelling_product_sum((1.0 + eps, 1.0 + eps), (-1.0,))
+    cancels, exact = cancelling_product_sum(ops.FLOAT, (1.0 + eps, 1.0 + eps), (-1.0,))
     assert cancels and exact == 2.0 * eps + eps * eps
-    assert not cancelling_product_sum((1.0,), (-0.25,))[0]     # sum is 3/4 of its top term
-    assert cancelling_product_sum((1.0,), (-0.75,)) == (True, 0.25)
-    assert not cancelling_product_sum((math.nan,), (1.0,))[0]  # the caller's nan stands
+    assert not cancelling_product_sum(ops.FLOAT, (1.0,), (-0.25,))[0]  # sum: 3/4 of its top term
+    assert cancelling_product_sum(ops.FLOAT, (1.0,), (-0.75,)) == (True, 0.25)
+    assert not cancelling_product_sum(ops.FLOAT, (math.nan,), (1.0,))[0]  # the caller's nan stands
     # Over a grid, only the cancelling points take the exact sum.
     x = np.array([1.0 + eps, 2.0, math.nan, 1.0 + eps])
-    cancels, exact = cancelling_product_sum((x, x), (-1.0,))
+    cancels, exact = cancelling_product_sum(ops.numpy_ops(), (x, x), (-1.0,))
     assert cancels.tolist() == [True, False, False, True]
     assert exact.tolist() == [2.0 * eps + eps * eps, 0.0, 0.0, 2.0 * eps + eps * eps]
 
@@ -242,7 +254,7 @@ def test_cancelling_product_sum_equals_the_fraction_sum():
     kt = np.sqrt(np.abs(c * k - c * m * w * w) / 2.0) * (1.0 + rng.uniform(-1e-6, 1e-6, n))
     c[::97], k[::89], kt[::83] = 0.0, 0.0, 0.0
     products = ((c, k), (-c, m, w, w), (-2.0, kt, kt))
-    cancels, exact = cancelling_product_sum(*products)
+    cancels, exact = cancelling_product_sum(ops.numpy_ops(), *products)
     assert 0.3 * n < cancels.sum() < n
     assert not exact[~cancels].any()
     at = np.flatnonzero(cancels)

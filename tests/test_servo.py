@@ -8,6 +8,7 @@ import pytest
 
 from coldamp.constants import HBAR
 from coldamp.noise import LINE_LABELS
+from coldamp.ops import numpy_ops
 import coldamp.verify as verify
 from coldamp.sensor import cancelling_product_sum, estimator_coefficients, mechanical_impedance
 from coldamp.servo import cold_damped_estimator, cold_damped_velocity, gain_for_effective_impedance
@@ -83,7 +84,7 @@ def test_both_routes_share_re_mu_a1_where_the_bracket_cancels(reference_params,
     its seeds now, then three of its former seeds each plus one (it once drew its
     own grid at seed + 1); the last three are the oracle's."""
     q, ws = verify._draws(reference_params, reference_omega, seed, 20)
-    cancels = cancelling_product_sum((q.C_f, q.K), (-q.C_f, q.M, ws, ws),
+    cancels = cancelling_product_sum(numpy_ops(), (q.C_f, q.K), (-q.C_f, q.M, ws, ws),
                                      (-2.0, q.kappa_t, q.kappa_t))[0]
     assert cancels.any()
     with warnings.catch_warnings():

@@ -121,9 +121,9 @@ def test_run_checks_evaluate_each_closed_form_once_after_the_oracle(reference_pa
     events = []
 
     def recorded(name, fn):
-        def record(p, omega, *tables):
-            events.append((name, np.size(omega)))
-            return fn(p, omega, *tables)
+        def record(*args):      # (p, omega, ...), or (xp, p, omega, ...) for the spectrum
+            events.append((name, np.size(args[2 if name == "spectrum" else 1])))
+            return fn(*args)
         return record
 
     for module, name in ((verify, "free_lambda"), (verify, "estimator_mu"),
@@ -342,8 +342,8 @@ def test_run_checks_catch_a_spectrum_without_back_action(reference_params, refer
     """Negative control through run_checks: a spectrum that drops the amplifier
     back action from sigma_vfr and from its components fails the velocity split
     and the decomposition sum, the two checks that read it, and no other."""
-    def without_back_action(p, omega, mu, lines):
-        table = sensor._noise_spectrum(p, omega, mu, lines)
+    def without_back_action(xp, p, omega, mu, lines):
+        table = sensor._noise_spectrum(xp, p, omega, mu, lines)
         vfr = table.sigma_vfr * table.langevin / (table.langevin + table.back_action)
         return table.replace(sigma_vfr=vfr, back_action=0.0 * table.back_action)
 
