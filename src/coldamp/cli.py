@@ -9,7 +9,10 @@ failure.
 Only config is imported at module level; each command imports the
 modules it needs once its configuration has loaded.  budget and sweep
 are one budget.sweep call each: budget's list of frequencies runs in
-floats without numpy, and sweep's array is one numpy grid.
+floats without numpy, and sweep's array is one numpy grid.  The CSV of
+budget's list columns is formatted row by row with %, that of sweep's
+array columns by the numpy kernel csvrows.csv_rows; both write the same
+bytes.
 """
 
 from __future__ import annotations
@@ -44,12 +47,16 @@ def _load(args) -> config.RunConfig:
 
 def _csv(table, cfg) -> str:
     """CSV of a grid budget (list or array columns), one row per point, omega in Hz."""
-    omega, *rest = (c if isinstance(c, list) else c.tolist() for c in vars(table).values())
-    columns = [[w / (2.0 * math.pi) for w in omega], *rest]
-    row = ",".join([_NUMBER] * len(columns) + [cfg.digest, __version__])
+    omega, *rest = vars(table).values()
     header = ",".join(["frequency_hz", *list(vars(table))[1:], "config_digest", "tool_version"])
-    lines = [header, *map(row.__mod__, zip(*columns))]
-    return "\n".join(lines) + "\n"
+    tail = f",{cfg.digest},{__version__}\n"
+    if isinstance(omega, list):         # budget's float path, without numpy
+        row = ",".join([_NUMBER] * (1 + len(rest))) + tail
+        body = "".join(map(row.__mod__, zip([w / (2.0 * math.pi) for w in omega], *rest)))
+    else:
+        from .csvrows import csv_rows
+        body = csv_rows([omega / (2.0 * math.pi), *rest], tail)
+    return header + "\n" + body
 
 
 def _write(text: str, out_path: str | None) -> None:

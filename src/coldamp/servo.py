@@ -21,6 +21,19 @@ from .params import InstrumentParams
 from .sensor import coefficients, free_mass_coefficients, mechanical_impedance, re_mu_a1
 
 
+class WeakLoadingWarning(UserWarning):
+    """R_r/|Z_f| is not << 1, which the closed-loop expressions assume."""
+
+
+def warn_if_loaded(p: InstrumentParams) -> None:
+    """Warn, attributed to the caller's caller, where the amplifier output is not weakly loaded."""
+    ratio = p.R_r / p.zf_mag
+    if np.any(ratio >= 1e-2):
+        warnings.warn(f"R_r/|Z_f| = {np.max(ratio):.2e} is not << 1; the closed-loop "
+                      "expressions assume a weakly loaded output", WeakLoadingWarning,
+                      stacklevel=3)
+
+
 def gain_for_effective_impedance(p: InstrumentParams, xi_me: complex, omega: float) -> complex:
     """Loop gain producing a prescribed effective impedance at Omega.
 
@@ -46,10 +59,7 @@ def cold_damped_velocity(p: InstrumentParams, omega) -> np.ndarray:
     w = numpy_ops().frequencies(omega)
     if not np.asarray(p.kappa_t).all():
         raise ValueError("cold damping requires a nonzero electromechanical coupling")
-    ratio = p.R_r / p.zf_mag  # the loop analysis assumes a weakly loaded amplifier output
-    if np.any(ratio >= 1e-2):
-        warnings.warn(f"R_r/|Z_f| = {np.max(ratio):.2e} is not << 1; the closed-loop "
-                      "expressions assume a weakly loaded output", stacklevel=2)
+    warn_if_loaded(p)
     zf = p.zf_mag
     q = -np.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * w / (2.0 * p.kappa_t * zf)
     root_ar = np.sqrt(p.R_a / p.R_r)

@@ -222,7 +222,10 @@ def run_checks(p: InstrumentParams, omega: float, *,
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
     grid, ws = _draws(p, omega, seed, draws)
-    with np.errstate(all="ignore"):     # a figure out of the float range reads FAIL, unwarned
+    servo.warn_if_loaded(p)     # once for the design, not again from each check at it
+    # A figure out of the float range reads FAIL, unwarned.
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", servo.WeakLoadingWarning)
         oracle = _oracle_rows(grid, ws)     # first: a grid without a drive response fails here
         mu, lines = estimator_mu(grid, ws), sensor.line_spectra(grid, ws)
         table = spectrum(ops.numpy_ops(), grid, ws, mu, lines)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,22 @@ def test_csv_fields_round_trip(capsys):
     assert code == cli.EXIT_OK
     header, *rows = out.strip().splitlines()
     assert len(rows) == 5
+    for row in rows:
+        fields = row.split(",")
+        for text in fields[:11]:
+            value = float(text)
+            assert f"{value:.11e}" == text
+
+
+@pytest.mark.parametrize("argv", [["--min", "1e-4", "--max", "1e-2"],
+                                  ["--axis", "R_a", "--min", "1e4", "--max", "1e6"]],
+                         ids=["frequency", "R_a"])
+def test_sweep_csv_fields_round_trip(argv, capsys):
+    """The array columns' CSV, like budget's lists, reparses and reformats to itself."""
+    code, out, _ = run(["sweep", *argv, "--points", "200"], capsys)
+    assert code == cli.EXIT_OK
+    header, *rows = out.strip().splitlines()
+    assert len(rows) == 200
     for row in rows:
         fields = row.split(",")
         for text in fields[:11]:
@@ -476,6 +493,25 @@ def test_one_key_edits_end_in_a_result_or_one_typed_line(key, old, value, comman
               cli.EXIT_NUMERICAL: "numerical failure: "}[code]
     assert out == ""
     assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", _PROBE_VALUES)
+@pytest.mark.parametrize("key, old", [("detection_resistance", "50.0 ohm"),
+                                      ("feedback_impedance", "1.6e5 ohm")],
+                         ids=["R_r", "Z_f"])
+def test_verify_warns_once_about_a_loaded_output(key, old, value, tmp_path, capsys):
+    """The weak-loading precondition R_r/|Z_f| << 1 is checked once for the design, and
+    its one warning points at the caller of run_checks (it was one per check at it)."""
+    path = _shipped_with(tmp_path, f"{key} = {old}", f"{key} = {value} {old.split()[1]}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(["verify", "--draws", "2", "--config", path], capsys)
+    loading = [w for w in caught if str(w.message).startswith("R_r/|Z_f| = ")]
+    assert len(loading) <= 1
+    if code in (cli.EXIT_OK, cli.EXIT_VERIFY):
+        params = cli._load(argparse.Namespace(config=path)).params
+        assert len(loading) == (params.R_r / params.zf_mag >= 1e-2)
+        assert all(Path(w.filename).name == "cli.py" for w in loading)
 
 
 @pytest.mark.parametrize("value", ["1e-200", "1e200", "1.7e308"])
