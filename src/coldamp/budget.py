@@ -77,7 +77,7 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     InstrumentParams).  A frequency list runs in floats, an array as one
     numpy grid.  The grid must be nonempty and strictly increasing; the
     (N,) columns follow it.  An error names the first point that fails
-    on its own, unless every point fails.
+    on its own and quotes that point's error, unless every point fails.
     """
     values = [float(v) for v in grid]
     if not values:
@@ -101,16 +101,17 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     except ValueError as exc:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            first = next((v for v in values if _fails(at, v)), None)
-            every = first == values[0] and all(_fails(at, v) for v in values[1:])
+            first, own = next(((v, e) for v in values if (e := _error(at, v))), (None, None))
+            every = first == values[0] and all(_error(at, v) for v in values[1:])
         if first is None or every:
             raise    # no one point's failure: the grid's own error says why
-        raise ValueError(f"sweep failed at {axis} = {first!r}: {exc}") from exc
+        raise ValueError(f"sweep failed at {axis} = {first!r}: {own}") from exc
 
 
-def _fails(at, value: float) -> bool:
+def _error(at, value: float) -> ValueError | None:
+    """The ValueError that at(value) raises, or None."""
     try:
         at(value)
-    except ValueError:
-        return True
-    return False
+    except ValueError as exc:
+        return exc
+    return None

@@ -2,7 +2,7 @@
 
 The raw element relations (resistive/mechanical line laws, the transducer
 three-port, the charge-amplifier laws and optionally the feedback
-force) are the nonzero entries of one complex linear system per point;
+force) are the entries of one complex linear system per point;
 arrays of frequencies, gains or parameter sets give a stack of systems.  Each
 relation ties two or three fields, so solve takes them in a
 substitution order, one division per unknown, and leaves LAPACK only
@@ -32,9 +32,10 @@ from .ops import numpy_ops
 
 
 class LinearNetwork(Record):
-    """Linear relations a x = b of one network, as their nonzero entries.
+    """Linear relations a x = b of one network, as their entries.
 
-    a[i, j] multiplies unknown j and b[i, k] input k in relation i; size is
+    a[i, j] multiplies unknown j and b[i, k] input k in relation i; a key
+    left out is a zero, and the keys of a fix solve's order.  size is
     (n, m): n relations in n unknowns, m inputs (the incoming fields in
     order, then any external drives).  A value is a complex scalar, or an
     (N,) complex128 column over the points of a stack (one system per
@@ -75,7 +76,7 @@ class ScatteringResult(Record):
 
 
 class _Order(NamedTuple):
-    """Substitution order of one nonzero pattern; see _substitution_order."""
+    """Substitution order of one set of entries; see _substitution_order."""
 
     steps: tuple[tuple[int, int, tuple[int, ...]], ...]  # (relation, unknown, other unknowns)
     home: dict[int, int]                                 # relation -> the unknown it gives
@@ -84,12 +85,12 @@ class _Order(NamedTuple):
     feed: tuple[tuple[int, int, int], ...]               # (row, relation, solved unknown)
 
 
-# Substitution orders by system size and nonzero pattern.
+# Substitution orders by system size and the keys of a.
 _ORDERS: dict[tuple[int, frozenset], _Order] = {}
 
 
-def _substitution_order(n: int, nonzero) -> _Order:
-    """Substitution order of n relations in n unknowns, nonzero at (relation, unknown).
+def _substitution_order(n: int, entries) -> _Order:
+    """Substitution order of n relations in n unknowns with entries at (relation, unknown).
 
     Repeatedly takes the first relation with exactly one unknown not yet
     solved; that relation gives its unknown by one division.  The relations
@@ -98,7 +99,7 @@ def _substitution_order(n: int, nonzero) -> _Order:
     so, the matrix is block lower triangular: the steps, then the block.
     """
     uses = [set() for _ in range(n)]
-    for r, c in nonzero:
+    for r, c in entries:
         uses[r].add(c)
     solved, steps, left = set(), [], list(range(n))
     while (r := next((r for r in left if len(uses[r] - solved) == 1), None)) is not None:
@@ -130,21 +131,18 @@ def solve(net: LinearNetwork) -> ScatteringResult:
     incoming fields and drives.  A stack is solved in one call; a failure
     names the frequency of the first failing point.
 
-    The order comes from the nonzero pattern of a (over a stack, the union
-    of its points' patterns; an entry zero at every point leaves it): each
-    relation that ties one unknown not yet solved gives that unknown by
-    one division, summing its other terms elementwise in a fixed order, so
-    a stacked point equals the point solved alone bit for bit when both
-    have the stack's pattern.  The relations left over form one dense
-    block, a feedback loop (6 x 6 for the closed-loop sensor; none in open
-    loop), assembled densely and solved by LAPACK plus one refinement
-    step.  The matrix is block triangular, so a zero pivot means it is
-    singular at that point.
+    The order comes from the keys of a alone, never from their values:
+    each relation that ties one unknown not yet solved gives that unknown
+    by one division, summing its other terms elementwise in a fixed order,
+    so a stacked point equals the point solved alone bit for bit.  The
+    relations left over form one dense block, a feedback loop (6 x 6 for
+    the closed-loop sensor; none in open loop), assembled densely and
+    solved by LAPACK plus one refinement step.  The matrix is block
+    triangular, so a zero pivot means it is singular at that point.
     """
     a, (n, m), points = net.a, net.size, np.shape(net.omega)
-    pattern = frozenset(k for k, v in a.items() if (v.any() if isinstance(v, np.ndarray) else v))
-    if (order := _ORDERS.get((n, pattern))) is None:
-        order = _ORDERS[n, pattern] = _substitution_order(n, pattern)
+    if (order := _ORDERS.get(key := (n, frozenset(a)))) is None:
+        order = _ORDERS[key] = _substitution_order(n, a)
     zero = sum(a[r, c] == 0 for r, c, _ in order.steps) > 0     # per point, any zero pivot
     if np.any(zero):
         raise _solve_error(net, zero, "singular network matrix")
@@ -222,7 +220,7 @@ _SENSOR_UNKNOWNS = (
 # Element relations, one pair (lhs, rhs) per row meaning sum(lhs) =
 # sum(rhs): lhs over the unknowns, rhs over LINE_LABELS and the F_ext
 # drive.  A str coefficient names a per-point value supplied by
-# build_sensor_network.
+# build_sensor_network; "-gain" is written only in closed loop.
 _SENSOR_RELATIONS = (
     # Equation of motion; in closed loop the feedback force +G_s r1_out acts too.
     ({"V": "xi_m", "I_t1": "1j*kt*x_t", "r1_out": "-gain"}, {"F_ext": 1.0, "m": "-c_mech"}),
@@ -277,7 +275,7 @@ def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
                          omega: float | np.ndarray) -> LinearNetwork:
     """Raw element relations of the capacitive sensor at frequency Omega.
 
-    gain is the servo loop gain G_s (None for the open-loop sensor).
+    gain is the servo loop gain G_s (None: the open loop, with no feedback force).
     One node per electrical quadrature carries the transducer port, the
     loss line and the amplifier input; the charge amplifier's reactive
     feedback couples the quadratures.  A parameter grid (fields holding
@@ -289,7 +287,8 @@ def build_sensor_network(p: InstrumentParams, gain: complex | np.ndarray | None,
     values = _complex128(_sensor_values(p, gain, w))
     shape = np.broadcast(*values.values()).shape
     # values.get(coef, coef): the named per-point value, or the constant itself.
-    a, b = ({(i, j): values.get(coef, coef) for i, j, coef in side}
+    a, b = ({(i, j): values.get(coef, coef) for i, j, coef in side
+             if not isinstance(coef, str) or coef in values}
             for side in (_SENSOR_A, _SENSOR_B))
     return LinearNetwork(a=a, b=b, size=(len(_SENSOR_UNKNOWNS), len(LINE_LABELS) + 1),
                          incoming=list(LINE_LABELS), outgoing=_SENSOR_OUTGOING,
@@ -307,10 +306,9 @@ def _sensor_values(p: InstrumentParams, gain: complex | np.ndarray | None, w) ->
     """
     h_m, wt, kt, x_t, zf_mag = p.H_m, p.omega_t, p.kappa_t, p.x_t(w), p.zf_mag
     c_volt = np.sqrt(2.0 * HBAR * wt * p.R_a)              # amplifier voltage noise
-    return {
+    return ({} if gain is None else {"-gain": -gain}) | {
         "xi_m": h_m + 1j * (-(p.M * w) + p.K / w),
         "1j*kt*x_t": 1j * (kt * x_t),
-        "-gain": 0.0 if gain is None else -gain,
         "-c_mech": -np.sqrt(2.0 * HBAR * abs(w) * h_m),          # Langevin force
         "-c_mech_out": -np.sqrt(2.0 * h_m / (HBAR * abs(w))),    # velocity -> out field
         "-1j*x_t": 1j * -x_t,

@@ -212,7 +212,7 @@ def decomposition_consistency(b: sensor.BudgetPoint) -> float:
 
 
 def run_checks(p: InstrumentParams, omega: float, *,
-               draws: int = 100, seed: int = 0) -> list[CheckResult]:
+               draws: int, seed: int = 0) -> list[CheckResult]:
     """Run the full verification suite on one grid of draws; one result per check."""
     if draws < 1:
         raise ValueError("draws must be >= 1")

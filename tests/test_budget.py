@@ -1,10 +1,13 @@
 """Noise budget assembly, impedance matching, and parameter sweeps."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldamp import ops
 from coldamp.budget import budget_point, sweep
@@ -345,12 +348,51 @@ def test_a_grid_with_an_illegal_point_raises(reference_params, reference_omega,
 
 def test_a_budget_outside_the_float_range_raises(reference_params, reference_omega):
     """Finite K = 1e308 overflows K / Omega: a ValueError naming the column, not a
-    nan row; a sweep names its first such point."""
+    nan row.  A sweep names its first such point and quotes that point's own
+    error, sigma_vse = nan, not the grid's (delta = inf for K)."""
     with pytest.raises(ValueError) as err:
         budget_point(reference_params.with_(K=1e308), reference_omega)
     assert str(err.value) == "the budget leaves the float range: delta = inf"
-    with pytest.raises(ValueError, match=r"^sweep failed at K = 1e\+154: the budget leaves"):
-        sweep(reference_params, "K", [1.0, 1e154, 1e308], omega=reference_omega)
+    for axis, grid, first in [("K", [1.0, 1e154, 1e308], "1e+154"),
+                              ("M", [1.0, 1e157, 1e306], "1e+157"),
+                              ("R_a", [1e-320, 1e4, 3e307], "1e-320")]:
+        with pytest.raises(ValueError) as err:
+            sweep(reference_params, axis, grid, omega=reference_omega)
+        assert str(err.value) == (f"sweep failed at {axis} = {first}: "
+                                  "the budget leaves the float range: sigma_vse = nan")
+
+
+def _own_error(p, axis, value, omega):
+    """The message of the ValueError that the one point value raises, or None."""
+    try:
+        if axis == "frequency":
+            budget_point(p, value)
+        else:
+            budget_point(p.with_(**{axis: value}), omega)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(axis=st.sampled_from(["frequency", "K", "M", "H_m", "R_a", "R_l", "C_f", "T_a"]),
+       exponents=st.lists(st.integers(min_value=-323, max_value=308), min_size=1, max_size=5,
+                          unique=True))
+def test_a_failing_sweep_point_raises_its_quoted_error_alone(reference_params, reference_omega,
+                                                             axis, exponents):
+    """Whenever sweep names a point, that point on its own raises exactly the
+    error the sweep quotes."""
+    grid = sorted(10.0 ** e for e in exponents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # the sideband-ratio warning
+        try:
+            sweep(reference_params, axis, grid, omega=reference_omega)
+            return
+        except ValueError as exc:
+            message = str(exc)
+        if match := re.fullmatch(r"sweep failed at (\w+) = (\S+): (.*)", message):
+            assert match[1] == axis and float(match[2]) in grid
+            assert _own_error(reference_params, axis, float(match[2]), reference_omega) == match[3]
 
 
 def test_sideband_warning_once_per_grid(reference_params):

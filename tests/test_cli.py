@@ -407,7 +407,7 @@ def test_bad_argument_is_a_config_error(argv, message, capsys):
     (["sweep", "--axis", "R_a", "--min", "1e-320", "--max", "1e-318", "--points", "2"],
      "the budget leaves the float range: sigma_vse = nan"),
     (["sweep", "--axis", "K", "--min", "1", "--max", "1e308", "--points", "3"],
-     "sweep failed at K = 1e+154: the budget leaves the float range: delta = inf"),
+     "sweep failed at K = 1e+154: the budget leaves the float range: sigma_vse = nan"),
     # Bounds one float apart round to repeated points (budget printed 5 rows at 1 Hz).
     (["budget", "--freq-min", "1", "--freq-max", "1.0000000000000002", "--points", "5"],
      "sweep grid must be strictly increasing"),

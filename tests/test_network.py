@@ -384,33 +384,47 @@ def test_grid_network_equals_stacked_per_set_builds(reference_params, reference_
 def test_sensor_entries_are_columns(reference_params, reference_omega):
     """A grid build holds each per-point entry as one (N,) complex128 column, one
     per named value, and each constant as a complex scalar; a single build
-    holds only complex scalars."""
+    holds only complex scalars.  The open loop has no feedback-force entry:
+    35 entries in a, 36 in closed loop (at any gain, 0 included), 17 in b."""
     grid, ws = verify._draws(reference_params, reference_omega, 0, 3)
-    net = build_sensor_network(grid, None, ws)
-    assert net.size == (len(_SENSOR_UNKNOWNS), len(LINE_LABELS) + 1)
-    columns = {}
-    for side, entries in enumerate((net.a, net.b)):
-        columns_of = (_SENSOR_UNKNOWNS, (*LINE_LABELS, "F_ext"))[side]
-        for i, relation in enumerate(_SENSOR_RELATIONS):
-            for name, coef in relation[side].items():
-                value = entries[i, columns_of.index(name)]
-                if isinstance(coef, str) and coef != "-gain":
-                    assert value.shape == (30,) and value.dtype == complex, coef
-                    assert value is columns.setdefault(coef, value), coef
-                else:
-                    assert type(value) is complex, coef
-        assert len(entries) == sum(len(relation[side]) for relation in _SENSOR_RELATIONS)
-    single = build_sensor_network(reference_params, None, reference_omega)
-    assert {type(value) for value in (*single.a.values(), *single.b.values())} == {complex}
+    for gain in (None, np.full(len(ws), 1e4 * reference_params.H_m)):
+        net = build_sensor_network(grid, gain, ws)
+        assert net.size == (len(_SENSOR_UNKNOWNS), len(LINE_LABELS) + 1)
+        assert (len(net.a), len(net.b)) == (35 if gain is None else 36, 17)
+        columns = {}
+        for side, entries in enumerate((net.a, net.b)):
+            columns_of = (_SENSOR_UNKNOWNS, (*LINE_LABELS, "F_ext"))[side]
+            for i, relation in enumerate(_SENSOR_RELATIONS):
+                for name, coef in relation[side].items():
+                    value = entries.get((i, columns_of.index(name)))
+                    if coef == "-gain" and gain is None:
+                        assert value is None
+                    elif isinstance(coef, str):
+                        assert value.shape == (30,) and value.dtype == complex, coef
+                        assert value is columns.setdefault(coef, value), coef
+                    else:
+                        assert type(value) is complex, coef
+        single = build_sensor_network(reference_params, None if gain is None else 0.0,
+                                      reference_omega)
+        assert len(single.a) == len(net.a)
+        assert {type(value) for value in (*single.a.values(), *single.b.values())} == {complex}
 
 
-@pytest.mark.parametrize("damping", [None, 1e4])
+@pytest.mark.parametrize("damping, draws, zero_at", [
+    pytest.param(None, 20, None, id="None"), pytest.param(1e4, 20, None, id="10000.0"),
+    pytest.param(1e4, 2, 3, id="10000.0-gain-0-at-3")])
 def test_stacked_solve_equals_each_point_solved_alone(reference_params, reference_omega,
-                                                      damping):
+                                                      damping, draws, zero_at):
     """A stack's scattering and transfer rows are, bit for bit, those of each of its
-    points solved alone, in open loop and with the closed loop's dense block."""
-    grid, ws = verify._draws(reference_params, reference_omega, 1987374907, 20)
+    points solved alone, in open loop and with the closed loop's dense block.
+
+    A closed-loop point at gain 0 keeps the closed loop's order, in the stack
+    and alone: the order comes from which entries the network holds, not from
+    their values."""
+    grid, ws = verify._draws(reference_params, reference_omega, 1987374907, draws)
     gains = None if damping is None else np.full(len(ws), damping * reference_params.H_m)
+    if zero_at is not None:
+        gains[zero_at] = 0.0
     res = solve(build_sensor_network(grid, gains, ws))
     for k, w in enumerate(ws.tolist()):
         q = grid.with_(**{name: float(v[k]) for name, v in vars(grid).items() if np.ndim(v)})
