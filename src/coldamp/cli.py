@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from importlib import resources
 
 from . import __version__, config
 from .errors import NetworkSolveError
@@ -36,7 +36,8 @@ _fmt = _NUMBER.__mod__
 
 
 def _default_config_text() -> str:
-    return resources.files("coldamp.data").joinpath("microscope.cfg").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", "microscope.cfg")
+    return __spec__.loader.get_data(path).decode("utf-8")     # this module's own loader
 
 
 def _load(args) -> config.RunConfig:

@@ -141,12 +141,14 @@ def solve(net: LinearNetwork) -> ScatteringResult:
     triangular, so a zero pivot means it is singular at that point.
     """
     a, (n, m), points = net.a, net.size, np.shape(net.omega)
+    last = (*range(2, 2 + len(points)), 0, 1)      # transposes the two leading axes last
     if (order := _ORDERS.get(key := (n, frozenset(a)))) is None:
         order = _ORDERS[key] = _substitution_order(n, a)
     zero = sum(a[r, c] == 0 for r, c, _ in order.steps) > 0     # per point, any zero pivot
     if np.any(zero):
         raise _solve_error(net, zero, "singular network matrix")
     x = np.zeros((n, m, *points), dtype=complex)    # per unknown, its row over the inputs
+    x_last = x.transpose(last)                      # the same x as (*points, n, m)
     for (r, k), value in net.b.items():
         x[order.home[r], k] = value     # each relation's right side, in its unknown's row
     # An overflow or invalid operation leaves a non-finite x, reported below.
@@ -163,7 +165,7 @@ def solve(net: LinearNetwork) -> ScatteringResult:
             rhs = x[cols]
             for i, r, k in order.feed:
                 rhs[i] -= a[r, k] * x[k]
-            block, rhs = (np.moveaxis(v, (0, 1), (-2, -1)) for v in (block, rhs))
+            block, rhs = block.transpose(last), rhs.transpose(last)
             try:
                 y = np.linalg.solve(block, rhs)
                 # The block is ill-conditioned through the scales of its
@@ -176,14 +178,14 @@ def solve(net: LinearNetwork) -> ScatteringResult:
                 # slogdet's sign is 0 exactly where LU meets a zero pivot.
                 raise _solve_error(net, np.linalg.slogdet(block)[0] == 0,
                                    "singular network matrix") from exc
-            x[cols] = np.moveaxis(y, (-2, -1), (0, 1))
+            x_last[..., cols, :] = y
     failed = ~np.isfinite(x).all(axis=(0, 1))
     if failed.any():
         raise _solve_error(net, failed, "non-finite network solution")
 
     return ScatteringResult(
-        s_matrix=np.moveaxis(x[list(net.outgoing.values()), :len(net.incoming)], (0, 1), (-2, -1)),
-        transfer_rows={name: np.moveaxis(x[j], 0, -1) for name, j in net.observables.items()},
+        s_matrix=x[list(net.outgoing.values()), :len(net.incoming)].transpose(last),
+        transfer_rows={name: x_last[..., j, :] for name, j in net.observables.items()},
         condition=math.nan,
     )
 
@@ -339,17 +341,18 @@ def normalized_row(net: LinearNetwork, row: np.ndarray) -> np.ndarray:
     return row[..., :len(LINE_LABELS)] / drive[..., None]
 
 
-def build_matched_junction(r_1: float, r_2: float, omega: float) -> LinearNetwork:
-    """Two lines joined at a node; matched impedances swap the ports."""
+def build_matched_junction(r_1: float, r_2: float | np.ndarray, omega: float) -> LinearNetwork:
+    """Two lines joined at a node; matched impedances swap the ports.  (N,) r_2: a stack."""
     check_frequency(omega)
     c_1 = math.sqrt(2.0 * HBAR * abs(omega) * r_1)
-    c_2 = math.sqrt(2.0 * HBAR * abs(omega) * r_2)
+    c_2 = np.sqrt(2.0 * HBAR * abs(omega) * r_2)
     # Unknowns U, I_1, I_2, p1_out, p2_out; incoming p1, p2.
     a = {(0, 0): 1.0, (0, 1): -r_1, (1, 0): 1.0, (1, 2): -r_2, (2, 1): 1.0, (2, 2): 1.0,
          (3, 0): -2.0 / c_1, (3, 3): 1.0, (4, 0): -2.0 / c_2, (4, 4): 1.0}
     b = {(0, 0): c_1, (1, 1): c_2, (3, 0): -1.0, (4, 1): -1.0}
     return LinearNetwork(a=_complex128(a), b=_complex128(b), size=(5, 2),
-                         incoming=["p1", "p2"], outgoing={"p1": 3, "p2": 4}, omega=omega)
+                         incoming=["p1", "p2"], outgoing={"p1": 3, "p2": 4},
+                         omega=np.broadcast_to(omega, np.shape(r_2))[()])
 
 
 def build_open_line(r: float, omega: float) -> LinearNetwork:

@@ -25,6 +25,10 @@ from .constants import HBAR, K_B
 LINE_LABELS = ("m", "a1", "a2", "b1", "b2", "r1", "r2", "l1", "l2")
 SLOT = {label: k for k, label in enumerate(LINE_LABELS)}  # label -> table column
 
+# Branch edges in x = hbar|w| / 2 kB T: effective_temperature is kB T below X_CLASSICAL, and
+# coth(x) is 1 above COTH_ONE and 1/x + x/3 below COTH_SERIES.
+COTH_ONE, COTH_SERIES, X_CLASSICAL = 30.0, 1e-8, 1e-300
+
 
 def coth(x: float) -> float:
     """coth(x) for x > 0, stable at both ends of the range.
@@ -34,9 +38,9 @@ def coth(x: float) -> float:
     """
     if x <= 0.0:
         raise ValueError(f"coth argument must be positive, got {x}")
-    if x > 30.0:
+    if x > COTH_ONE:
         return 1.0
-    if x < 1e-8:
+    if x < COTH_SERIES:
         return 1.0 / x + x / 3.0
     return 1.0 / math.tanh(x)
 
@@ -61,6 +65,6 @@ def effective_temperature(temperature: float, omega: float) -> float:
     if thermal == 0.0:    # T = 0, or so small that k_B T underflows
         return zero_point
     x = zero_point / thermal
-    if x < 1e-300:        # coth(x) = 1/x to rounding, and 1/x may overflow
+    if x < X_CLASSICAL:   # coth(x) = 1/x to rounding, and 1/x may overflow
         return thermal
     return zero_point * coth(x)

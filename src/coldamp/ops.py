@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .noise import check_frequency
+from . import noise
+from .constants import HBAR, K_B
 
 # Types of a float evaluation's inputs, its frequency and parameters.
 _FLOAT_TYPES = frozenset({float, int})
@@ -63,7 +64,7 @@ class _Float(_Ops):
 
     @staticmethod
     def frequencies(omega):
-        check_frequency(omega)
+        noise.check_frequency(omega)
         return float(omega)
 
     @staticmethod
@@ -87,8 +88,8 @@ class _Float(_Ops):
         return tuple(map(dtype, columns))
 
     @staticmethod
-    def each(f, *args):
-        return f(*args)
+    def k_theta(temperature, omega):
+        return noise.effective_temperature(temperature, omega)
 
     @staticmethod
     def broadcast(*values):
@@ -113,7 +114,7 @@ class _Numpy(_Ops):
         w = self.np.asarray(omega, dtype=float)
         if not (w.all() and self.np.isfinite(w).all()):
             for value in w.flat:
-                check_frequency(float(value))   # raises at the first bad point
+                noise.check_frequency(float(value))     # raises at the first bad point
         return w[()]
 
     def sq(self, x):
@@ -140,9 +141,28 @@ class _Numpy(_Ops):
         """The 9 line columns of a (9,) or (N, 9) table."""
         return self.np.asarray(table).T
 
-    def each(self, f, *args):
-        """f at each point of the broadcast args, a float array (a numpy float for one point)."""
-        return self.np.asarray(self.np.frompyfunc(f, len(args), 1)(*args), dtype=float)[()]
+    def k_theta(self, temperature, omega):
+        """effective_temperature at each point of the broadcast args, bit for bit: its IEEE
+        branches elementwise, and the function itself in coth's tanh band (once per temperature
+        if the band has one frequency), at one point, and everywhere if any T or w is rejected."""
+        np, f = self.np, noise.effective_temperature
+        t, w = np.broadcast_arrays(np.asarray(temperature, float), np.asarray(omega, float))
+        if not (t.ndim and w.all() and np.isfinite(w).all() and (t >= 0.0).all()):   # nan T too
+            return np.asarray(np.frompyfunc(f, 2, 1)(t, w), dtype=float)[()]
+        zero_point, thermal = 0.5 * HBAR * np.abs(w), K_B * t
+        with np.errstate(all="ignore"):
+            x = zero_point / thermal
+            # x is nan only where zero_point and thermal are both 0: zero_point then.
+            k = np.where(x < noise.X_CLASSICAL, thermal, np.where(
+                x <= noise.COTH_ONE, zero_point * (1.0 / x + x / 3.0), zero_point))
+        if (band := (x >= noise.COTH_SERIES) & (x <= noise.COTH_ONE)).any():
+            t, w = t[band], w[band]
+            if (w == w[0]).all():
+                temps, at = np.unique(t, return_inverse=True)
+                k[band] = np.array([f(T, float(w[0])) for T in temps.tolist()])[at]
+            else:
+                k[band] = np.frompyfunc(f, 2, 1)(t, w)
+        return k
 
     def broadcast(self, *values):
         """values broadcast to one grid: (N,) arrays, or floats for a single point."""

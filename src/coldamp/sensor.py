@@ -31,7 +31,7 @@ import operator
 
 from . import ops
 from .constants import HBAR
-from .noise import LINE_LABELS, SLOT, effective_temperature
+from .noise import LINE_LABELS, SLOT
 from .params import InstrumentParams, Record
 
 
@@ -186,7 +186,8 @@ def line_spectra(p: InstrumentParams, omega) -> tuple:
 
     A line's input spectrum is k Theta / (hbar |w|): the mechanical line
     at Omega, and either quadrature of an electrical line twice that at
-    the carrier omega_t.  effective_temperature is applied point by point.
+    the carrier omega_t.  k Theta is noise.effective_temperature, bit for bit
+    on a grid too (ops' k_theta).
     """
     xp, w = _grid(p, omega)
     return _line_spectra(xp, p, w)
@@ -194,7 +195,7 @@ def line_spectra(p: InstrumentParams, omega) -> tuple:
 
 def _line_spectra(xp, p: InstrumentParams, w) -> tuple:
     """line_spectra at a checked w."""
-    k_m, k_a, k_l, k_r = (xp.each(effective_temperature, t, freq) for t, freq in (
+    k_m, k_a, k_l, k_r = (xp.k_theta(t, freq) for t, freq in (
         (p.T_m, w), (p.T_a, p.omega_t), (p.T_l, p.omega_t), (p.T_r, p.omega_t)))
     a, r, l = (2.0 * (k / (HBAR * p.omega_t)) for k in (k_a, k_r, k_l))
     spectra = xp.table([k_m / (HBAR * abs(w)), a, a, a, a, r, r, l, l], float)

@@ -106,11 +106,6 @@ def _draws(p: InstrumentParams, omega: float, seed: int, draws: int):
     return grid, omega * 10.0 ** np.concatenate([first, u[:, len(_PARAMS):].ravel()])
 
 
-def _points(grid: InstrumentParams, rows: slice) -> InstrumentParams:
-    """The grid's points at rows."""
-    return grid.with_(**{name: v[rows] for name, v in vars(grid).items() if np.ndim(v)})
-
-
 def _split_deviation(q: InstrumentParams, ws, lam, mu, table, sigma) -> float:
     """Worst deviation of the spectrum table's velocity split, rebuilt from the rows.
 
@@ -125,13 +120,20 @@ def _split_deviation(q: InstrumentParams, ws, lam, mu, table, sigma) -> float:
     return float((np.abs(rebuilt - closed) / (closed[0] + closed[1] + np.abs(closed[2]))).max())
 
 
+def _rows(net: network.LinearNetwork, rows: slice) -> network.LinearNetwork:
+    """The stack net at rows: each (N,) column sliced, a view; scalar entries as they are."""
+    a, b = ({k: v[rows] if np.ndim(v) else v for k, v in e.items()} for e in (net.a, net.b))
+    return net.replace(a=a, b=b, omega=net.omega[rows])
+
+
 def _oracle_rows(grid: InstrumentParams, ws):
-    """The oracle's lambda and mu rows and worst passive-row commutator, in _BLOCK stacks."""
+    """The oracle's lambda and mu rows and worst passive-row commutator, in _BLOCK slices."""
     lam, mu = (np.empty((len(ws), len(LINE_LABELS)), dtype=complex) for _ in range(2))
     worst_comm = 0.0
+    grid_net = network.build_sensor_network(grid, None, ws)       # one build per grid
     for start in range(0, len(ws), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        net = network.build_sensor_network(_points(grid, rows), None, ws[rows])
+        net = _rows(grid_net, rows)
         res = network.solve(net)
         lam[rows] = network.normalized_row(net, res.transfer_rows["velocity"])
         mu[rows] = network.normalized_row(net, res.transfer_rows["detected"])
@@ -150,8 +152,7 @@ def oracle_agreement(grid: InstrumentParams, ws, oracle, mu, table,
 
 def toy_commutators(omega: float) -> float:
     """Commutator deviation over the toy networks (passive, none conjugated)."""
-    nets = (network.build_matched_junction(50.0, 50.0, omega),
-            network.build_matched_junction(50.0, 800.0, omega),
+    nets = (network.build_matched_junction(50.0, np.array([50.0, 800.0]), omega),  # one stack
             network.build_open_line(120.0, omega))
     return max(network.check_commutators(net, network.solve(net)) for net in nets)
 

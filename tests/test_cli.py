@@ -6,6 +6,7 @@ import json
 import random
 import re
 import warnings
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,10 @@ def test_sweep_rejects_non_field_axis(axis, capsys):
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("configuration error: unknown sweep axis")
+
+
+def test_default_config_text_is_the_packaged_file():
+    assert cli._default_config_text() == files("coldamp.data").joinpath("microscope.cfg").read_text()
 
 
 def _shipped_with(tmp_path, old, new, *edits):

@@ -33,12 +33,12 @@ _HEAVY = ("numpy", "dataclasses", "inspect")    # modules a cold command should 
 _COLD = ["False"] * len(_HEAVY)
 
 
-def _fresh(code: str, *args: str) -> list[str]:
-    """Last stderr line of `python -c code args`, split on whitespace; code sees _HEAVY."""
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> list[str]:
+    """Last stderr line of `python flags -c code args`, split on whitespace; code sees _HEAVY."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    p = subprocess.run([sys.executable, "-c", f"_HEAVY = {_HEAVY!r}\n{code}", *args], env=env,
-                       capture_output=True, text=True, timeout=60, check=True)
+    p = subprocess.run([sys.executable, *flags, "-c", f"_HEAVY = {_HEAVY!r}\n{code}", *args],
+                       env=env, capture_output=True, text=True, timeout=60, check=True)
     return p.stderr.splitlines()[-1].split()
 
 
@@ -70,6 +70,13 @@ def test_config_error_skips_numpy(tmp_path):
 def test_budget_skips_numpy(argv):
     """budget evaluates its grid point by point in floats."""
     assert _fresh(_CLI, *argv) == ["0", *_COLD]
+
+
+def test_budget_without_site_skips_importlib_resources():
+    """The built-in config is read through cli's own loader.  -S keeps site-packages'
+    .pth files, which may import importlib.resources themselves, out of the check."""
+    code = f"_HEAVY = ('numpy', 'importlib.resources')\n{_CLI}"
+    assert _fresh(code, "budget", flags=("-S",)) == ["0", "False", "False"]
 
 
 def test_sweep_loads_numpy():

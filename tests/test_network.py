@@ -62,6 +62,19 @@ def test_unmatched_junction_is_unitary():
     assert res.s_matrix[0, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_junction_stack_equals_its_scalar_builds():
+    """An (N,) r_2 stacks the junctions: entry for entry the scalar builds'."""
+    stack = build_matched_junction(50.0, np.array([50.0, 800.0]), OMEGA)
+    for k, r_2 in enumerate((50.0, 800.0)):
+        single = build_matched_junction(50.0, r_2, OMEGA)
+        for name in ("a", "b"):
+            entries = getattr(stack, name)
+            assert entries.keys() == getattr(single, name).keys()
+            for key, value in getattr(single, name).items():
+                assert np.broadcast_to(entries[key], (2,))[k] == value, (name, key)
+        assert stack.omega[k] == single.omega
+
+
 def test_open_line_reflects_everything():
     net = build_open_line(120.0, OMEGA)
     res = solve(net)
@@ -181,9 +194,9 @@ def test_substitution_solve_agrees_with_lapack(reference_params, reference_omega
     dense refined LAPACK solve agree within ORACLE_TOL on the normalized
     transfer rows and on the S rows."""
     grid, ws = verify._draws(reference_params, reference_omega, seed, draws)
-    for start in range(0, len(ws), verify._BLOCK):
-        rows = slice(start, start + verify._BLOCK)
-        net = build_sensor_network(verify._points(grid, rows), None, ws[rows])
+    grid_net = build_sensor_network(grid, None, ws)
+    for start in range(0, len(grid_net.omega), verify._BLOCK):
+        net = verify._rows(grid_net, slice(start, start + verify._BLOCK))
         res, x = solve(net), _lapack_solve(net)
         for name, j in net.observables.items():
             assert max_rel_diff(normalized_row(net, x[:, j]),

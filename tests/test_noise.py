@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coldamp import noise, ops
 from coldamp.constants import HBAR, K_B
 from coldamp.noise import coth, effective_temperature
 
@@ -132,6 +133,69 @@ def test_rejects_zero_frequency_and_negative_temperature():
         effective_temperature(300.0, 0.0)
     with pytest.raises(ValueError):
         effective_temperature(-1.0, OMEGA_T)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_grid_k_theta_equals_the_scalar_function_bit_for_bit():
+    """numpy's k_theta against effective_temperature point by point: x
+    log-uniform over 22 decades with T = 0 at every 97th point and both signs
+    of omega, then points on both sides of each branch edge, subnormal and
+    huge temperatures, and a verify-like grid of repeated temperatures at one
+    frequency (the band evaluated once per temperature)."""
+    k_theta, scalar = ops.numpy_ops().k_theta, np.frompyfunc(effective_temperature, 2, 1)
+    rng = np.random.default_rng(36)
+    x = 10.0 ** rng.uniform(-11.0, 11.0, size=300_000)
+    omega = 10.0 ** rng.uniform(-3.0, 12.0, size=x.size) * rng.choice([-1.0, 1.0], size=x.size)
+    temp = 0.5 * HBAR * np.abs(omega) / (K_B * x)
+    temp[::97] = 0.0
+    band = (x >= noise.COTH_SERIES) & (x <= noise.COTH_ONE)
+    assert 0.3 < band.mean() < 0.6
+    assert np.array_equal(_bits(k_theta(temp, omega)), _bits(scalar(temp, omega)))
+
+    w = 2.0 * math.pi * 1e5
+    edges = [0.5 * HBAR * w / K_B / e for e in (noise.X_CLASSICAL, noise.COTH_SERIES,
+                                               noise.COTH_ONE)]
+    temps = np.array([t * (1.0 + k * 2.2e-16) for t in edges for k in range(-40, 41)]
+                     + [5e-324, 1e-310, 1e-300, 1e300, 0.0])
+    x_of = [0.5 * HBAR * w / (K_B * t) for t in temps[:3 * 81]]
+    assert all(min(x_of[k:k + 81]) < e <= max(x_of[k:k + 81]) for k, e in zip(
+        (0, 81, 162), (noise.X_CLASSICAL, noise.COTH_SERIES, noise.COTH_ONE)))
+    for ws in (w, -w, np.geomspace(w, 10.0 * w, temps.size), 1e-300):   # 1e-300: hbar|w| = 0
+        assert np.array_equal(_bits(k_theta(temps, ws)), _bits(scalar(temps, ws)))
+
+    repeated = np.repeat(10.0 ** rng.uniform(-2.0, 3.0, size=20), 10)    # T_a over 20 draws
+    assert np.array_equal(_bits(k_theta(repeated, w)), _bits(scalar(repeated, w)))
+    for temp in (300.0, 1.5, 0.0):                      # one point: series, band, T = 0
+        assert k_theta(temp, w) == effective_temperature(temp, w)
+        assert type(k_theta(temp, w)) is np.float64
+
+
+@pytest.mark.parametrize("bad", [(300.0, 0.0), (300.0, math.inf), (-1.0, OMEGA_T)],
+                         ids=["omega=0", "omega=inf", "T=-1"])
+def test_grid_k_theta_raises_the_scalar_error_of_its_first_bad_point(bad):
+    """A grid the scalar function rejects raises its error for the first bad point,
+    alone or before another."""
+    with pytest.raises(ValueError) as expected:
+        effective_temperature(*bad)
+    for later in (300.0, -2.0):
+        temp, omega = np.full(8, 300.0), np.full(8, OMEGA_T)
+        temp[3], omega[3] = bad
+        temp[6] = later
+        with pytest.raises(ValueError) as err:
+            ops.numpy_ops().k_theta(temp, omega)
+        assert str(err.value) == str(expected.value)
+
+
+def test_grid_k_theta_of_a_nan_temperature_is_the_scalar_result():
+    """effective_temperature passes a nan temperature through (nan, no error): so does the grid."""
+    temp = np.array([300.0, math.nan, 0.0])
+    assert math.isnan(effective_temperature(math.nan, OMEGA_T))
+    with np.errstate(invalid="ignore"):     # numpy flags the nan the scalar function returns
+        got = ops.numpy_ops().k_theta(temp, OMEGA_T)
+    assert np.array_equal(got, [effective_temperature(t, OMEGA_T) for t in temp], equal_nan=True)
 
 
 @given(

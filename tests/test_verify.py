@@ -9,7 +9,8 @@ import pytest
 import coldamp.sensor as sensor
 import coldamp.verify as verify
 from coldamp.constants import HBAR
-from coldamp.network import build_sensor_network, check_commutators, normalized_row, solve
+from coldamp.network import (build_matched_junction, build_open_line, build_sensor_network,
+                             check_commutators, normalized_row, solve)
 from coldamp.noise import LINE_LABELS
 from coldamp.sensor import estimator_coefficients, free_mass_coefficients, mechanical_impedance
 from coldamp.servo import cold_damped_velocity, gain_for_effective_impedance
@@ -290,6 +291,31 @@ def test_stacked_oracle_equals_the_per_point_solve(reference_params, reference_o
     for seed in [*range(100), 173518645, 519218416, 1987374907]:
         args = (reference_params, reference_omega, seed, 20)
         assert _agreement(*verify._draws(*args)) == _per_point_oracle(*args), seed
+
+
+def test_toy_figure_equals_the_three_separate_solves():
+    """Both junctions solved as one stack give, bit for bit, the worst of the
+    three toy networks solved one by one, at 3000 log-uniform +-omega."""
+    rng = np.random.default_rng(36)
+    omegas = 10.0 ** rng.uniform(-12.0, 12.0, size=3000) * rng.choice([-1.0, 1.0], size=3000)
+    for w in omegas.tolist():
+        nets = (build_matched_junction(50.0, 50.0, w), build_matched_junction(50.0, 800.0, w),
+                build_open_line(120.0, w))
+        assert verify.toy_commutators(w) == max(check_commutators(n, solve(n)) for n in nets), w
+
+
+def test_run_checks_builds_one_network_per_grid(reference_params, reference_omega, monkeypatch):
+    """At 1000 draws (40 oracle slices) the sensor network is built twice:
+    once on the grid and once for the finite-gain stack."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_sensor_network(*args)
+
+    monkeypatch.setattr(verify.network, "build_sensor_network", counting)
+    verify.run_checks(reference_params, reference_omega, draws=1000)
+    assert [np.shape(omega) for _, _, omega in calls] == [(10_000,), ()]
 
 
 def test_oracle_solve_peak_memory(reference_params, reference_omega):
