@@ -68,3 +68,21 @@ def effective_temperature(temperature: float, omega: float) -> float:
     if x < X_CLASSICAL:   # coth(x) = 1/x to rounding, and 1/x may overflow
         return thermal
     return zero_point * coth(x)
+
+
+def effective_temperatures(np, temperature, omega):
+    """effective_temperature at each point of the broadcast arrays, bit for bit, on numpy np:
+    its IEEE branches elementwise in its own order, the function in coth's tanh band once per
+    distinct (T, w), and the function alone on one point or a grid with a T or w it rejects."""
+    t, w = np.broadcast_arrays(np.asarray(temperature, float), np.asarray(omega, float))
+    if not (t.ndim and w.all() and np.isfinite(w).all() and (t >= 0.0).all()):   # nan T too
+        return np.asarray(np.frompyfunc(effective_temperature, 2, 1)(t, w), dtype=float)[()]
+    zero_point, thermal = 0.5 * HBAR * np.abs(w), K_B * t
+    with np.errstate(all="ignore"):
+        x = zero_point / thermal   # +-inf or nan where thermal == 0 (T = +-0 or underflow)
+        k = np.where((thermal == 0.0) | (x > COTH_ONE), zero_point, np.where(
+            x < X_CLASSICAL, thermal, zero_point * (1.0 / x + x / 3.0)))
+    if (band := (x >= COTH_SERIES) & (x <= COTH_ONE)).any():
+        pairs, at = np.unique(t[band] + 1j * w[band], return_inverse=True)
+        k[band] = np.array([effective_temperature(z.real, z.imag) for z in pairs.tolist()])[at]
+    return k

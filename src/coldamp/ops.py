@@ -18,7 +18,6 @@ import functools
 import math
 
 from . import noise
-from .constants import HBAR, K_B
 
 # Types of a float evaluation's inputs, its frequency and parameters.
 _FLOAT_TYPES = frozenset({float, int})
@@ -142,27 +141,7 @@ class _Numpy(_Ops):
         return self.np.asarray(table).T
 
     def k_theta(self, temperature, omega):
-        """effective_temperature at each point of the broadcast args, bit for bit: its IEEE
-        branches elementwise, and the function itself in coth's tanh band (once per temperature
-        if the band has one frequency), at one point, and everywhere if any T or w is rejected."""
-        np, f = self.np, noise.effective_temperature
-        t, w = np.broadcast_arrays(np.asarray(temperature, float), np.asarray(omega, float))
-        if not (t.ndim and w.all() and np.isfinite(w).all() and (t >= 0.0).all()):   # nan T too
-            return np.asarray(np.frompyfunc(f, 2, 1)(t, w), dtype=float)[()]
-        zero_point, thermal = 0.5 * HBAR * np.abs(w), K_B * t
-        with np.errstate(all="ignore"):
-            x = zero_point / thermal
-            # x is nan only where zero_point and thermal are both 0: zero_point then.
-            k = np.where(x < noise.X_CLASSICAL, thermal, np.where(
-                x <= noise.COTH_ONE, zero_point * (1.0 / x + x / 3.0), zero_point))
-        if (band := (x >= noise.COTH_SERIES) & (x <= noise.COTH_ONE)).any():
-            t, w = t[band], w[band]
-            if (w == w[0]).all():
-                temps, at = np.unique(t, return_inverse=True)
-                k[band] = np.array([f(T, float(w[0])) for T in temps.tolist()])[at]
-            else:
-                k[band] = np.frompyfunc(f, 2, 1)(t, w)
-        return k
+        return noise.effective_temperatures(self.np, temperature, omega)
 
     def broadcast(self, *values):
         """values broadcast to one grid: (N,) arrays, or floats for a single point."""

@@ -124,6 +124,19 @@ def test_sweep_rejects_non_field_axis(axis, capsys):
     assert err.startswith("configuration error: unknown sweep axis")
 
 
+def test_sweep_keeps_the_zero_point_of_a_negative_zero_temperature(tmp_path, capsys):
+    """T_m = -0 K is T = 0: sweep's grid kTheta is the zero point, as budget's
+    point-by-point one is (the grid read -0.0 and dropped the Langevin term)."""
+    path = _shipped_with(tmp_path, "mechanical_temperature = 300.0 K",
+                         "mechanical_temperature = -0 K")
+    code, budget, _ = run(["budget", "--config", path, "--freq-min", "1e-4",
+                           "--freq-max", "1e-2", "--points", "7"], capsys)
+    assert code == cli.EXIT_OK
+    assert run(["sweep", "--config", path, "--min", "1e-4", "--max", "1e-2",
+                "--points", "7"], capsys)[:2] == (cli.EXIT_OK, budget)
+    assert all(float(row.split(",")[6]) > 0.0 for row in budget.splitlines()[1:])
+
+
 def test_default_config_text_is_the_packaged_file():
     assert cli._default_config_text() == files("coldamp.data").joinpath("microscope.cfg").read_text()
 

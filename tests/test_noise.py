@@ -143,8 +143,9 @@ def test_grid_k_theta_equals_the_scalar_function_bit_for_bit():
     """numpy's k_theta against effective_temperature point by point: x
     log-uniform over 22 decades with T = 0 at every 97th point and both signs
     of omega, then points on both sides of each branch edge, subnormal and
-    huge temperatures, and a verify-like grid of repeated temperatures at one
-    frequency (the band evaluated once per temperature)."""
+    huge temperatures, -0.0 (zero point, as the scalar function gives), and a
+    verify-like grid of repeated temperatures at one frequency (the band
+    evaluated once per distinct (T, omega))."""
     k_theta, scalar = ops.numpy_ops().k_theta, np.frompyfunc(effective_temperature, 2, 1)
     rng = np.random.default_rng(36)
     x = 10.0 ** rng.uniform(-11.0, 11.0, size=300_000)
@@ -159,7 +160,7 @@ def test_grid_k_theta_equals_the_scalar_function_bit_for_bit():
     edges = [0.5 * HBAR * w / K_B / e for e in (noise.X_CLASSICAL, noise.COTH_SERIES,
                                                noise.COTH_ONE)]
     temps = np.array([t * (1.0 + k * 2.2e-16) for t in edges for k in range(-40, 41)]
-                     + [5e-324, 1e-310, 1e-300, 1e300, 0.0])
+                     + [5e-324, 1e-310, 1e-300, 1e300, 0.0, -0.0])
     x_of = [0.5 * HBAR * w / (K_B * t) for t in temps[:3 * 81]]
     assert all(min(x_of[k:k + 81]) < e <= max(x_of[k:k + 81]) for k, e in zip(
         (0, 81, 162), (noise.X_CLASSICAL, noise.COTH_SERIES, noise.COTH_ONE)))
@@ -168,7 +169,8 @@ def test_grid_k_theta_equals_the_scalar_function_bit_for_bit():
 
     repeated = np.repeat(10.0 ** rng.uniform(-2.0, 3.0, size=20), 10)    # T_a over 20 draws
     assert np.array_equal(_bits(k_theta(repeated, w)), _bits(scalar(repeated, w)))
-    for temp in (300.0, 1.5, 0.0):                      # one point: series, band, T = 0
+    assert k_theta(np.array([-0.0, 300.0]), w)[0] == 0.5 * HBAR * w
+    for temp in (300.0, 1.5, 0.0, -0.0):                # one point: series, band, T = 0
         assert k_theta(temp, w) == effective_temperature(temp, w)
         assert type(k_theta(temp, w)) is np.float64
 
