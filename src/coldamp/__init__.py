@@ -9,6 +9,7 @@ The public names load on first use (PEP 562), each from the submodule
 that defines it: `import coldamp` and `coldamp.load` do not import numpy,
 which only grids of closed forms, the servo tables, the oracle and
 `run_checks` need (sensor and budget_point evaluate floats without it).
+Nor does `coldamp.load` import hashlib, which waits for a config's digest.
 """
 
 from importlib import import_module

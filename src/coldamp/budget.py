@@ -17,6 +17,7 @@ sensitivity is sqrt(Sigma_FF)/M.  Matching is in the matching module.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 
 from . import ops
@@ -75,14 +76,19 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     such as "R_a" (then omega fixes the analysis frequency, and the grid
     is the field's (N,) numpy column, validated point by point by
     InstrumentParams).  A frequency list runs in floats, an array as one
-    numpy grid.  The grid must be nonempty and strictly increasing; the
+    numpy grid.  The grid must be 1-D, nonempty and strictly increasing; the
     (N,) columns follow it.  An error names the first point that fails
     on its own and quotes that point's error, unless every point fails.
     """
-    values = [float(v) for v in grid]
+    float_path = axis == "frequency" and isinstance(grid, list)     # budget_point's type rule
+    if not float_path:
+        grid = ops.numpy_ops().np.asarray(grid, dtype=float)
+        if grid.ndim != 1:
+            raise TypeError(f"sweep grid must be one-dimensional, got shape {grid.shape}")
+    values = [float(v) for v in grid] if float_path else grid.tolist()
     if not values:
         raise ValueError("sweep grid must be nonempty")
-    if not all(b > a for a, b in zip(values, values[1:])):
+    if not all(map(operator.lt, values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
     if axis == "frequency":
         def at(value):
@@ -95,9 +101,8 @@ def sweep(p: InstrumentParams, axis: str, grid, omega: float | None = None) -> B
     else:
         def at(value):
             return budget_point(p.with_(**{axis: value}), omega)
-    float_path = axis == "frequency" and isinstance(grid, list)     # budget_point's type rule
     try:
-        return at(values if float_path else ops.numpy_ops().np.array(values))
+        return at(values if float_path else grid)
     except ValueError as exc:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -46,11 +46,11 @@ def _load(args) -> config.RunConfig:
     return config.load(args.config)
 
 
-def _csv(table, cfg) -> str:
+def _csv(table, digest: str) -> str:
     """CSV of a grid budget (list or array columns), one row per point, omega in Hz."""
     omega, *rest = vars(table).values()
     header = ",".join(["frequency_hz", *list(vars(table))[1:], "config_digest", "tool_version"])
-    tail = f",{cfg.digest},{__version__}\n"
+    tail = f",{digest},{__version__}\n"
     if isinstance(omega, list):         # budget's float path, without numpy
         row = ",".join([_NUMBER] * (1 + len(rest))) + tail
         body = "".join(map(row.__mod__, zip([w / (2.0 * math.pi) for w in omega], *rest)))
@@ -100,10 +100,11 @@ def cmd_budget(args) -> int:
         hi = args.freq_max if args.freq_max is not None else cfg.frequency
         omegas = _geometric_grid(lo, hi, args.points, "frequency")
     points = budget.sweep(cfg.params, "frequency", omegas)    # a list: no numpy
-    _write(_csv(points, cfg), args.out)
+    digest = cfg.digest
+    _write(_csv(points, digest), args.out)
     head = points[min(range(len(omegas)), key=lambda k: abs(omegas[k] - cfg.omega))]
     print(
-        f"coldamp budget ({cfg.digest}): at {head.omega / (2 * math.pi):.6g} Hz "
+        f"coldamp budget ({digest}): at {head.omega / (2 * math.pi):.6g} Hz "
         f"force noise {head.sigma_ff:.4e} N^2/Hz, "
         f"sensitivity {head.accel_sensitivity:.4e} m s^-2/sqrt(Hz)",
         file=sys.stderr,
@@ -117,8 +118,9 @@ def cmd_sweep(args) -> int:
     import numpy as np
     grid = np.array(_geometric_grid(args.min, args.max, args.points, args.axis))
     points = budget.sweep(cfg.params, args.axis, grid, omega=cfg.omega)
-    _write(_csv(points, cfg), args.out)
-    print(f"coldamp sweep ({cfg.digest}): {len(points)} points over {args.axis}",
+    digest = cfg.digest
+    _write(_csv(points, digest), args.out)
+    print(f"coldamp sweep ({digest}): {len(points)} points over {args.axis}",
           file=sys.stderr)
     return EXIT_OK
 

@@ -4,12 +4,12 @@ The format is deliberately simple: named sections in square brackets,
 one `key = value unit` assignment per line, `#` comments.  Units are
 fixed per key and checked verbatim; anything unknown is an error that
 names the key and the line it appeared on.  One table, _KEYS, describes
-every key; parsing, loading and dumping all read it.
+every key; parsing, loading and dumping all read it.  Loading only
+parses and validates; a RunConfig hashes its text when its digest is read.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 from .params import InstrumentParams, Record
@@ -55,15 +55,21 @@ class ConfigError(ValueError):
 
 
 class RunConfig(Record):
-    """Parsed configuration, a Record: instrument parameters plus analysis frequency."""
+    """Parsed configuration, a Record: instrument parameters, analysis frequency, source text."""
 
     params: InstrumentParams
     omega: float            # analysis frequency, rad/s
-    digest: str             # short content hash of the source text
+    text: str               # the source text
 
     @property
     def frequency(self) -> float:
         return self.omega / (2.0 * math.pi)
+
+    @property
+    def digest(self) -> str:
+        """Short content hash of the source text; hashlib loads on the first call."""
+        import hashlib
+        return hashlib.sha256(self.text.encode()).hexdigest()[:12]
 
 
 def _parse_text(text: str) -> dict[str, float]:
@@ -125,6 +131,7 @@ def loads(text: str, path: str | None = None) -> RunConfig:
     "<string>" for text that came without one.
     """
     try:
+        text.encode()    # UTF-8 text only: the digest hashes these bytes
         values = _parse_text(text)
         fields = {}
         for field, keys in _FIELDS.items():
@@ -140,10 +147,9 @@ def loads(text: str, path: str | None = None) -> RunConfig:
                 fields[field] = 1.0 / denominator if denominator else math.inf
         omega = fields.pop(None)
         params = InstrumentParams(**fields)
-    except ValueError as exc:
+    except ValueError as exc:     # UnicodeEncodeError too
         raise ConfigError(f"{path or '<string>'}: {exc}") from exc
-    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return RunConfig(params=params, omega=omega, digest=digest)
+    return RunConfig(params=params, omega=omega, text=text)
 
 
 def load(path: str) -> RunConfig:

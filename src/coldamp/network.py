@@ -26,8 +26,8 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import NetworkSolveError
-from .noise import LINE_LABELS, check_frequency
-from .params import InstrumentParams, Record
+from .noise import LINE_LABELS
+from .params import InstrumentParams, Record, check_frequency
 from .ops import numpy_ops
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from .constants import HBAR, K_B
+from .params import check_frequency
 
 # Canonical port ordering used by every coefficient table and by the
 # network oracle.  "m" is the mechanical line; "a"/"b" are the amplifier
@@ -45,13 +46,6 @@ def coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def check_frequency(omega: float) -> None:
-    if omega == 0.0:
-        raise ValueError("frequency must be nonzero")
-    if not math.isfinite(omega):
-        raise ValueError(f"frequency must be finite, got {omega}")
-
-
 def effective_temperature(temperature: float, omega: float) -> float:
     """Energy per mode in joules, (hbar|w|/2) coth(hbar|w| / 2 kB T).
 
@@ -59,7 +53,7 @@ def effective_temperature(temperature: float, omega: float) -> float:
     classical result kB T at high temperature.
     """
     check_frequency(omega)
-    if temperature < 0.0:
+    if not temperature >= 0.0:    # nan too
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     zero_point, thermal = 0.5 * HBAR * abs(omega), K_B * temperature
     if thermal == 0.0:    # T = 0, or so small that k_B T underflows

@@ -18,6 +18,7 @@ import functools
 import math
 
 from . import noise
+from .params import check_frequency
 
 # Types of a float evaluation's inputs, its frequency and parameters.
 _FLOAT_TYPES = frozenset({float, int})
@@ -63,7 +64,7 @@ class _Float(_Ops):
 
     @staticmethod
     def frequencies(omega):
-        noise.check_frequency(omega)
+        check_frequency(omega)
         return float(omega)
 
     @staticmethod
@@ -113,7 +114,7 @@ class _Numpy(_Ops):
         w = self.np.asarray(omega, dtype=float)
         if not (w.all() and self.np.isfinite(w).all()):
             for value in w.flat:
-                noise.check_frequency(float(value))     # raises at the first bad point
+                check_frequency(float(value))     # raises at the first bad point
         return w[()]
 
     def sq(self, x):

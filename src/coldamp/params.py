@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from .noise import check_frequency
-
 # Every field must be finite; these may be zero, the others must be strictly positive.
 _MAY_BE_ZERO = frozenset({"K", "kappa_t", "T_m", "T_a", "T_l", "T_r"})
 
@@ -28,6 +26,13 @@ def _broken_rule(name: str, value) -> str | None:
     if name in _MAY_BE_ZERO:
         return None if value >= 0.0 else f"{name} must be >= 0, got {value}"
     return None if value > 0.0 else f"{name} must be strictly positive, got {value}"
+
+
+def check_frequency(omega: float) -> None:
+    if omega == 0.0:
+        raise ValueError("frequency must be nonzero")
+    if not math.isfinite(omega):
+        raise ValueError(f"frequency must be finite, got {omega}")
 
 
 class Record:

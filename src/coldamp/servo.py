@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from .constants import HBAR
-from .noise import SLOT, check_frequency
+from .noise import SLOT
 from .ops import numpy_ops
-from .params import InstrumentParams
+from .params import InstrumentParams, check_frequency
 from .sensor import coefficients, free_mass_coefficients, mechanical_impedance, re_mu_a1
 
 

@@ -175,7 +175,7 @@ def test_budget_csv_equals_the_numpy_grid(source, points, tmp_path, capsys):
     assert code == cli.EXIT_OK
     cfg = cli._load(argparse.Namespace(config=argv[1] if source == "perturbed" else None))
     grid = cli._geometric_grid(1e-4, 1e-2, points, "frequency") if points > 1 else [cfg.omega]
-    assert out == cli._csv(budget.sweep(cfg.params, "frequency", np.array(grid)), cfg)
+    assert out == cli._csv(budget.sweep(cfg.params, "frequency", np.array(grid)), cfg.digest)
 
 
 def test_a_float_overflow_reads_as_the_numpy_error(tmp_path, capsys):

@@ -181,6 +181,15 @@ def test_errors_name_the_source(tmp_path):
         loads(GOOD.replace("mass = 0.27 kg\n", ""))
 
 
+def test_text_that_is_not_utf8_is_a_config_error():
+    """A lone surrogate, even in a comment, cannot be hashed: the text does not load."""
+    with pytest.raises(ConfigError) as err:
+        loads("#\ud800 in a comment\n" + GOOD, path="run.cfg")
+    assert str(err.value) == ("run.cfg: 'utf-8' codec can't encode character '\\ud800' "
+                              "in position 1: surrogates not allowed")
+    assert isinstance(err.value.__cause__, UnicodeEncodeError)
+
+
 def _edit(old, new):
     assert old in GOOD
     return GOOD.replace(old, new, 1)
@@ -266,7 +275,7 @@ _PARAMS = st.fixed_dictionaries({
 def test_dumps_round_trips_every_valid_parameter_set(fields, frequency):
     """Angular frequencies are drawn as 2 pi times a float in Hz, as loads makes them."""
     cfg = RunConfig(params=InstrumentParams(**fields), omega=frequency * (2.0 * math.pi),
-                    digest="")
+                    text="")
     again = loads(dumps(cfg))
     assert again.params == cfg.params
     assert again.omega == cfg.omega

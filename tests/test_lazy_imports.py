@@ -5,8 +5,12 @@ Each case runs in a fresh interpreter, since numpy is already loaded in
 this one.  Only grids of closed forms (sweep), the oracle and verify
 need numpy.  Nor do those commands load dataclasses or inspect, whose
 imports cost more than any coldamp module: records are params.Record.
+Only budget and sweep print the config digest, so only they load
+hashlib and OpenSSL; those cases run under -S, so that no site-packages
+.pth file loads them first.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -31,15 +35,20 @@ print(rc, *(name in sys.modules for name in _HEAVY), file=sys.stderr)
 """
 _HEAVY = ("numpy", "dataclasses", "inspect")    # modules a cold command should not load
 _COLD = ["False"] * len(_HEAVY)
+_NO_DIGEST = f"_HEAVY = ('_hashlib',)\n{_CLI}"    # OpenSSL, which only the digest needs
+
+
+def _run(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """`python flags -c code args` with src on the path; code sees _HEAVY."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *flags, "-c", f"_HEAVY = {_HEAVY!r}\n{code}", *args],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
 
 
 def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> list[str]:
-    """Last stderr line of `python flags -c code args`, split on whitespace; code sees _HEAVY."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    p = subprocess.run([sys.executable, *flags, "-c", f"_HEAVY = {_HEAVY!r}\n{code}", *args],
-                       env=env, capture_output=True, text=True, timeout=60, check=True)
-    return p.stderr.splitlines()[-1].split()
+    """Last stderr line of `python flags -c code args`, split on whitespace."""
+    return _run(code, *args, flags=flags).stderr.splitlines()[-1].split()
 
 
 def test_import_and_load_skip_numpy():
@@ -61,6 +70,30 @@ def test_config_error_skips_numpy(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(Path(SHIPPED).read_text().replace("[analysis]\n", "[analysis]\ncolour = 1.0 K\n"))
     assert _fresh(_CLI, "budget", "--config", str(bad)) == ["1", *_COLD]
+    assert _fresh(_NO_DIGEST, "budget", "--config", str(bad), flags=("-S",)) == ["1", "False"]
+
+
+def test_load_skips_the_digest_and_noise():
+    """load only parses and validates: hashlib waits for the digest, and params needs no noise."""
+    code = ("_HEAVY = ('hashlib', '_hashlib', 'coldamp.noise', 'coldamp.constants')\n"
+            "import sys, coldamp\n"
+            "coldamp.load(sys.argv[1])\n"
+            "print(*(name in sys.modules for name in _HEAVY), file=sys.stderr)\n")
+    assert _fresh(code, SHIPPED, flags=("-S",)) == ["False"] * 4
+
+
+@pytest.mark.parametrize("argv", [["dump-config"], ["optimize"], ["--help"]],
+                         ids=["dump-config", "optimize", "help"])
+def test_commands_without_a_digest_skip_openssl(argv):
+    assert _fresh(_NO_DIGEST, *argv, flags=("-S",)) == ["0", "False"]
+
+
+def test_budget_prints_the_digest_of_the_packaged_text():
+    p = _run(_CLI, "budget", flags=("-S",))
+    text = Path(SHIPPED).read_text(encoding="utf-8")
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert p.stderr.startswith(f"coldamp budget ({digest}): at ")
+    assert p.stdout.splitlines()[1].split(",")[-2] == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -192,12 +192,11 @@ def test_grid_k_theta_raises_the_scalar_error_of_its_first_bad_point(bad):
 
 
 def test_grid_k_theta_of_a_nan_temperature_is_the_scalar_result():
-    """effective_temperature passes a nan temperature through (nan, no error): so does the grid."""
-    temp = np.array([300.0, math.nan, 0.0])
-    assert math.isnan(effective_temperature(math.nan, OMEGA_T))
-    with np.errstate(invalid="ignore"):     # numpy flags the nan the scalar function returns
-        got = ops.numpy_ops().k_theta(temp, OMEGA_T)
-    assert np.array_equal(got, [effective_temperature(t, OMEGA_T) for t in temp], equal_nan=True)
+    """effective_temperature rejects a nan temperature as it rejects T < 0: so does the grid."""
+    with pytest.raises(ValueError, match="temperature must be >= 0, got nan"):
+        effective_temperature(math.nan, OMEGA_T)
+    with pytest.raises(ValueError, match="temperature must be >= 0, got nan"):
+        ops.numpy_ops().k_theta(np.array([300.0, math.nan, 0.0]), OMEGA_T)
 
 
 @given(
