@@ -81,10 +81,13 @@ def _geometric_grid(lo: float, hi: float, n: int, axis: str) -> list[float]:
         raise config.ConfigError(f"{axis} lower bound must be below the upper bound")
     scale = 2.0 * math.pi if axis == "frequency" else 1.0
     step = (hi / lo) ** (1.0 / max(n - 1, 1))
-    try:
-        grid = [scale * (lo * step**k) for k in range(n)]
-    except OverflowError:  # step**k rounded past the largest float
-        grid = [math.inf]
+    if step == math.inf:   # hi / lo overflows, though lo and hi are floats: lo^(1-t) hi^t
+        grid = [scale * (lo ** (1.0 - k / (n - 1)) * hi ** (k / (n - 1))) for k in range(n)]
+    else:
+        try:
+            grid = [scale * (lo * step**k) for k in range(n)]
+        except OverflowError:  # step**k rounded past the largest float
+            grid = [math.inf]
     if grid[-1] == math.inf:
         raise config.ConfigError(f"{axis} grid leaves the float range")
     return grid

@@ -16,6 +16,7 @@ from .noise import effective_temperature
 from .params import InstrumentParams, Record
 
 MATCHING_DECADES = 6.0       # half-width of the matching search, log10 units
+_Terms = tuple[float, float, float, float]   # H_m, 1 + Delta^2, k Theta_m, k Theta_a
 
 
 class MatchingError(NetworkSolveError):
@@ -36,16 +37,16 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
     detuning-enhanced amplifier sensing noise.  Loss and detection lines
     are dropped, so this is a matching-study tool, not the final number.
     """
-    return _reduced_budget(p, omega, p.R_a / p.r_m)
+    ratio = p.R_a / p.r_m
+    return _reduced_budget(_reduced_terms(p, omega), omega / p.omega_t, ratio)
 
 
-def _reduced_budget(p: InstrumentParams, omega: float, ratio: float) -> float:
-    """simplified_budget at the matching ratio R_a/R_m given; p.R_a is not used.
+def _reduced_budget(terms: _Terms, s: float, ratio: float) -> float:
+    """simplified_budget over the _reduced_terms given, at s = Omega/omega_t and R_a/R_m = ratio.
 
-    (Omega/omega_t)^2 / ratio is s / ratio * s, s = Omega/omega_t: near the
-    optimum s / ratio is of order one, where s^2 alone may leave the float range."""
-    h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
-    s = omega / p.omega_t
+    (Omega/omega_t)^2 / ratio is s / ratio * s: near the optimum s / ratio
+    is of order one, where s^2 alone may leave the float range."""
+    h_m, detuning, k_theta_m, k_theta_a = terms
     return (
         2.0 * h_m * k_theta_m
         + 8.0 * h_m * ratio * k_theta_a
@@ -53,7 +54,7 @@ def _reduced_budget(p: InstrumentParams, omega: float, ratio: float) -> float:
     )
 
 
-def _reduced_terms(p: InstrumentParams, omega: float) -> tuple[float, float, float, float]:
+def _reduced_terms(p: InstrumentParams, omega: float) -> _Terms:
     """H_m, 1 + Delta^2 (a ValueError if it overflows), k Theta_m and k Theta_a."""
     if p.kappa_t == 0.0:
         raise ValueError("impedance matching needs electromechanical coupling; kappa_t is 0")
@@ -88,16 +89,16 @@ def optimal_matching(p: InstrumentParams, omega: float) -> MatchingResult:
     are equal: ratio_opt = sqrt(1 + Delta^2)/2 * |Omega|/omega_t.  Each
     field must come out positive and finite, or it is a ValueError.
     """
-    h_m, detuning, k_theta_m, k_theta_a = _reduced_terms(p, omega)
-    ratio_opt = math.sqrt(detuning) / 2.0 * abs(omega) / p.omega_t
+    return _optimum(_reduced_terms(p, omega), omega, p.omega_t)
+
+
+def _optimum(terms: _Terms, omega: float, omega_t: float) -> MatchingResult:
+    """optimal_matching over the _reduced_terms given."""
+    h_m, detuning, k_theta_m, k_theta_a = terms
+    ratio_opt = math.sqrt(detuning) / 2.0 * abs(omega) / omega_t
     langevin = 2.0 * h_m * k_theta_m
-    detection = 8.0 * h_m * math.sqrt(detuning) * abs(omega) / p.omega_t * k_theta_a
-    result = MatchingResult(
-        ratio_opt=ratio_opt,
-        sigma_opt=langevin + detection,
-        langevin_part=langevin,
-        detection_part=detection,
-    )
+    detection = 8.0 * h_m * math.sqrt(detuning) * abs(omega) / omega_t * k_theta_a
+    result = MatchingResult(ratio_opt, langevin + detection, langevin, detection)
     for name, value in vars(result).items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"the matching optimum leaves the float range: {name} = {value}")
@@ -133,17 +134,20 @@ def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]
     MatchingError when the minimum lands on the bracket edge.  The
     Langevin term is independent of the matching but dominates the
     budget, which would flatten the minimum below floating-point
-    resolution; the search therefore runs at T_m = 0, where that term
-    collapses to a negligible zero-point constant, and the reported value
-    is evaluated at the found ratio with the true temperature.  It works
-    on the ratio alone: R_m = H_m/kappa_t^2 may leave the float range.
+    resolution; the search therefore runs with k Theta_m at T_m = 0, where
+    that term collapses to a negligible zero-point constant, and the
+    reported value is evaluated at the found ratio with the true
+    temperature.  It works on the ratio alone: R_m = H_m/kappa_t^2 may
+    leave the float range.
     """
-    cold = p.with_(T_m=0.0)
+    terms = _reduced_terms(p, omega)
+    cold = (*terms[:2], effective_temperature(0.0, omega), terms[3])    # k Theta_m at T_m = 0
+    s = omega / p.omega_t
 
     def objective(log_ratio: float) -> float:
-        return _reduced_budget(cold, omega, 10.0**log_ratio)
+        return _reduced_budget(cold, s, 10.0**log_ratio)
 
-    centre = math.log10(optimal_matching(p, omega).ratio_opt)
+    centre = math.log10(_optimum(terms, omega, p.omega_t).ratio_opt)
     lo, hi = centre - MATCHING_DECADES, centre + MATCHING_DECADES
     if not -307.0 < lo < hi < 308.0:     # 10**log_ratio would be subnormal or overflow
         raise ValueError(f"the matching search leaves the float range: "
@@ -155,4 +159,4 @@ def numerical_matching(p: InstrumentParams, omega: float) -> tuple[float, float]
             f"log10(R_a/R_m) in [{lo:.3f}, {hi:.3f}] at omega = {omega:g} rad/s",
             omega=omega,
         )
-    return 10.0**best, _reduced_budget(p, omega, 10.0**best)
+    return 10.0**best, _reduced_budget(terms, s, 10.0**best)

@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import HBAR
 from .errors import NetworkSolveError
-from .noise import LINE_LABELS
+from .noise import HBAR, LINE_LABELS
 from .params import InstrumentParams, Record, check_frequency
 from .ops import numpy_ops
 
@@ -67,12 +66,12 @@ class ScatteringResult(Record):
     s_matrix has one row per out port of the network (net.outgoing) over
     its incoming ports (net.incoming), in their orders; a solved stack
     keeps its leading axis on s_matrix and the transfer rows.  condition
-    is always nan (not computed); bench/tracer.py reads it on each solve.
+    is a class constant, nan (not computed); bench/tracer.py reads it.
     """
 
     s_matrix: np.ndarray
     transfer_rows: dict[str, np.ndarray]  # observable -> row over incoming + drives
-    condition: float
+    condition = math.nan
 
 
 class _Order(NamedTuple):
@@ -186,7 +185,6 @@ def solve(net: LinearNetwork) -> ScatteringResult:
     return ScatteringResult(
         s_matrix=x[list(net.outgoing.values()), :len(net.incoming)].transpose(last),
         transfer_rows={name: x_last[..., j, :] for name, j in net.observables.items()},
-        condition=math.nan,
     )
 
 

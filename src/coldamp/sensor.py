@@ -30,8 +30,7 @@ import math
 import operator
 
 from . import ops
-from .constants import HBAR
-from .noise import LINE_LABELS, SLOT
+from .noise import HBAR, LINE_LABELS, SLOT
 from .params import InstrumentParams, Record
 
 

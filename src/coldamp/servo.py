@@ -14,8 +14,7 @@ import warnings
 
 import numpy as np
 
-from .constants import HBAR
-from .noise import SLOT
+from .noise import HBAR, SLOT
 from .ops import numpy_ops
 from .params import InstrumentParams, check_frequency
 from .sensor import coefficients, free_mass_coefficients, mechanical_impedance, re_mu_a1
@@ -25,8 +24,11 @@ class WeakLoadingWarning(UserWarning):
     """R_r/|Z_f| is not << 1, which the closed-loop expressions assume."""
 
 
-def warn_if_loaded(p: InstrumentParams) -> None:
-    """Warn, attributed to the caller's caller, where the amplifier output is not weakly loaded."""
+def check_loop(p: InstrumentParams) -> None:
+    """The loop's preconditions: a ValueError without coupling, and a warning, attributed
+    to the caller's caller, where the amplifier output is not weakly loaded."""
+    if not np.asarray(p.kappa_t).all():
+        raise ValueError("cold damping requires a nonzero electromechanical coupling")
     ratio = p.R_r / p.zf_mag
     if np.any(ratio >= 1e-2):
         warnings.warn(f"R_r/|Z_f| = {np.max(ratio):.2e} is not << 1; the closed-loop "
@@ -57,9 +59,12 @@ def cold_damped_velocity(p: InstrumentParams, omega) -> np.ndarray:
     prefactor is -i q for a real q.
     """
     w = numpy_ops().frequencies(omega)
-    if not np.asarray(p.kappa_t).all():
-        raise ValueError("cold damping requires a nonzero electromechanical coupling")
-    warn_if_loaded(p)
+    check_loop(p)
+    return _velocity(p, w)
+
+
+def _velocity(p: InstrumentParams, w) -> np.ndarray:
+    """cold_damped_velocity at checked frequencies w, without check_loop."""
     zf = p.zf_mag
     q = -np.sqrt(HBAR * p.R_r / (2.0 * p.omega_t)) * w / (2.0 * p.kappa_t * zf)
     root_ar = np.sqrt(p.R_a / p.R_r)
@@ -86,7 +91,8 @@ def cold_damped_estimator(p: InstrumentParams, omega) -> np.ndarray:
     shared (sensor.re_mu_a1) where its bracket cancels.
     """
     w = numpy_ops().frequencies(omega)
-    v = cold_damped_velocity(p, w)
+    check_loop(p)     # here, so that its warning points at this function's caller
+    v = _velocity(p, w)
     lam = free_mass_coefficients(p, w)
     xi = np.asarray(mechanical_impedance(p, w))[..., None]
     # mu = lambda - Xi_m V_cd, in real arithmetic

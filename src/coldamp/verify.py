@@ -223,7 +223,7 @@ def run_checks(p: InstrumentParams, omega: float, *,
         raise ValueError("verification needs electromechanical coupling; kappa_t is 0")
 
     grid, ws = _draws(p, omega, seed, draws)
-    servo.warn_if_loaded(p)     # once for the design, not again from each check at it
+    servo.check_loop(p)     # warns once for the design, not again from each check at it
     # A figure out of the float range reads FAIL, unwarned.
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", servo.WeakLoadingWarning)

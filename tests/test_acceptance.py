@@ -9,9 +9,8 @@ import time
 import numpy as np
 
 from coldamp.budget import budget_point
-from coldamp.constants import HBAR, K_B
 from coldamp.matching import numerical_matching, optimal_matching
-from coldamp.noise import effective_temperature
+from coldamp.noise import HBAR, K_B, effective_temperature
 from coldamp.network import build_sensor_network, check_commutators, solve
 from coldamp.sensor import estimator_coefficients, line_spectra, sensor_noise_spectrum
 from coldamp.verify import (

@@ -136,6 +136,28 @@ def test_numerical_matching_edge_raises(reference_params, reference_omega, monke
         numerical_matching(reference_params, reference_omega)
 
 
+def test_numerical_matching_evaluates_its_terms_once(reference_params, reference_omega,
+                                                      monkeypatch):
+    """One k Theta_m, one k Theta_a and the search's zero-point k Theta_m; no params copy."""
+    import coldamp.matching as matching
+    from coldamp.params import InstrumentParams
+
+    calls = {"effective_temperature": 0, "with_": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matching, "effective_temperature",
+                        counted("effective_temperature", effective_temperature))
+    monkeypatch.setattr(InstrumentParams, "with_", counted("with_", InstrumentParams.with_))
+    numerical_matching(reference_params, reference_omega)
+    assert calls["effective_temperature"] <= 3
+    assert calls["with_"] == 0
+
+
 def test_matching_stationarity(reference_params, reference_omega):
     """Central differences confirm the closed-form optimum is stationary."""
     p, w = reference_params, reference_omega

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import random
 import re
 import warnings
@@ -330,6 +331,32 @@ def test_optimize_reports_small_residual(capsys):
     assert code == cli.EXIT_OK
     residual_line = [l for l in out.splitlines() if "cross-check" in l][0]
     assert float(residual_line.split(":")[1].split()[0]) < 1e-6
+
+
+@pytest.mark.parametrize("lo, hi, n", [(1e-200, 1e200, 2), (1e-300, 1e300, 5), (1e-10, 1e300, 3)])
+def test_a_grid_wider_than_the_float_range_ends_on_its_bounds(lo, hi, n):
+    """hi / lo overflows, yet every point is a float (these grids left the float range)."""
+    grid = cli._geometric_grid(lo, hi, n, "R_a")
+    assert (len(grid), grid[0], grid[-1]) == (n, lo, hi)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert np.allclose(np.log10(grid), np.linspace(math.log10(lo), math.log10(hi), n),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_a_sweep_wider_than_the_float_range(capsys):
+    code, out, _ = run(["sweep", "--axis", "R_a", "--min", "1e-10", "--max", "1e300",
+                        "--points", "3"], capsys)
+    assert code == cli.EXIT_OK
+    assert len(out.splitlines()) == 4
+
+
+def test_optimize_output_on_the_shipped_config(capsys):
+    assert run(["optimize"], capsys) == (cli.EXIT_OK, (
+        "optimal R_a/R_m ratio : 8.17708270877e-08\n"
+        "minimum force noise   : 1.07690622352e-25 N^2/Hz\n"
+        "  thermal part        : 1.07690622000e-25 N^2/Hz\n"
+        "  detection part      : 3.52238049221e-34 N^2/Hz\n"
+        "numerical cross-check : 2.734e-09 relative\n"), "")
 
 
 def test_verify_passes(capsys):

@@ -75,11 +75,22 @@ def test_config_error_skips_numpy(tmp_path):
 
 def test_load_skips_the_digest_and_noise():
     """load only parses and validates: hashlib waits for the digest, and params needs no noise."""
-    code = ("_HEAVY = ('hashlib', '_hashlib', 'coldamp.noise', 'coldamp.constants')\n"
+    code = ("_HEAVY = ('hashlib', '_hashlib', 'coldamp.noise')\n"
             "import sys, coldamp\n"
             "coldamp.load(sys.argv[1])\n"
             "print(*(name in sys.modules for name in _HEAVY), file=sys.stderr)\n")
-    assert _fresh(code, SHIPPED, flags=("-S",)) == ["False"] * 4
+    assert _fresh(code, SHIPPED, flags=("-S",)) == ["False"] * 3
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["optimize"], "cli config errors matching noise params"),
+    (["dump-config"], "cli config errors params"),
+], ids=["optimize", "dump-config"])
+def test_cold_commands_load_exactly_these_modules(argv, modules):
+    """The coldamp modules a cold command loads, and no others."""
+    code = _CLI.replace("*(name in sys.modules for name in _HEAVY)",
+                        "*sorted(n for n in sys.modules if n.startswith('coldamp.'))")
+    assert _fresh(code, *argv) == ["0", *(f"coldamp.{name}" for name in modules.split())]
 
 
 @pytest.mark.parametrize("argv", [["dump-config"], ["optimize"], ["--help"]],

@@ -7,22 +7,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coldamp import noise, ops
-from coldamp.constants import HBAR, K_B
-from coldamp.noise import coth, effective_temperature
+from coldamp.noise import HBAR, K_B, effective_temperature
 
 OMEGA_T = 2.0 * math.pi * 1e5
 
 
+def _at_x(x: float, omega: float = OMEGA_T) -> tuple[float, float, float]:
+    """The zero-point energy at omega, the temperature where hbar|w| / 2 k_B T is x to
+    rounding, and that ratio as effective_temperature computes it."""
+    zero_point = 0.5 * HBAR * omega
+    temp = zero_point / (K_B * x)
+    return zero_point, temp, zero_point / (K_B * temp)
+
+
 def test_coth_reference_value():
-    assert coth(1.0) == pytest.approx(1.3130352854993312, rel=1e-14, abs=0.0)
+    zero_point, temp, _ = _at_x(1.0)
+    assert effective_temperature(temp, OMEGA_T) == pytest.approx(
+        zero_point * 1.3130352854993312, rel=1e-14, abs=0.0)
 
 
 def test_coth_asymptote_and_expansion():
-    assert coth(35.0) == 1.0
-    x = 1e-9
-    assert coth(x) == pytest.approx(1.0 / x + x / 3.0, rel=1e-15, abs=0.0)
-    with pytest.raises(ValueError):
-        coth(0.0)
+    """Above x = 30 coth is 1, so kTheta is the zero point exactly; below x = 1e-8 it is
+    the Laurent expansion 1/x + x/3."""
+    zero_point, temp, _ = _at_x(35.0)
+    assert effective_temperature(temp, OMEGA_T) == zero_point
+    zero_point, temp, x = _at_x(1e-9)
+    assert effective_temperature(temp, OMEGA_T) == pytest.approx(
+        zero_point * (1.0 / x + x / 3.0), rel=1e-15, abs=0.0)
 
 
 def test_zero_temperature_is_exact_zero_point():
@@ -31,13 +42,13 @@ def test_zero_temperature_is_exact_zero_point():
 
 
 def test_temperature_whose_k_b_t_underflows_is_the_zero_point():
-    """k_B T = 0 in floats at 5e-324 K: coth's argument is infinite, not a zero division."""
+    """k_B T = 0 in floats at 5e-324 K: x is infinite, not a zero division."""
     for omega in (1e-3, OMEGA_T):
         assert effective_temperature(5e-324, omega) == 0.5 * HBAR * omega
 
 
 @pytest.mark.parametrize("temp, omega", [
-    (1e300, 1e-3),        # 1/x overflows in coth's Laurent branch
+    (1e300, 1e-3),        # 1/x overflows in the Laurent branch
     (1.7e308, OMEGA_T),
     (1.5, 2.0 * math.pi * 1e-300),   # hbar |w| / 2 underflows to 0
     (300.0, 5e-324),
@@ -51,7 +62,7 @@ def test_half_quantum_ratio():
     # hbar w = 2 kB T makes the coth argument exactly 1.
     omega = 1e5
     temp = HBAR * omega / (2.0 * K_B)
-    expected = K_B * temp * coth(1.0)
+    expected = K_B * temp / math.tanh(1.0)
     assert effective_temperature(temp, omega) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 

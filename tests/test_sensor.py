@@ -10,8 +10,7 @@ import pytest
 import coldamp.sensor as sensor
 from coldamp import ops
 from coldamp.budget import budget_point
-from coldamp.constants import HBAR, K_B
-from coldamp.noise import LINE_LABELS, effective_temperature
+from coldamp.noise import HBAR, K_B, LINE_LABELS, effective_temperature
 from coldamp.sensor import (
     cancelling_product_sum,
     coefficients,

@@ -2,16 +2,17 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coldamp.constants import HBAR
-from coldamp.noise import LINE_LABELS
+from coldamp.noise import HBAR, LINE_LABELS
 from coldamp.ops import numpy_ops
 import coldamp.verify as verify
 from coldamp.sensor import cancelling_product_sum, estimator_coefficients, mechanical_impedance
-from coldamp.servo import cold_damped_estimator, cold_damped_velocity, gain_for_effective_impedance
+from coldamp.servo import (WeakLoadingWarning, cold_damped_estimator, cold_damped_velocity,
+                           gain_for_effective_impedance)
 from coldamp.verify import max_rel_diff, sensing_error_identity
 from coldamp.network import build_sensor_network, solve
 from draws import draw_frequencies, draw_params
@@ -55,6 +56,16 @@ def test_loaded_output_warning(reference_params, reference_omega):
     heavy = reference_params.with_(R_r=0.1 * reference_params.zf_mag)
     with pytest.warns(UserWarning, match="weakly loaded"):
         cold_damped_velocity(heavy, reference_omega)
+
+
+@pytest.mark.parametrize("table", [cold_damped_velocity, cold_damped_estimator])
+def test_loaded_output_warns_once_at_the_caller(table, reference_params, reference_omega):
+    heavy = reference_params.with_(R_r=0.1 * reference_params.zf_mag)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table(heavy, reference_omega)
+    loading = [w for w in caught if issubclass(w.category, WeakLoadingWarning)]
+    assert [Path(w.filename).name for w in loading] == [Path(__file__).name]
 
 
 def test_estimator_equality_reference(reference_params, reference_omega):

@@ -8,10 +8,9 @@ import pytest
 
 import coldamp.sensor as sensor
 import coldamp.verify as verify
-from coldamp.constants import HBAR
 from coldamp.network import (build_matched_junction, build_open_line, build_sensor_network,
                              check_commutators, normalized_row, solve)
-from coldamp.noise import LINE_LABELS
+from coldamp.noise import HBAR, LINE_LABELS
 from coldamp.sensor import estimator_coefficients, free_mass_coefficients, mechanical_impedance
 from coldamp.servo import cold_damped_velocity, gain_for_effective_impedance
 from coldamp.verify import max_rel_diff
