@@ -36,9 +36,16 @@ def simplified_budget(p: InstrumentParams, omega: float) -> float:
     keeping only thermal Langevin noise, amplifier back action and the
     detuning-enhanced amplifier sensing noise.  Loss and detection lines
     are dropped, so this is a matching-study tool, not the final number.
+    R_a/R_m and Sigma must come out positive and finite, or it is a ValueError.
     """
-    ratio = p.R_a / p.r_m
-    return _reduced_budget(_reduced_terms(p, omega), omega / p.omega_t, ratio)
+    r_m = p.r_m
+    ratio = p.R_a / r_m if r_m else math.inf      # H_m/kappa_t^2 may underflow to 0
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"R_a/R_m leaves the float range: R_a = {p.R_a}, R_m = {r_m}")
+    sigma = _reduced_budget(_reduced_terms(p, omega), omega / p.omega_t, ratio)
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"the simplified budget leaves the float range: Sigma = {sigma}")
+    return sigma
 
 
 def _reduced_budget(terms: _Terms, s: float, ratio: float) -> float:

@@ -55,10 +55,11 @@ def effective_temperature(temperature: float, omega: float) -> float:
     return zero_point * (1.0 / math.tanh(x))
 
 
-def effective_temperatures(np, temperature, omega):
-    """effective_temperature at each point of the broadcast arrays, bit for bit, on numpy np:
-    its branches elementwise in its own order, the function itself once per distinct (T, w)
-    in its tanh band, and the function alone on one point or a grid with a T or w it rejects."""
+def effective_temperatures(temperature, omega):
+    """effective_temperature at each point of the broadcast arrays, bit for bit: its branches
+    elementwise in its own order, its tanh band with math.tanh (np.tanh differs in the last
+    bit), and the function alone on one point or a grid with a T or w it rejects."""
+    import numpy as np
     t, w = np.broadcast_arrays(np.asarray(temperature, float), np.asarray(omega, float))
     if not (t.ndim and w.all() and np.isfinite(w).all() and (t >= 0.0).all()):   # nan T too
         return np.asarray(np.frompyfunc(effective_temperature, 2, 1)(t, w), dtype=float)[()]
@@ -67,7 +68,6 @@ def effective_temperatures(np, temperature, omega):
         x = zero_point / thermal   # +-inf or nan where thermal == 0 (T = +-0 or underflow)
         k = np.select([thermal == 0.0, x < X_CLASSICAL, x > COTH_ONE],
                       [zero_point, thermal, zero_point], zero_point * (1.0 / x + x / 3.0))
-    if (band := (x >= COTH_SERIES) & (x <= COTH_ONE)).any():
-        pairs, at = np.unique(t[band] + 1j * w[band], return_inverse=True)
-        k[band] = np.array([effective_temperature(z.real, z.imag) for z in pairs.tolist()])[at]
+    band = (x >= COTH_SERIES) & (x <= COTH_ONE)
+    k[band] = zero_point[band] * (1.0 / np.array(list(map(math.tanh, x[band].tolist()))))
     return k

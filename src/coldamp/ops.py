@@ -103,6 +103,8 @@ class _Float(_Ops):
 class _Numpy(_Ops):
     """A grid in numpy: (N,) columns and (N, 9) tables; 0-d values are one point."""
 
+    k_theta = staticmethod(noise.effective_temperatures)
+
     def __init__(self):
         import numpy as np
         self.np = np
@@ -140,9 +142,6 @@ class _Numpy(_Ops):
     def lines(self, table):
         """The 9 line columns of a (9,) or (N, 9) table."""
         return self.np.asarray(table).T
-
-    def k_theta(self, temperature, omega):
-        return noise.effective_temperatures(self.np, temperature, omega)
 
     def broadcast(self, *values):
         """values broadcast to one grid: (N,) arrays, or floats for a single point."""

@@ -185,8 +185,8 @@ def line_spectra(p: InstrumentParams, omega) -> tuple:
 
     A line's input spectrum is k Theta / (hbar |w|): the mechanical line
     at Omega, and either quadrature of an electrical line twice that at
-    the carrier omega_t.  k Theta is noise.effective_temperature, bit for bit
-    on a grid too (ops' k_theta).
+    the carrier omega_t.  k Theta is noise.effective_temperature, and on a
+    grid noise.effective_temperatures (ops' k_theta), bit for bit the same.
     """
     xp, w = _grid(p, omega)
     return _line_spectra(xp, p, w)

@@ -29,7 +29,8 @@ def check_loop(p: InstrumentParams) -> None:
     to the caller's caller, where the amplifier output is not weakly loaded."""
     if not np.asarray(p.kappa_t).all():
         raise ValueError("cold damping requires a nonzero electromechanical coupling")
-    ratio = p.R_r / p.zf_mag
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(p.R_r, p.zf_mag)      # inf where |Z_f| = 1/(omega_t C_f) reads 0
     if np.any(ratio >= 1e-2):
         warnings.warn(f"R_r/|Z_f| = {np.max(ratio):.2e} is not << 1; the closed-loop "
                       "expressions assume a weakly loaded output", WeakLoadingWarning,

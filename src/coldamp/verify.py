@@ -190,8 +190,11 @@ def finite_gain_exponent(p: InstrumentParams, omega: float) -> float:
     vs |G_s| should be -1 for a first-order limit.
     """
     xi = abs(sensor.mechanical_impedance(p, omega))
-    gains = np.array([servo.gain_for_effective_impedance(p, r * xi, omega)
-                      for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
+    try:
+        gains = np.array([servo.gain_for_effective_impedance(p, r * xi, omega)
+                          for r in (1e3, 1e4, 1e5, 1e6, 1e7)])
+    except ZeroDivisionError:            # 2 kappa_t |Z_f| underflows to 0: no finite gain
+        return math.nan
     if not np.isfinite(gains).all():     # past the float range: nan, which fails
         return math.nan
     target = servo.cold_damped_velocity(p, omega)   # the infinite-gain velocity table

@@ -250,6 +250,25 @@ def test_matching_without_coupling_is_a_value_error(reference_params, reference_
         numerical_matching(q, reference_omega)
 
 
+@pytest.mark.parametrize("r_a, kappa_t, ratio", [(1e-300, 1e-150, "0"), (1e300, 1e150, "inf")])
+def test_simplified_budget_where_r_a_over_r_m_leaves_the_float_range(
+        r_a, kappa_t, ratio, reference_params, reference_omega):
+    """R_a/R_m underflowing to 0 was a bare ZeroDivisionError, and overflowing an inf budget;
+    both are one ValueError naming the ratio."""
+    q = reference_params.with_(R_a=r_a, kappa_t=kappa_t)
+    assert f"{q.R_a / q.r_m:g}" == ratio
+    with pytest.raises(ValueError) as err:
+        simplified_budget(q, reference_omega)
+    assert str(err.value) == f"R_a/R_m leaves the float range: R_a = {r_a}, R_m = {q.r_m}"
+
+
+def test_simplified_budget_that_overflows_is_a_value_error(reference_params, reference_omega):
+    """A finite R_a/R_m whose back-action term overflows: a ValueError, not an inf budget."""
+    with pytest.raises(ValueError, match=r"^the simplified budget leaves the float range: "
+                                         r"Sigma = inf$"):
+        simplified_budget(reference_params.with_(T_a=1e300, R_a=1e200), reference_omega)
+
+
 def test_matching_search_past_the_largest_float_is_a_value_error(reference_params):
     """An optimum ratio near 1e303 puts the search's upper end past 1e308,
     where 10**log_ratio overflows: one ValueError naming the bracket."""

@@ -527,6 +527,12 @@ def test_one_key_edits_end_in_a_result_or_one_typed_line(key, old, value, comman
     argv = _PROBE_ARGV.get(command, [command])
     code, out, err = run([*argv, "--config", _shipped_with(tmp_path, f"{key} = {old}", new)],
                          capsys)
+    _assert_a_result_or_one_typed_line(code, out, err)
+
+
+def _assert_a_result_or_one_typed_line(code, out, err):
+    """The probe's contract on one run: no traceback, no inf or nan with exit 0, one line for
+    any failure, and each result and one line on stderr for a failed verification."""
     if code == cli.EXIT_OK:
         assert not re.search(r"\b(inf|nan)\b", out + err)
         return
@@ -538,6 +544,27 @@ def test_one_key_edits_end_in_a_result_or_one_typed_line(key, old, value, comman
               cli.EXIT_NUMERICAL: "numerical failure: "}[code]
     assert out == ""
     assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("ignore:R_r/\\|Z_f\\| = ")
+@pytest.mark.parametrize("edits, code", [
+    ([("feedback_impedance = 1.6e5 ohm", "feedback_capacitance = 1.0e170 F"),
+      ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 1.0e185 Hz")], cli.EXIT_NUMERICAL),
+    ([("feedback_impedance = 1.6e5 ohm", "feedback_capacitance = 1.0e-11 F"),
+      ("carrier_frequency = 1.0e5 Hz", "carrier_frequency = 4.8e182 Hz"),
+      ("coupling = 1.0e-7 C/m", "coupling = 2.6e-198 C/m")], cli.EXIT_VERIFY),
+], ids=["Z_f-reads-0", "gain-denominator-underflows"])
+def test_verify_where_the_loop_divides_by_zero(edits, code, tmp_path, capsys):
+    """|Z_f| = 1/(omega_t C_f) reading 0 ended in a ZeroDivisionError from the loading
+    ratio R_r/|Z_f|, and 2 kappa_t |Z_f| underflowing in a complex division by zero from
+    the finite-gain fit.  Both now meet the one-key probe's contract; the fit's exponent
+    reads nan and fails, as where its gains overflow."""
+    path = _shipped_with(tmp_path, *edits[0], *edits[1:])
+    result = run([*_PROBE_ARGV["verify"], "--config", path], capsys)
+    _assert_a_result_or_one_typed_line(*result)
+    assert result[0] == code
+    if code == cli.EXIT_VERIFY:
+        assert "[FAIL] finite-gain convergence exponent: max deviation nan " in result[1]
 
 
 @pytest.mark.parametrize("value", _PROBE_VALUES)

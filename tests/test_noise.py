@@ -155,8 +155,7 @@ def test_grid_k_theta_equals_the_scalar_function_bit_for_bit():
     log-uniform over 22 decades with T = 0 at every 97th point and both signs
     of omega, then points on both sides of each branch edge, subnormal and
     huge temperatures, -0.0 (zero point, as the scalar function gives), and a
-    verify-like grid of repeated temperatures at one frequency (the band
-    evaluated once per distinct (T, omega))."""
+    verify-like grid of repeated temperatures at one frequency."""
     k_theta, scalar = ops.numpy_ops().k_theta, np.frompyfunc(effective_temperature, 2, 1)
     rng = np.random.default_rng(36)
     x = 10.0 ** rng.uniform(-11.0, 11.0, size=300_000)
@@ -184,6 +183,39 @@ def test_grid_k_theta_equals_the_scalar_function_bit_for_bit():
     for temp in (300.0, 1.5, 0.0, -0.0):                # one point: series, band, T = 0
         assert k_theta(temp, w) == effective_temperature(temp, w)
         assert type(k_theta(temp, w)) is np.float64
+
+
+def test_grid_k_theta_in_the_tanh_band_equals_the_scalar_function_bit_for_bit():
+    """10^4 points, each with its own (T, omega), all in the tanh band: x
+    log-uniform over [1e-3, 30] (30 is COTH_ONE), omega of both signs."""
+    rng = np.random.default_rng(39)
+    x = 10.0 ** rng.uniform(-3.0, math.log10(noise.COTH_ONE), size=10_000)
+    omega = 10.0 ** rng.uniform(-3.0, 12.0, size=x.size) * rng.choice([-1.0, 1.0], size=x.size)
+    temp = 0.5 * HBAR * np.abs(omega) / (K_B * x)
+    x_of = 0.5 * HBAR * np.abs(omega) / (K_B * temp)
+    assert ((x_of >= noise.COTH_SERIES) & (x_of <= noise.COTH_ONE)).all()
+    assert len(set(zip(temp.tolist(), omega.tolist()))) == x.size
+    scalar = np.frompyfunc(effective_temperature, 2, 1)(temp, omega)
+    assert np.array_equal(_bits(ops.numpy_ops().k_theta(temp, omega)), _bits(scalar))
+
+
+def test_grid_k_theta_of_a_valid_grid_makes_no_scalar_call(monkeypatch):
+    """A valid 1-d grid, band points included, is evaluated without effective_temperature;
+    one point still goes to it whole."""
+    calls = []
+
+    def counting(temperature, omega):
+        calls.append((temperature, omega))
+        return effective_temperature(temperature, omega)
+
+    monkeypatch.setattr(noise, "effective_temperature", counting)
+    temps = np.array([0.0, 1e-3, 1.5, 1.5, 300.0, 1e300])     # zero point, band, classical
+    k_theta = ops.numpy_ops().k_theta
+    for omega in (OMEGA_T, np.geomspace(1e-3, 1e12, temps.size)):
+        k_theta(temps, omega)
+    assert calls == []
+    k_theta(1.5, OMEGA_T)
+    assert calls == [(1.5, OMEGA_T)]
 
 
 @pytest.mark.parametrize("bad", [(300.0, 0.0), (300.0, math.inf), (-1.0, OMEGA_T)],
